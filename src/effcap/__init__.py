@@ -8,8 +8,7 @@ from .channels import (FixedMatrix, IidComplexGaussian, KroneckerCorrelated,
 from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, bit_energy_curve, effective_rate_mc,
-                     ergodic_rate_mc, log_det_rate,
-                     optimize_covariance_statistical, waterfill)
+                     ergodic_rate_mc, optimize_covariance_statistical)
 from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
                           SparseWidebandConfig, derivs_csit,
                           derivs_statistical, derivs_uniform, energy_metrics,
@@ -26,4 +25,4 @@ from .validation import run_validation
 from .errors import (ConfigError, DomainError, EffcapError, FitError,
                      NumericError)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

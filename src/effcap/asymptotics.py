@@ -15,7 +15,8 @@ import numpy as np
 from scipy import integrate
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
-                       iter_sample_chunks, max_eig_subspace, mean_gram_mc)
+                       iter_sample_chunks, iter_spectra, max_eig_subspace,
+                       mean_gram_mc)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, _simplex_project, LN2)
@@ -184,17 +185,16 @@ def energy_metrics(derivs: LowSnrDerivatives) -> EnergyMetrics:
 
 def _sparse_exponent_chunks(model, strategy, n_samples, seed):
     """Per-sample quantity whose scaled exponential MGF sets the bit energy."""
+    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
+        for ev in iter_spectra(model, n_samples, seed):
+            yield ev[:, -1]
+        return
     for h in iter_sample_chunks(model, n_samples, seed):
         if isinstance(strategy, UniformIdentity):
             yield (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
         elif isinstance(strategy, FixedCovariance):
             m = h @ strategy.k @ h.conj().transpose(0, 2, 1)
             yield np.real(np.einsum("nii->n", m))
-        elif isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
-            small = h @ h.conj().transpose(0, 2, 1) \
-                if h.shape[1] <= h.shape[2] \
-                else h.conj().transpose(0, 2, 1) @ h
-            yield np.linalg.eigvalsh(small)[:, -1]
         else:
             raise DomainError(f"unsupported strategy {strategy!r}")
 
@@ -389,7 +389,8 @@ def hankel_effective_rate(scenario: QosScenario, snr: float,
 
 def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
                         snr: float) -> float:
-    """Two-term confluent-hypergeometric form of the Hankel entry g_{i,j}."""
+    """Two-term confluent-hypergeometric form of the Hankel entry g_{i,j};
+    refused below c = (n_R/n_T)*snr = 1, where the two terms cancel."""
     th = scenario.theta_hat
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
@@ -401,6 +402,9 @@ def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
             f"closed form invalid: theta_hat - (d+i+j) = {th - p} is the "
             f"integer {int(round(th - p))}")
     c = scenario.n_r / scenario.n_t * snr
+    if not c >= 1.0:
+        raise NumericError(f"closed form inaccurate at c = (n_R/n_T)*snr = "
+                           f"{c:.3g} < 1; use hankel_mgf")
     x = 1.0 / c
     pref = math.pi / (gamma_fn(th) * math.sin(math.pi * (p - th)))
     term1 = (c ** (-1.0 - p) * gamma_fn(1.0 + p) / gamma_fn(2.0 + p - th)
@@ -439,25 +443,22 @@ def highsnr_metrics(scenario: QosScenario, model: ChannelModel,
     th = scenario.theta_hat
     a = scenario.theta_tb
 
-    def det_w_log2(h):
-        w = h @ h.conj().transpose(0, 2, 1) if n_r <= n_t \
-            else h.conj().transpose(0, 2, 1) @ h
-        ev = np.linalg.eigvalsh(w)
+    def det_w_log2(ev):
         return np.log2(np.maximum(ev, 1e-300)).sum(axis=1)
 
     if th == 0:
         total = 0.0
         n = 0
-        for h in iter_sample_chunks(model, n_samples, seed):
-            total += float(det_w_log2(h).sum())
-            n += h.shape[0]
+        for ev in iter_spectra(model, n_samples, seed):
+            total += float(det_w_log2(ev).sum())
+            n += ev.shape[0]
         l_inf = math.log2(n_t / n_r) - total / n / mn
         return HighSnrMetrics(float(mn), l_inf, "ergodic (theta = 0)")
 
     if th < mx - mn + 1:
         acc = _LogMeanExp()
-        for h in iter_sample_chunks(model, n_samples, seed):
-            acc.add(-a * det_w_log2(h))
+        for ev in iter_spectra(model, n_samples, seed):
+            acc.add(-a * det_w_log2(ev))
         l_inf = math.log2(n_t / n_r) + acc.log_mean() / (a * mn)
         return HighSnrMetrics(float(mn), l_inf,
                               "full slope (theta_hat < max - min + 1)")

@@ -110,6 +110,16 @@ def iter_sample_chunks(model: ChannelModel, n_samples: int, seed: int):
         idx += 1
 
 
+def iter_spectra(model: ChannelModel, n_samples: int, seed: int):
+    """Yield the raw (unclipped, ascending) eigenvalues of the smaller gram,
+    HH^dagger or H^dagger H, one (n, min(n_r, n_t)) array per chunk of
+    `iter_sample_chunks`; callers apply their own clip or floor."""
+    for h in iter_sample_chunks(model, n_samples, seed):
+        hh = h.conj().transpose(0, 2, 1)
+        yield np.linalg.eigvalsh(h @ hh if h.shape[1] <= h.shape[2]
+                                 else hh @ h)
+
+
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     """One independent channel draw."""
     return model.sample_batch(1, rng)[0]
@@ -175,10 +185,7 @@ def spectral_moments_mc(model: ChannelModel, n_samples: int,
         raise DomainError("spectral_moments_mc needs n_samples >= 1000")
     sums = np.zeros(5)
     sqsums = np.zeros(5)
-    for h in iter_sample_chunks(model, n_samples, seed):
-        small = h @ h.conj().transpose(0, 2, 1) if model.n_r <= model.n_t \
-            else h.conj().transpose(0, 2, 1) @ h
-        ev = np.linalg.eigvalsh(small)
+    for ev in iter_spectra(model, n_samples, seed):
         lam = ev[:, -1]
         tr = ev.sum(axis=1)
         tr2 = (ev ** 2).sum(axis=1)

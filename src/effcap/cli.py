@@ -158,6 +158,8 @@ def cmd_queue_validate(args) -> int:
                          args.blocks, cfg.seed, n_samples=cfg.n_samples)
     _say(args, f"theta_target = {res.theta_target:.12g}")
     _say(args, f"theta_est = {res.theta_est:.12g}")
+    _say(args, f"tail_r_squared = {res.tail_r_squared:.12g}")
+    _say(args, f"tail_n_points = {res.tail_n_points}")
     _say(args, f"vacuous = {res.vacuous}")
     _say(args, f"passed = {res.passed}")
     if args.trace_out:

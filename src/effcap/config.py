@@ -40,7 +40,6 @@ _DEFAULTS = {
     "mc.n_samples": 200_000,
     "mc.seed": 0,
     "output.path": "out.csv",
-    "output.format": "csv",
 }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (ChannelModel, IidComplexGaussian, iter_sample_chunks,
-                       hermitian_eig, mean_gram_mc)
+                       iter_spectra, hermitian_eig, mean_gram_mc)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -100,44 +100,6 @@ CovarianceStrategy = (UniformIdentity | WaterfillingCsit | BeamformingCsit |
                       FixedCovariance | StatisticalOptimized)
 
 
-def log_det_rate(h: np.ndarray, k: np.ndarray, snr: float, n_r: int) -> float:
-    """log2 det(I + n_R*snr*H K H^dag) in bits/s/Hz, via PSD eigenvalues."""
-    if snr < 0:
-        raise DomainError("log_det_rate requires snr >= 0")
-    if snr == 0:
-        return 0.0
-    m = h @ k @ h.conj().T
-    ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(np.log2(1.0 + n_r * snr * np.clip(ev.real, 0.0, None)).sum())
-
-
-def waterfill(gram_eigs: np.ndarray, gain: float):
-    """Water-filling fractions d_i maximizing sum log(1 + gain*eig_i*d_i).
-
-    Returns (d, degenerate). An all-zero spectrum yields the uniform
-    allocation with degenerate=True.
-    """
-    eigs = np.asarray(gram_eigs, dtype=float)
-    if gain <= 0:
-        raise DomainError("waterfill requires gain > 0")
-    k = len(eigs)
-    if np.all(eigs <= 0):
-        return np.full(k, 1.0 / k), True
-    order = np.argsort(eigs)[::-1]
-    lam = eigs[order]
-    pos = lam > 0
-    inv = np.where(pos, 1.0 / (gain * np.where(pos, lam, 1.0)), np.inf)
-    cums = np.cumsum(np.where(pos, inv, 0.0))
-    counts = np.arange(1, k + 1)
-    mu = (1.0 + cums) / counts
-    active = int(np.sum(mu > inv))
-    mu_star = (1.0 + cums[active - 1]) / active
-    d_sorted = np.maximum(0.0, mu_star - inv)
-    d = np.empty(k)
-    d[order] = d_sorted
-    return d, False
-
-
 def _batch_waterfill_rates(eigs: np.ndarray, gain: float) -> np.ndarray:
     """Vectorized water-filling rate over a batch of descending spectra."""
     lam = np.sort(eigs, axis=1)[:, ::-1]
@@ -155,32 +117,32 @@ def _batch_waterfill_rates(eigs: np.ndarray, gain: float) -> np.ndarray:
     return rate.sum(axis=1)
 
 
-def _small_gram_eigs(h: np.ndarray) -> np.ndarray:
-    """Nonzero gram eigenvalues via the smaller of HH^dag / H^dag H."""
-    n_r, n_t = h.shape[1], h.shape[2]
-    small = h @ h.conj().transpose(0, 2, 1) if n_r <= n_t \
-        else h.conj().transpose(0, 2, 1) @ h
-    return np.clip(np.linalg.eigvalsh(small), 0.0, None)
+def strategy_spectra(model: ChannelModel, strategy: CovarianceStrategy,
+                     n_samples: int, seed: int):
+    """Per-chunk eigenvalues that set the strategy's rate: those of the
+    small gram (`iter_spectra`), or of H K H^dagger for a fixed K."""
+    if not isinstance(strategy, FixedCovariance):
+        return iter_spectra(model, n_samples, seed)
+    return (np.linalg.eigvalsh(h @ strategy.k @ h.conj().transpose(0, 2, 1))
+            for h in iter_sample_chunks(model, n_samples, seed))
 
 
-def chunk_rates(h: np.ndarray, strategy: CovarianceStrategy, snr: float,
-                n_r: int) -> np.ndarray:
-    """Per-sample log-det service rates (bits/s/Hz) for one sample chunk."""
+def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
+                n_r: int, n_t: int) -> np.ndarray:
+    """Per-sample log-det service rates (bits/s/Hz) of one chunk of
+    `strategy_spectra`."""
     if snr == 0:
-        return np.zeros(h.shape[0])
+        return np.zeros(ev.shape[0])
     gain = n_r * snr
+    ev = np.clip(ev, 0.0, None)
     if isinstance(strategy, UniformIdentity):
-        ev = _small_gram_eigs(h)
-        return np.log2(1.0 + gain / h.shape[2] * ev).sum(axis=1)
+        return np.log2(1.0 + gain / n_t * ev).sum(axis=1)
     if isinstance(strategy, FixedCovariance):
-        m = h @ strategy.k @ h.conj().transpose(0, 2, 1)
-        ev = np.clip(np.linalg.eigvalsh(m).real, 0.0, None)
         return np.log2(1.0 + gain * ev).sum(axis=1)
     if isinstance(strategy, BeamformingCsit):
-        lam = _small_gram_eigs(h)[:, -1]
-        return np.log2(1.0 + gain * lam)
+        return np.log2(1.0 + gain * ev[:, -1])
     if isinstance(strategy, WaterfillingCsit):
-        return _batch_waterfill_rates(_small_gram_eigs(h), gain)
+        return _batch_waterfill_rates(ev, gain)
     raise DomainError(f"unsupported strategy {strategy!r}")
 
 
@@ -242,33 +204,64 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
         _, est = optimize_covariance_statistical(scenario, model, snr,
                                                  n_opt, seed)
         return est
-    a = scenario.theta_tb
-    acc = _LogMeanExp()
-    for h in iter_sample_chunks(model, n_samples, seed):
-        acc.add(-a * chunk_rates(h, strategy, snr, scenario.n_r))
-    denom = a * scenario.n_r
-    return EffCapEstimate(value=-acc.log_mean() / denom,
-                          std_err=acc.se_log() / denom,
-                          normalized_per_rx=True, n_samples=n_samples)
+    return _estimate(scenario.theta_tb, scenario.n_r, model.n_t, strategy,
+                     snr, strategy_spectra(model, strategy, n_samples, seed),
+                     n_samples)
 
 
 def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
                     snr: float, n_samples: int, seed: int,
                     n_r: int | None = None) -> EffCapEstimate:
     """Sample-mean log-det rate per receive dimension (theta -> 0 limit)."""
+    n_r = n_r if n_r is not None else model.n_r
+    return _estimate(0.0, n_r, model.n_t, strategy, snr,
+                     strategy_spectra(model, strategy, n_samples, seed),
+                     n_samples)
+
+
+def _estimate(theta_tb: float, n_r: int, n_t: int,
+              strategy: CovarianceStrategy, snr: float, spectra,
+              n_samples: int) -> EffCapEstimate:
+    """Effective rate per receive dimension over per-chunk spectra, or the
+    sample-mean (ergodic) rate when theta_tb = 0."""
     if snr < 0:
         raise DomainError("snr must be >= 0")
-    n_r = n_r if n_r is not None else model.n_r
-    s = 0.0
-    sq = 0.0
-    for h in iter_sample_chunks(model, n_samples, seed):
-        r = chunk_rates(h, strategy, snr, n_r) / n_r
-        s += float(r.sum())
-        sq += float((r * r).sum())
-    mean = s / n_samples
-    var = max(sq / n_samples - mean ** 2, 0.0)
-    return EffCapEstimate(value=mean, std_err=math.sqrt(var / n_samples),
-                          normalized_per_rx=True, n_samples=n_samples)
+    rates = (chunk_rates(ev, strategy, snr, n_r, n_t) for ev in spectra)
+    if theta_tb == 0:
+        s = 0.0
+        sq = 0.0
+        for r in rates:
+            r = r / n_r
+            s += float(r.sum())
+            sq += float((r * r).sum())
+        mean = s / n_samples
+        var = max(sq / n_samples - mean ** 2, 0.0)
+        return EffCapEstimate(mean, math.sqrt(var / n_samples), True,
+                              n_samples)
+    acc = _LogMeanExp()
+    for r in rates:
+        acc.add(-theta_tb * r)
+    denom = theta_tb * n_r
+    return EffCapEstimate(-acc.log_mean() / denom, acc.se_log() / denom,
+                          True, n_samples)
+
+
+def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
+                   n_samples: int, seed: int):
+    """Return estimate(scenario, snr), the effective rate (ergodic when
+    scenario.theta = 0) on the draws of (model, n_samples, seed).
+
+    The draws are eigensolved once, here, and every point is evaluated
+    from those spectra, bitwise equal to effective_rate_mc /
+    ergodic_rate_mc; StatisticalOptimized re-runs its optimizer per point.
+    """
+    if isinstance(strategy, StatisticalOptimized):
+        return lambda scenario, snr: effective_rate_mc(
+            scenario, model, strategy, snr, n_samples, seed)
+    spectra = list(strategy_spectra(model, strategy, n_samples, seed))
+    return lambda scenario, snr: _estimate(
+        scenario.theta_tb, scenario.n_r, model.n_t, strategy, snr, spectra,
+        n_samples)
 
 
 def _simplex_project(p: np.ndarray) -> np.ndarray:
@@ -357,14 +350,10 @@ def bit_energy_curve(scenario: QosScenario, model: ChannelModel,
     snr_grid = np.asarray(snr_grid, dtype=float)
     if np.any(snr_grid <= 0) or np.any(np.diff(snr_grid) <= 0):
         raise DomainError("snr_grid must be positive and ascending")
+    estimate = rate_estimator(model, strategy, n_samples, seed)
     rows = []
     for snr in snr_grid:
-        if scenario.theta == 0:
-            est = ergodic_rate_mc(model, strategy, snr, n_samples, seed,
-                                  n_r=scenario.n_r)
-        else:
-            est = effective_rate_mc(scenario, model, strategy, snr,
-                                    n_samples, seed)
+        est = estimate(scenario, snr)
         rate = est.value if normalized_per_rx else est.value * scenario.n_r
         err = est.std_err if normalized_per_rx else est.std_err * scenario.n_r
         if rate < 10.0 * err:

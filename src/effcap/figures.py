@@ -15,10 +15,7 @@ import numpy as np
 
 from .channels import IidComplexGaussian
 from .config import RunConfig
-from .engine import (QosScenario, UniformIdentity, _LogMeanExp,
-                     effective_rate_mc, ergodic_rate_mc)
-from .channels import iter_sample_chunks
-from .engine import chunk_rates
+from .engine import QosScenario, UniformIdentity, rate_estimator
 from .errors import ConfigError
 
 SWEEP_COLUMNS = ["snr_db", "snr_linear", "rate_bits_s_hz", "rate_per_dim",
@@ -48,31 +45,21 @@ def _write_csv(path: str, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _rate_point(scenario: QosScenario, model, strategy, snr: float,
-                n_samples: int, seed: int):
-    """(rate per dim, std err) at one SNR, ergodic when theta = 0."""
-    if scenario.theta == 0:
-        est = ergodic_rate_mc(model, strategy, snr, n_samples, seed,
-                              n_r=scenario.n_r)
-    else:
-        est = effective_rate_mc(scenario, model, strategy, snr, n_samples,
-                                seed)
-    return est.value, est.std_err
-
-
 def sweep_rows(scenario: QosScenario, model, strategy, snr_db_grid,
-               n_samples: int, seed: int):
-    """One row per SNR grid point in the stable sweep schema."""
+               n_samples: int, seed: int, estimate=None):
+    """One row per SNR grid point in the stable sweep schema; `estimate`
+    is a `rate_estimator` of (model, strategy, n_samples, seed)."""
+    if estimate is None:
+        estimate = rate_estimator(model, strategy, n_samples, seed)
     name = type(strategy).__name__
     rows = []
     for db in snr_db_grid:
         snr = 10.0 ** (db / 10.0)
-        val, err = _rate_point(scenario, model, strategy, snr, n_samples,
-                               seed)
-        unnorm = val * scenario.n_r
+        est = estimate(scenario, snr)
+        unnorm = est.value * scenario.n_r
         eb_db = 10.0 * math.log10(snr / unnorm) if unnorm > 0 else math.inf
-        rows.append((float(db), snr, unnorm, val, err, eb_db, name,
-                     scenario.theta_hat, scenario.n_r, scenario.n_t,
+        rows.append((float(db), snr, unnorm, est.value, est.std_err, eb_db,
+                     name, scenario.theta_hat, scenario.n_r, scenario.n_t,
                      n_samples, seed))
     return rows
 
@@ -97,31 +84,21 @@ class FigureCurve:
 
 def _antenna_figure(name, out_dir, n_samples, seed, curves, snr_db_grid):
     """Figures 1-4 share the sweep schema; one file per curve."""
+    strategy = UniformIdentity()
+    estimators = {}
     out = []
     for label, theta_hat, n_r, n_t in curves:
         scenario = QosScenario.from_theta_hat(theta_hat, _T, _B, n_r, n_t)
         model = IidComplexGaussian(n_r, n_t)
-        rows = sweep_rows(scenario, model, UniformIdentity(), snr_db_grid,
-                          n_samples, seed)
+        if (n_r, n_t) not in estimators:
+            estimators[n_r, n_t] = rate_estimator(model, strategy, n_samples,
+                                                  seed)
+        rows = sweep_rows(scenario, model, strategy, snr_db_grid, n_samples,
+                          seed, estimators[n_r, n_t])
         path = os.path.join(out_dir, f"{name}_{label}.csv")
         _write_csv(path, SWEEP_COLUMNS, rows)
         out.append(FigureCurve(label, path, SWEEP_COLUMNS, rows))
     return out
-
-
-def _sparse_rate(theta, t, b_c, m, p_over_n0, n_r, n_t, n_samples, seed):
-    """Unnormalized effective rate of one sparse-multipath subchannel."""
-    snr = p_over_n0 / (n_r * m * b_c)
-    model = IidComplexGaussian(n_r, n_t)
-    strategy = UniformIdentity()
-    if theta == 0:
-        est = ergodic_rate_mc(model, strategy, snr, n_samples, seed)
-        return snr, est.value * n_r
-    a = theta * t * b_c
-    acc = _LogMeanExp()
-    for h in iter_sample_chunks(model, n_samples, seed):
-        acc.add(-a * chunk_rates(h, strategy, snr, n_r))
-    return snr, -acc.log_mean() / a
 
 
 _SPARSE_COLUMNS = ["b_c_hz", "m", "snr_linear", "theta", "rate_bits_s_hz",
@@ -133,13 +110,17 @@ def _sparse_figure(name, out_dir, n_samples, seed, m_schedule, n_points,
     b_c_grid = np.logspace(4.0, 7.0, n_points)
     n_r = n_t = 2
     p_over_n0 = 1e4
+    estimate = rate_estimator(IidComplexGaussian(n_r, n_t), UniformIdentity(),
+                              n_samples, seed)
     out = []
     for theta in thetas:
         rows = []
         for b_c in b_c_grid:
             m = m_schedule(b_c)
-            snr, rate = _sparse_rate(theta, _T, b_c, m, p_over_n0, n_r, n_t,
-                                     n_samples, seed)
+            snr = p_over_n0 / (n_r * m * b_c)
+            # unnormalized rate of one subchannel of bandwidth b_c
+            scenario = QosScenario(theta, _T, float(b_c), n_r, n_t)
+            rate = estimate(scenario, snr).value * n_r
             eb_db = 10.0 * math.log10(snr / rate) if rate > 0 else math.inf
             rows.append((float(b_c), m, snr, theta, rate, eb_db, n_samples,
                          seed))

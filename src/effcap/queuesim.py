@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel, iter_sample_chunks
+from .channels import ChannelModel
 from .engine import (CovarianceStrategy, FixedCovariance, QosScenario,
                      StatisticalOptimized, chunk_rates, effective_rate_mc,
-                     optimize_covariance_statistical)
+                     optimize_covariance_statistical, strategy_spectra)
 from .errors import DomainError, FitError
 
 _MIN_BLOCKS = 100_000
@@ -81,8 +81,9 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
         strategy = FixedCovariance(k)
     bits_per_block = scenario.t * scenario.b
     services = np.concatenate([
-        bits_per_block * chunk_rates(h, strategy, snr, scenario.n_r)
-        for h in iter_sample_chunks(model, n_blocks, seed)])
+        bits_per_block * chunk_rates(ev, strategy, snr, scenario.n_r,
+                                     model.n_t)
+        for ev in strategy_spectra(model, strategy, n_blocks, seed)])
     q = lindley_path(arrival_per_block, services)
     return QueueTrace(queue_lengths=q, services=services,
                       arrival_per_block=arrival_per_block, n_blocks=n_blocks,
@@ -125,6 +126,8 @@ class ThetaValidation:
     passed: bool
     vacuous: bool
     arrival_per_block: float
+    tail_r_squared: float  # R^2 of the tail fit; NaN when vacuous
+    tail_n_points: int  # distinct tail points fitted; 0 when vacuous
 
 
 def validate_theta(scenario: QosScenario, model: ChannelModel,
@@ -146,11 +149,13 @@ def validate_theta(scenario: QosScenario, model: ChannelModel,
             and float(q.max(initial=0.0)) == 0.0:
         # deterministic service above the arrival rate: the tail law holds
         # trivially (the queue never grows), nothing to fit
-        return ThetaValidation(scenario.theta, math.nan, True, True, arrival)
+        return ThetaValidation(scenario.theta, math.nan, True, True, arrival,
+                               math.nan, 0)
     fit = estimate_tail_exponent(trace)
     rel = abs(fit.theta_est - scenario.theta) / scenario.theta
     return ThetaValidation(scenario.theta, fit.theta_est,
-                           rel <= tolerance, False, arrival)
+                           rel <= tolerance, False, arrival, fit.r_squared,
+                           fit.n_points)
 
 
 def write_trace_csv(trace: QueueTrace, path: str) -> None:

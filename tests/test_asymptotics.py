@@ -297,6 +297,24 @@ class TestHankelEntryClosed:
         with pytest.raises(DomainError):
             hankel_entry_closed(0, 2, scen(0.5, 2, 2), 5.0)
 
+    @pytest.mark.parametrize("snr", [0.01, 0.03, 0.1, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("theta_hat", [0.5, 1.5, 2.5])
+    def test_accurate_or_refused_against_mpmath(self, theta_hat, snr):
+        # SISO entry g_00 = c^{-1} U(1, 2 - theta_hat, 1/c) with c = snr;
+        # the two-term form cancels catastrophically below c = 1
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            val = hankel_entry_closed(0, 0, scen(theta_hat), snr)
+        except NumericError:
+            assert snr < 1.0
+            return
+        assert snr >= 1.0
+        with mpmath.workdps(40):
+            c = mpmath.mpf(snr)
+            ref = float(mpmath.hyperu(1, 2 - mpmath.mpf(theta_hat), 1 / c)
+                        / c)
+        assert abs(val - ref) <= 1e-8 * abs(ref)
+
 
 class TestHighSnrMetrics:
     def test_full_slope_band(self):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ class TestParsing:
         assert cfg.kv["strategy.name"] == "uniform"
         assert cfg.n_samples == 2000
         assert cfg.seed == 0
+        assert "output.format" not in cfg.kv
 
     def test_roundtrip_identity(self):
         cfg = parse_config(BASE)
@@ -219,6 +222,15 @@ class TestCli:
         assert code == 0
         assert trace.read_text().startswith("block_index,queue_bits")
 
+    def test_queue_validate_reports_tail_fit(self, tmp_path, capsys):
+        code = run_cli("queue-validate", "--set", "scenario.theta_hat=1.0",
+                       "--samples", "20000", "--blocks", "100000")
+        printed = dict(line.split(" = ", 1)
+                       for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert 0.9 <= float(printed["tail_r_squared"]) <= 1.0
+        assert int(printed["tail_n_points"]) >= 20
+
     def test_validate_suite(self):
         assert run_cli("validate", "wideband", "--samples", "20000",
                        "--quiet") == 0
@@ -234,3 +246,12 @@ class TestCli:
     def test_reproduce_fig_unknown_name(self, tmp_path):
         assert run_cli("reproduce-fig", "fig99", "--out", str(tmp_path),
                        "--quiet") == 2
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    import effcap
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert effcap.__version__ == meta["project"]["version"]

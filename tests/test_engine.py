@@ -6,10 +6,11 @@ import pytest
 from effcap.channels import FixedMatrix, IidComplexGaussian, KroneckerCorrelated
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
-                           WaterfillingCsit, bit_energy_curve,
-                           effective_rate_mc, ergodic_rate_mc, log_det_rate,
-                           optimize_covariance_statistical, waterfill)
+                           WaterfillingCsit, bit_energy_curve, chunk_rates,
+                           effective_rate_mc, ergodic_rate_mc,
+                           optimize_covariance_statistical)
 from effcap.errors import DomainError
+from oracles import log_det_rate, waterfill
 
 T, B = 1e-3, 1e5
 
@@ -91,6 +92,17 @@ class TestWaterfill:
         d, degenerate = waterfill(np.zeros(3), 1.0)
         assert degenerate
         assert np.allclose(d, 1.0 / 3)
+
+    def test_batch_rates_match_oracle(self):
+        rng = np.random.default_rng(3)
+        ev = rng.uniform(0.0, 5.0, size=(50, 3))
+        ev[rng.random((50, 3)) < 0.2] = 0.0
+        ev[0] = 0.0
+        got = chunk_rates(ev, WaterfillingCsit(), 0.7, 2, 3)
+        for row, rate in zip(ev, got):
+            d, _ = waterfill(row, 2 * 0.7)
+            want = np.log2(1.0 + 2 * 0.7 * row * d).sum()
+            assert abs(rate - want) <= 1e-12 * max(1.0, want)
 
 
 class TestEffectiveRate:

@@ -130,6 +130,8 @@ class TestValidateTheta:
         assert res.passed
         assert abs(res.theta_est - res.theta_target) \
             <= 0.15 * res.theta_target
+        assert 0.9 <= res.tail_r_squared <= 1.0
+        assert res.tail_n_points >= 20
 
     def test_inflated_arrival_slower_decay(self):
         # pushing the arrival above the effective capacity for theta means
@@ -150,6 +152,8 @@ class TestValidateTheta:
         assert res.vacuous
         assert res.passed
         assert math.isnan(res.theta_est)
+        assert math.isnan(res.tail_r_squared)
+        assert res.tail_n_points == 0
 
     def test_theta_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,108 @@
+"""Spectrum reuse pins: sweeps, bit-energy curves and figures evaluate every
+point from one eigensolve of the draws, and must equal the per-point Monte
+Carlo estimators bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from effcap.channels import (CHUNK, IidComplexGaussian, iter_sample_chunks,
+                             iter_spectra)
+from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
+                           WaterfillingCsit, _LogMeanExp, bit_energy_curve,
+                           chunk_rates, effective_rate_mc, ergodic_rate_mc)
+from effcap.figures import reproduce_figure, sweep_rows
+
+T, B = 1e-3, 1e5
+N = 2 * CHUNK + 123  # three chunks, the last one partial
+SEED = 5
+STRATEGIES = [UniformIdentity(), BeamformingCsit(), WaterfillingCsit()]
+
+
+def per_point(scenario, model, strategy, snr):
+    if scenario.theta == 0:
+        return ergodic_rate_mc(model, strategy, snr, N, SEED,
+                               n_r=scenario.n_r)
+    return effective_rate_mc(scenario, model, strategy, snr, N, SEED)
+
+
+def test_iter_spectra_chunks_and_orientation():
+    for n_r, n_t in ((2, 3), (3, 2)):
+        model = IidComplexGaussian(n_r, n_t)
+        spectra = list(iter_spectra(model, N, SEED))
+        assert [len(ev) for ev in spectra] == [CHUNK, CHUNK, 123]
+        for ev, h in zip(spectra, iter_sample_chunks(model, N, SEED)):
+            assert ev.shape == (len(h), min(n_r, n_t))
+            full = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)
+            np.testing.assert_allclose(ev, full[:, -min(n_r, n_t):],
+                                       atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("theta_hat", [0.0, 2.0])
+@pytest.mark.parametrize("strategy", STRATEGIES,
+                         ids=lambda s: type(s).__name__)
+def test_sweep_rows_equal_per_point_estimates(strategy, theta_hat, shape):
+    n_r, n_t = shape
+    sc = QosScenario.from_theta_hat(theta_hat, T, B, n_r, n_t)
+    model = IidComplexGaussian(n_r, n_t)
+    grid = [-10.0, 0.0, 10.0, 20.0]
+    rows = sweep_rows(sc, model, strategy, grid, N, SEED)
+    for row, db in zip(rows, grid):
+        est = per_point(sc, model, strategy, 10.0 ** (db / 10.0))
+        assert (row[3], row[4]) == (est.value, est.std_err)
+
+
+@pytest.mark.parametrize("theta_hat", [0.0, 1.0])
+def test_bit_energy_curve_equals_per_point_loop(theta_hat):
+    sc = QosScenario.from_theta_hat(theta_hat, T, B, 2, 2)
+    model = IidComplexGaussian(2, 2)
+    grid = np.array([1e-3, 1e-2, 1e-1, 1.0])
+    expected = []
+    for snr in grid:
+        est = per_point(sc, model, UniformIdentity(), snr)
+        if est.value < 10.0 * est.std_err:
+            continue
+        expected.append((10.0 * math.log10(snr / est.value), est.value))
+    got = bit_energy_curve(sc, model, UniformIdentity(), grid, N, SEED)
+    assert got == expected
+
+
+def test_fig5_curve_equals_sparse_rate_formula(tmp_path):
+    n_points = 3
+    curves = reproduce_figure("fig5", out_dir=str(tmp_path), n_samples=N,
+                              seed=SEED, theta_values=(0.0, 0.5),
+                              n_points=n_points)
+    model = IidComplexGaussian(2, 2)
+    for curve, theta in zip(curves, (0.0, 0.5)):
+        for row, b_c in zip(curve.rows, np.logspace(4.0, 7.0, n_points)):
+            snr = 1e4 / (2 * 5 * b_c)
+            if theta == 0:
+                rate = ergodic_rate_mc(model, UniformIdentity(), snr, N,
+                                       SEED).value * 2
+            else:
+                # the unnormalized rate -log E{e^{-theta T b_c R}}/(theta T
+                # b_c), with R the uniform-power log-det rate
+                a = theta * T * b_c
+                acc = _LogMeanExp()
+                for h in iter_sample_chunks(model, N, SEED):
+                    ev = np.clip(np.linalg.eigvalsh(
+                        h @ h.conj().transpose(0, 2, 1)), 0.0, None)
+                    acc.add(-a * np.log2(1.0 + 2 * snr / 2 * ev).sum(axis=1))
+                rate = -acc.log_mean() / a
+            assert (row[2], row[4]) == (snr, rate)
+
+
+def test_uniform_rate_keeps_expression_order():
+    # per draw, log2(1 + (n_R*snr/n_T) * eig) in that order; with n_T = 3 a
+    # reordered product rounds differently on many draws
+    model = IidComplexGaussian(2, 3)
+    snr = 0.7
+    for ev, h in zip(iter_spectra(model, N, SEED),
+                     iter_sample_chunks(model, N, SEED)):
+        eig = np.clip(np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1)),
+                      0.0, None)
+        want = np.log2(1.0 + 2 * snr / 3 * eig).sum(axis=1)
+        assert np.array_equal(
+            chunk_rates(ev, UniformIdentity(), snr, 2, 3), want)
