@@ -16,10 +16,10 @@ from scipy import integrate
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        iter_sample_chunks, iter_spectra, max_eig_subspace,
-                       mean_gram_mc)
+                       mean_gram)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, _LogMeanExp, _simplex_project, LN2)
+                     WaterfillingCsit, _LogMeanExp, simplex_maximize, LN2)
 from .errors import DomainError, NumericError
 from .special import gamma_fn, confluent_1f1
 
@@ -91,43 +91,10 @@ def derivs_uniform(moments: MomentEstimates,
     return LowSnrDerivatives(first, second, "uniform")
 
 
-def _min_simplex_quadratic(q: np.ndarray, rng: np.random.Generator):
-    """Minimize a^T Q a over the probability simplex."""
-    l = q.shape[0]
-    if l == 1:
-        return np.array([1.0]), float(q[0, 0])
-    if l == 2:
-        # alpha = (t, 1-t): f(t) = (Q00 - 2Q01 + Q11) t^2 + 2(Q01 - Q11) t + Q11
-        a2 = q[0, 0] - 2 * q[0, 1] + q[1, 1]
-        a1 = 2 * (q[0, 1] - q[1, 1])
-        cands = [0.0, 1.0]
-        if a2 > 0:
-            cands.append(min(1.0, max(0.0, -a1 / (2 * a2))))
-        vals = [a2 * t * t + a1 * t + q[1, 1] for t in cands]
-        t = cands[int(np.argmin(vals))]
-        return np.array([t, 1.0 - t]), float(min(vals))
-    best_a, best_v = None, np.inf
-    starts = [np.full(l, 1.0 / l)] + [
-        _simplex_project(rng.random(l)) for _ in range(19)]
-    for a in starts:
-        step = 0.1
-        v = float(a @ q @ a)
-        for _ in range(500):
-            g = 2.0 * (q @ a)
-            cand = _simplex_project(a - step * g)
-            cv = float(cand @ q @ cand)
-            if cv < v - 1e-15:
-                if np.max(np.abs(cand - a)) < 1e-10:
-                    a, v = cand, cv
-                    break
-                a, v = cand, cv
-            else:
-                step *= 0.5
-                if step < 1e-8:
-                    break
-        if v < best_v:
-            best_a, best_v = a, v
-    return best_a, best_v
+def _quadratic_objective(q: np.ndarray):
+    """fg(a) = (-a^T Q a, -2 Q a) for symmetric Q; its simplex maximum is
+    minus the minimum of a^T Q a."""
+    return lambda a: (-float(a @ q @ a), -2.0 * (q @ a))
 
 
 def derivs_statistical(mean_gram: np.ndarray, model: ChannelModel,
@@ -163,8 +130,9 @@ def derivs_statistical(mean_gram: np.ndarray, model: ChannelModel,
     c1 = scenario.theta_tb * scenario.n_r / LN2 ** 2
     c2 = scenario.n_r / LN2
     q = c1 * a_mat + c2 * b_mat
-    _, min_val = _min_simplex_quadratic(q, np.random.default_rng(seed))
-    second = c1 * lam ** 2 - min_val
+    _, neg_min, _ = simplex_maximize(_quadratic_objective(q),
+                                     np.full(l, 1.0 / l))
+    second = c1 * lam ** 2 + neg_min
     return LowSnrDerivatives(first, second, "statistical")
 
 
@@ -227,49 +195,27 @@ def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
     return eb, 10.0 * math.log10(eb)
 
 
+def _sparse_objective(gains: np.ndarray, rho: float):
+    """fg(p) of -log E{exp(-rho/ln2 * gains.p)} over per-sample,
+    per-direction gains; the exponent is linear in p, so its gradient is
+    -rho/ln2 * gains."""
+    def fg(p):
+        acc = _LogMeanExp()
+        acc.add(-rho / LN2 * (gains @ p), -rho / LN2 * gains)
+        return -acc.log_mean(), -acc.d_log_mean()
+    return fg
+
+
 def _sparse_ebmin_statistical(config, scenario, model, rho, n_samples, seed):
     """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
-    if isinstance(model, IidComplexGaussian):
-        mg = model.exact_mean_gram()
-    else:
-        mg = mean_gram_mc(model, n_samples, seed)
-    _, u = np.linalg.eigh(mg)
+    _, u = np.linalg.eigh(mean_gram(model, n_samples, seed))
     u = u[:, ::-1]
     # per-sample per-direction gains |H u_i|^2
     gains = np.concatenate([
         (np.abs(h @ u) ** 2).sum(axis=1)
         for h in iter_sample_chunks(model, n_samples, seed)])
-
-    def neg_log_mgf(p):
-        acc = _LogMeanExp()
-        acc.add(-rho / LN2 * gains @ p)
-        return -acc.log_mean()
-
-    n_t = model.n_t
-    p = np.zeros(n_t)
-    p[0] = 1.0  # strongest statistical eigendirection
-    best = neg_log_mgf(p)
-    for start in [np.full(n_t, 1.0 / n_t), p]:
-        cur, val, step = start, neg_log_mgf(start), 0.1
-        for _ in range(200):
-            g = np.empty(n_t)
-            for i in range(n_t):
-                dp = cur.copy()
-                dp[i] += 1e-5
-                g[i] = (neg_log_mgf(_simplex_project(dp)) - val) / 1e-5
-            cand = _simplex_project(cur + step * g)
-            cv = neg_log_mgf(cand)
-            if cv > val:
-                moved = np.max(np.abs(cand - cur))
-                cur, val = cand, cv
-                if moved < 1e-6:
-                    break
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
-        if val > best:
-            best, p = val, cur
+    _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
+                                  np.full(model.n_t, 1.0 / model.n_t))
     eb = rho / best
     return eb, 10.0 * math.log10(eb)
 
@@ -279,11 +225,7 @@ def sparse_ebmin_sublinear(model: ChannelModel,
                            n_samples: int, seed: int):
     """Sublinear-growth (m -> inf) minimum bit energy; returns (linear, dB)."""
     if isinstance(strategy, StatisticalOptimized):
-        if isinstance(model, IidComplexGaussian):
-            mg = model.exact_mean_gram()
-        else:
-            mg = mean_gram_mc(model, n_samples, seed)
-        lam = float(np.linalg.eigvalsh(mg)[-1])
+        lam = float(np.linalg.eigvalsh(mean_gram(model, n_samples, seed))[-1])
         denom = lam
     else:
         total = 0.0

@@ -208,3 +208,10 @@ def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
         acc += np.einsum("nij,nik->jk", h.conj(), h)
     g = acc / n_samples
     return 0.5 * (g + g.conj().T)
+
+
+def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
+    """E{H^dagger H}: exact for the i.i.d. model, else `mean_gram_mc`."""
+    if isinstance(model, IidComplexGaussian):
+        return model.exact_mean_gram()
+    return mean_gram_mc(model, n_samples, seed)

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import asymptotics as asy
-from .channels import spectral_moments_mc, mean_gram_mc, IidComplexGaussian
+from .channels import spectral_moments_mc, mean_gram
 from .config import RunConfig, apply_overrides, parse_kv_text
 from .engine import (StatisticalOptimized, UniformIdentity, WaterfillingCsit,
                      BeamformingCsit, bit_energy_curve)
@@ -87,11 +87,8 @@ def cmd_low_snr(args) -> int:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_csit(mom, sc)
     elif isinstance(strategy, StatisticalOptimized):
-        if isinstance(model, IidComplexGaussian):
-            mg = model.exact_mean_gram()
-        else:
-            mg = mean_gram_mc(model, cfg.n_samples, cfg.seed)
-        d = asy.derivs_statistical(mg, model, sc, n_samples=cfg.n_samples,
+        d = asy.derivs_statistical(mean_gram(model, cfg.n_samples, cfg.seed),
+                                   model, sc, n_samples=cfg.n_samples,
                                    seed=cfg.seed)
     else:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)

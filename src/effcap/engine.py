@@ -9,12 +9,13 @@ log-mean-exp so that large theta*T*B products never overflow.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, IidComplexGaussian, iter_sample_chunks,
-                       iter_spectra, hermitian_eig, mean_gram_mc)
+from .channels import (ChannelModel, iter_sample_chunks, iter_spectra,
+                       hermitian_eig, mean_gram)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -155,15 +156,17 @@ class EffCapEstimate:
 
 
 class _LogMeanExp:
-    """Streaming log-mean-exp with delta-method standard error."""
+    """Streaming log-mean-exp with delta-method standard error and, when
+    per-sample derivatives of the exponents are given, its gradient."""
 
     def __init__(self):
         self.m = -np.inf
         self.s1 = 0.0
         self.s2 = 0.0
+        self.sd = 0.0
         self.n = 0
 
-    def add(self, x: np.ndarray):
+    def add(self, x: np.ndarray, dx: np.ndarray | None = None):
         cm = float(x.max())
         if not math.isfinite(cm) and cm > 0:
             raise NumericError(f"infinite exponent in log-mean-exp: {cm}")
@@ -172,10 +175,13 @@ class _LogMeanExp:
                 r = math.exp(self.m - cm)
                 self.s1 *= r
                 self.s2 *= r * r
+                self.sd *= r
             self.m = cm
         w = np.exp(x - self.m)
         self.s1 += float(w.sum())
         self.s2 += float((w * w).sum())
+        if dx is not None:
+            self.sd += w @ dx
         self.n += len(x)
 
     def log_mean(self) -> float:
@@ -183,6 +189,10 @@ class _LogMeanExp:
             raise NumericError(
                 f"MGF sample mean underflowed; max exponent was {self.m}")
         return self.m + math.log(self.s1 / self.n)
+
+    def d_log_mean(self) -> np.ndarray:
+        """Gradient of log_mean: the exp-weighted mean of the added dx."""
+        return self.sd / self.s1
 
     def se_log(self) -> float:
         mean_w = self.s1 / self.n
@@ -275,66 +285,108 @@ def _simplex_project(p: np.ndarray) -> np.ndarray:
     return np.maximum(p - tau, 0.0)
 
 
+# relative Frank-Wolfe gap at which simplex_maximize stops, its cap on
+# objective evaluations, the Armijo constant and the number of recent values
+# the nonmonotone Armijo test compares against
+SIMPLEX_GAP_TOL = 1e-6
+SIMPLEX_MAX_EVALS = 200
+_ARMIJO = 1e-4
+_NONMONOTONE = 10
+
+
+def simplex_maximize(fg, p0: np.ndarray):
+    """Maximize a concave f over the probability simplex from p0 on it.
+
+    fg(p) returns (f(p), grad f(p)). Spectral projected-gradient ascent
+    (Birgin, Martinez & Raydan, SIAM J. Optim. 2000): each direction points
+    to the projection of p + step * grad, the step alternating the two
+    Barzilai-Borwein steps, and backtracking halves the move until f beats
+    the smallest of the last _NONMONOTONE accepted values by the Armijo
+    margin. Stops once the Frank-Wolfe gap max_i g_i - g.p, which bounds
+    f* - f(p) for concave f, is at most SIMPLEX_GAP_TOL * max(1, |f|), or
+    after SIMPLEX_MAX_EVALS calls of fg. Returns (p, f(p), gap); p is p0 or
+    an array that was passed to fg.
+    """
+    p = p0
+    f, g = fg(p)
+    recent = deque([f], maxlen=_NONMONOTONE)
+    step, d, bb2 = 1.0, None, False
+    for _ in range(SIMPLEX_MAX_EVALS - 1):
+        if g.max() - g @ p <= SIMPLEX_GAP_TOL * max(1.0, abs(f)):
+            break
+        if d is None:
+            d = _simplex_project(p + step * g) - p
+            lam = 1.0
+        cand = p + lam * d
+        if np.array_equal(cand, p):
+            break
+        fc, gc = fg(cand)
+        if not fc >= min(recent) + _ARMIJO * lam * float(g @ d):
+            lam *= 0.5
+            continue
+        s_k, y_k = cand - p, g - gc
+        sy = float(s_k @ y_k)
+        if sy > 0:
+            step = sy / float(y_k @ y_k) if bb2 else float(s_k @ s_k) / sy
+            bb2 = not bb2
+        p, f, g, d = cand, fc, gc, None
+        recent.append(f)
+    return p, f, float(g.max() - g @ p)
+
+
+def _statistical_estimate(scenario: QosScenario, snr: float, grams,
+                          p: np.ndarray, n_samples: int):
+    """Effective rate of K = U diag(p) U^dagger and its gradient in p, on
+    per-chunk rotated grams G = U^dagger H^dagger H U.
+
+    The rate is log2 det(I + g G P) and its derivative in p_i is
+    g/ln2 [(I + g G P)^{-1} G]_ii, with g = n_R * snr and P = diag(p).
+    """
+    a = scenario.theta_tb
+    gain = scenario.n_r * snr
+    denom = a * scenario.n_r
+    eye = np.eye(len(p))
+    acc = _LogMeanExp()
+    for gm in grams:
+        m = eye + gain * (gm * p)
+        _, logdet = np.linalg.slogdet(m)
+        d_rate = gain * np.einsum("nii->ni", np.linalg.solve(m, gm)).real
+        acc.add(-a / LN2 * logdet, -a / LN2 * d_rate)
+    est = EffCapEstimate(value=-acc.log_mean() / denom,
+                         std_err=acc.se_log() / denom,
+                         normalized_per_rx=True, n_samples=n_samples)
+    return est, -acc.d_log_mean() / denom
+
+
 def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
                                     snr: float, n_samples: int, seed: int):
     """Maximize the effective rate over K in the eigenbasis of E{H^dagger H}.
 
-    Projected-gradient simplex search with common random numbers; ties are
-    broken toward the uniform allocation.
+    `simplex_maximize` over the power fractions with common random numbers;
+    ties within two standard errors are broken toward the uniform allocation.
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
-    if isinstance(model, IidComplexGaussian):
-        mean_gram = model.exact_mean_gram()
-    else:
-        mean_gram = mean_gram_mc(model, n_samples, seed)
-    _, u = hermitian_eig(mean_gram)
+    _, u = hermitian_eig(mean_gram(model, n_samples, seed))
 
-    # cache rotated channels once; every candidate K reuses the same draws
-    chunks = [h @ u for h in iter_sample_chunks(model, n_samples, seed)]
-    a = scenario.theta_tb
-    gain = scenario.n_r * snr
-    denom = a * scenario.n_r
+    # cache rotated grams once; every candidate K reuses the same draws
+    grams = []
+    for h in iter_sample_chunks(model, n_samples, seed):
+        b = h @ u
+        grams.append(b.conj().transpose(0, 2, 1) @ b)
+    estimates = {}
 
-    def estimate(p: np.ndarray) -> EffCapEstimate:
-        acc = _LogMeanExp()
-        for b in chunks:
-            m = (b * p) @ b.conj().transpose(0, 2, 1)
-            ev = np.clip(np.linalg.eigvalsh(m).real, 0.0, None)
-            rates = np.log2(1.0 + gain * ev).sum(axis=1)
-            acc.add(-a * rates)
-        return EffCapEstimate(value=-acc.log_mean() / denom,
-                              std_err=acc.se_log() / denom,
-                              normalized_per_rx=True, n_samples=n_samples)
+    def fg(p):
+        est, grad = _statistical_estimate(scenario, snr, grams, p, n_samples)
+        estimates[p.tobytes()] = est
+        return est.value, grad
 
-    n_t = scenario.n_t
-    p = np.full(n_t, 1.0 / n_t)
-    best = estimate(p)
-    uniform_est = best
-    step = 0.1
-    eps = 1e-4
-    for _ in range(200):
-        g = np.empty(n_t)
-        for i in range(n_t):
-            dp = p.copy()
-            dp[i] += eps
-            g[i] = (estimate(_simplex_project(dp)).value - best.value) / eps
-        moved = False
-        while step > 1e-4:
-            cand = _simplex_project(p + step * g)
-            if np.max(np.abs(cand - p)) < 1e-4:
-                break
-            cand_est = estimate(cand)
-            if cand_est.value > best.value:
-                p, best = cand, cand_est
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
+    uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
+    p, _, _ = simplex_maximize(fg, uniform)
+    best = estimates[p.tobytes()]
+    uniform_est = estimates[uniform.tobytes()]
     if best.value <= uniform_est.value + 2.0 * uniform_est.std_err:
-        p = np.full(n_t, 1.0 / n_t)
-        best = uniform_est
+        p, best = uniform, uniform_est
     k = (u * p) @ u.conj().T
     return k, best
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sps
 
 from .errors import DomainError, NumericError
@@ -35,30 +34,6 @@ def gamma_fn(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         raise DomainError(f"gamma_fn pole at x={x}")
     return math.gamma(x)
-
-
-def upper_incomplete_gamma(alpha: float, x: float) -> float:
-    """Upper incomplete Gamma function Gamma(alpha, x) for x > 0.
-
-    alpha may be zero or negative; that branch is evaluated through the
-    integral representation Gamma(alpha, x) = x^alpha e^{-x}
-    * int_0^inf e^{-x t} (1+t)^{alpha-1} dt, which is stable where upward
-    recurrences are not.
-    """
-    if not (x > 0):
-        raise DomainError(f"upper_incomplete_gamma requires x > 0, got {x}")
-    if alpha > 0:
-        return float(sps.gammaincc(alpha, x) * sps.gamma(alpha))
-
-    def integrand(t: float) -> float:
-        return math.exp(-x * t) * (1.0 + t) ** (alpha - 1.0)
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
-                              epsrel=1e-12, limit=300)
-    if not math.isfinite(val):
-        raise NumericError(
-            f"upper_incomplete_gamma integral diverged for alpha={alpha}, x={x}")
-    return float(x ** alpha * math.exp(-x) * val)
 
 
 def confluent_1f1(a: float, b: float, z: float) -> float:

@@ -1,12 +1,18 @@
-"""Scalar per-realization reference implementations.
+"""Reference implementations the tests compare against.
 
-The library evaluates rates in batches over chunks of spectra; these
-one-matrix versions are the references the tests compare against.
+The library evaluates rates in batches over chunks of spectra; the scalar
+one-matrix versions here are their references. The incomplete Gamma
+function and the two-variable quadratic minimum are closed forms that no
+library code needs.
 """
 
-import numpy as np
+import math
 
-from effcap.errors import DomainError
+import numpy as np
+from scipy import integrate
+from scipy import special as sps
+
+from effcap.errors import DomainError, NumericError
 
 
 def log_det_rate(h: np.ndarray, k: np.ndarray, snr: float, n_r: int) -> float:
@@ -45,3 +51,48 @@ def waterfill(gram_eigs: np.ndarray, gain: float):
     d = np.empty(k)
     d[order] = d_sorted
     return d, False
+
+
+def upper_incomplete_gamma(alpha: float, x: float) -> float:
+    """Upper incomplete Gamma function Gamma(alpha, x) for x > 0.
+
+    alpha may be zero or negative; that branch is evaluated through the
+    integral representation Gamma(alpha, x) = x^alpha e^{-x}
+    * int_0^inf e^{-x t} (1+t)^{alpha-1} dt, which is stable where upward
+    recurrences are not.
+    """
+    if not (x > 0):
+        raise DomainError(f"upper_incomplete_gamma requires x > 0, got {x}")
+    if alpha > 0:
+        return float(sps.gammaincc(alpha, x) * sps.gamma(alpha))
+
+    def integrand(t: float) -> float:
+        return math.exp(-x * t) * (1.0 + t) ** (alpha - 1.0)
+
+    val, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
+                              epsrel=1e-12, limit=300)
+    if not math.isfinite(val):
+        raise NumericError(
+            f"upper_incomplete_gamma integral diverged for alpha={alpha}, x={x}")
+    return float(x ** alpha * math.exp(-x) * val)
+
+
+def min_simplex_quadratic_2(q: np.ndarray) -> float:
+    """Minimum of a^T Q a over the two-point simplex a = (t, 1 - t)."""
+    # f(t) = (Q00 - 2Q01 + Q11) t^2 + 2(Q01 - Q11) t + Q11
+    a2 = q[0, 0] - 2 * q[0, 1] + q[1, 1]
+    a1 = 2 * (q[0, 1] - q[1, 1])
+    cands = [0.0, 1.0]
+    if a2 > 0:
+        cands.append(min(1.0, max(0.0, -a1 / (2 * a2))))
+    return float(min(a2 * t * t + a1 * t + q[1, 1] for t in cands))
+
+
+def central_gradient(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function f at p."""
+    grad = np.empty(len(p))
+    for i in range(len(p)):
+        e = np.zeros(len(p))
+        e[i] = h
+        grad[i] = (f(p + e) - f(p - e)) / (2.0 * h)
+    return grad

@@ -19,7 +19,7 @@ from effcap.engine import (BeamformingCsit, QosScenario, StatisticalOptimized,
                            effective_rate_mc)
 from effcap.figures import extrapolated_eb_min_db, reproduce_figure, run_sweep
 from effcap.queuesim import validate_theta
-from effcap.special import upper_incomplete_gamma
+from oracles import upper_incomplete_gamma
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from effcap.asymptotics import (SparseWidebandConfig, derivs_csit,
+from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
+                                _sparse_objective, derivs_csit,
                                 derivs_statistical, derivs_uniform,
                                 energy_metrics, hankel_effective_rate,
                                 hankel_entry_closed, hankel_mgf,
@@ -11,12 +12,12 @@ from effcap.asymptotics import (SparseWidebandConfig, derivs_csit,
                                 sparse_ebmin_bounded, sparse_ebmin_sublinear)
 from effcap.channels import (FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, MomentEstimates,
-                             spectral_moments_mc)
-from effcap.engine import (QosScenario, StatisticalOptimized, UniformIdentity,
-                           WaterfillingCsit, effective_rate_mc,
-                           ergodic_rate_mc)
+                             iter_sample_chunks, spectral_moments_mc)
+from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
+                           UniformIdentity, WaterfillingCsit,
+                           effective_rate_mc, ergodic_rate_mc)
 from effcap.errors import DomainError, NumericError
-from effcap.special import upper_incomplete_gamma
+from oracles import central_gradient, upper_incomplete_gamma
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
@@ -108,6 +109,15 @@ class TestLowSnrDerivatives:
             <= 0.01 * abs(du.first_deriv)
         assert abs(ds.second_deriv - du.second_deriv) \
             <= 0.01 * abs(du.second_deriv)
+
+    def test_quadratic_objective_gradient(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, 4))
+        fg = _quadratic_objective(a @ a.T)
+        p = np.array([0.4, 0.3, 0.2, 0.1])
+        _, grad = fg(p)
+        fd = central_gradient(lambda x: fg(x)[0], p)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
 
 class TestEnergyMetrics:
@@ -210,6 +220,24 @@ class TestSparseWideband:
                                        UniformIdentity(), 50_000, 0)
         assert eb_s <= eb_u * (1.0 + 1e-6)
 
+    def test_statistical_objective_and_gradient(self):
+        # with U = I the objective at p is -log E{exp(-rho q / ln2)} for
+        # K = diag(p), and its exact gradient matches central differences
+        lag = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+        model = KroneckerCorrelated(np.eye(2, dtype=complex), 0.5 ** lag)
+        sc, cfg = scen(1.0, 2, 3), self.cfg(m=1, p=1.5e5)
+        rho = sc.theta * sc.t * cfg.p_over_n0 / cfg.m
+        gains = np.concatenate([(np.abs(h) ** 2).sum(axis=1)
+                                for h in iter_sample_chunks(model, 5000, 0)])
+        fg = _sparse_objective(gains, rho)
+        p = np.array([0.5, 0.3, 0.2])
+        f, grad = fg(p)
+        eb, _ = sparse_ebmin_bounded(cfg, sc, model,
+                                     FixedCovariance(np.diag(p)), 5000, 0)
+        assert rho / f == pytest.approx(eb, rel=1e-12)
+        fd = central_gradient(lambda x: fg(x)[0], p)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
     def test_zero_channel_raises_numeric(self):
         model = FixedMatrix(np.zeros((1, 1), dtype=complex))
         with pytest.raises(NumericError):
@@ -297,23 +325,38 @@ class TestHankelEntryClosed:
         with pytest.raises(DomainError):
             hankel_entry_closed(0, 2, scen(0.5, 2, 2), 5.0)
 
-    @pytest.mark.parametrize("snr", [0.01, 0.03, 0.1, 0.3, 1.0, 10.0])
-    @pytest.mark.parametrize("theta_hat", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("snr", [0.01, 0.03, 0.1, 0.3, 1.0, 10.0,
+                                     1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("theta_hat", [0.5, 1.5, 2.5,
+                                           6.5, 7.9, 10.0, 12.3])
     def test_accurate_or_refused_against_mpmath(self, theta_hat, snr):
-        # SISO entry g_00 = c^{-1} U(1, 2 - theta_hat, 1/c) with c = snr;
-        # the two-term form cancels catastrophically below c = 1
+        # g_ij = Gamma(p+1) c^{-(p+1)} U(p+1, p+2-theta_hat, 1/c) with
+        # p = d+i+j and c = (n_R/n_T)*snr; the two-term form cancels
+        # catastrophically below c = 1 and has a pole at integer
+        # theta_hat - p, so both are refused
         mpmath = pytest.importorskip("mpmath")
-        try:
-            val = hankel_entry_closed(0, 0, scen(theta_hat), snr)
-        except NumericError:
-            assert snr < 1.0
-            return
-        assert snr >= 1.0
-        with mpmath.workdps(40):
-            c = mpmath.mpf(snr)
-            ref = float(mpmath.hyperu(1, 2 - mpmath.mpf(theta_hat), 1 / c)
-                        / c)
-        assert abs(val - ref) <= 1e-8 * abs(ref)
+        for n_r, n_t in [(1, 1), (3, 3), (4, 4), (2, 5), (5, 2), (7, 7)]:
+            k, d = min(n_r, n_t), abs(n_r - n_t)
+            c = n_r / n_t * snr
+            sc = scen(theta_hat, n_r, n_t)
+            for i in range(k):
+                for j in range(i, k):
+                    p = d + i + j
+                    if theta_hat == round(theta_hat):
+                        with pytest.raises(DomainError):
+                            hankel_entry_closed(i, j, sc, snr)
+                        continue
+                    try:
+                        val = hankel_entry_closed(i, j, sc, snr)
+                    except NumericError:
+                        assert c < 1.0
+                        continue
+                    assert c >= 1.0
+                    with mpmath.workdps(40):
+                        cm, th = mpmath.mpf(c), mpmath.mpf(theta_hat)
+                        ref = float(mpmath.gamma(p + 1) * cm ** (-(p + 1))
+                                    * mpmath.hyperu(p + 1, p + 2 - th, 1 / cm))
+                    assert abs(val - ref) <= 1e-8 * abs(ref), (n_r, n_t, i, j)
 
 
 class TestHighSnrMetrics:

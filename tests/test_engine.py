@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from effcap.channels import FixedMatrix, IidComplexGaussian, KroneckerCorrelated
-from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
-                           StatisticalOptimized, UniformIdentity,
-                           WaterfillingCsit, bit_energy_curve, chunk_rates,
-                           effective_rate_mc, ergodic_rate_mc,
-                           optimize_covariance_statistical)
+from effcap.asymptotics import _quadratic_objective
+from effcap.channels import (FixedMatrix, IidComplexGaussian,
+                             KroneckerCorrelated, iter_sample_chunks)
+from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
+                           QosScenario, StatisticalOptimized, UniformIdentity,
+                           WaterfillingCsit, _LogMeanExp,
+                           _statistical_estimate, bit_energy_curve,
+                           chunk_rates, effective_rate_mc,
+                           ergodic_rate_mc, optimize_covariance_statistical,
+                           simplex_maximize)
 from effcap.errors import DomainError
-from oracles import log_det_rate, waterfill
+from oracles import (central_gradient, log_det_rate, min_simplex_quadratic_2,
+                     waterfill)
 
 T, B = 1e-3, 1e5
 
@@ -210,6 +215,76 @@ class TestStatisticalOptimization:
         assert w[-1] >= 0.5 - 1e-9
         uni = effective_rate_mc(sc, model, UniformIdentity(), 1.0, 50_000, 0)
         assert est.value >= uni.value - 2 * uni.std_err
+
+    def test_objective_and_gradient(self):
+        # with U = I the objective is the effective rate of K = diag(p),
+        # and its exact gradient matches central differences
+        lag = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+        model = KroneckerCorrelated(0.7 ** lag, 0.5 ** lag)
+        sc = scen(4.0, 3, 3)
+        n = 20_000  # two chunks, so the accumulator rescales
+        grams = [h.conj().transpose(0, 2, 1) @ h
+                 for h in iter_sample_chunks(model, n, 0)]
+        p = np.array([0.5, 0.3, 0.2])
+        est, grad = _statistical_estimate(sc, 10.0, grams, p, n)
+        ref = effective_rate_mc(sc, model, FixedCovariance(np.diag(p)), 10.0,
+                                n, 0)
+        assert est.value == pytest.approx(ref.value, rel=1e-12)
+        assert est.std_err == pytest.approx(ref.std_err, rel=1e-9)
+        fd = central_gradient(
+            lambda q: _statistical_estimate(sc, 10.0, grams, q, n)[0].value, p)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def test_log_mean_exp_gradient_survives_rescaling():
+    # the second chunk holds the largest exponent, so the gradient sum of
+    # the first is rescaled; the result must equal one add of all samples
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.0, 20.0, 1000)
+    x[-1] = x.max() + 5.0
+    dx = rng.standard_normal((1000, 3))
+    whole, split = _LogMeanExp(), _LogMeanExp()
+    whole.add(x, dx)
+    split.add(x[:500], dx[:500])
+    split.add(x[500:], dx[500:])
+    w = np.exp(x - x.max())
+    np.testing.assert_allclose(whole.d_log_mean(), w @ dx / w.sum(),
+                               rtol=1e-12)
+    np.testing.assert_allclose(split.d_log_mean(), whole.d_log_mean(),
+                               rtol=1e-12)
+
+
+class TestSimplexMaximize:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_point_quadratic_matches_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, 1 + seed % 2))
+        q = a @ a.T
+        _, f, _ = simplex_maximize(_quadratic_objective(q), np.full(2, 0.5))
+        ref = min_simplex_quadratic_2(q)
+        assert abs(-f - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_vertex_optimum_is_exact(self):
+        # f(t) = 2t^2 - 6t + 5 on [0, 1] is smallest at the vertex t = 1
+        q = np.array([[1.0, 2.0], [2.0, 5.0]])
+        p, f, gap = simplex_maximize(_quadratic_objective(q),
+                                     np.full(2, 0.5))
+        assert np.array_equal(p, [1.0, 0.0])
+        assert f == -1.0 and gap == 0.0
+
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_gap_within_tolerance(self, l):
+        rng = np.random.default_rng(l)
+        for _ in range(20):
+            a = rng.standard_normal((l, int(rng.integers(1, l + 1))))
+            q = a @ a.T
+            fg = _quadratic_objective(q)
+            p, f, gap = simplex_maximize(fg, np.full(l, 1.0 / l))
+            assert gap <= SIMPLEX_GAP_TOL * max(1.0, abs(f))
+            assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
+            assert fg(p)[0] == f
+            # the gap bounds how far any vertex can be above f
+            assert max(-q[i, i] for i in range(l)) <= f + gap
 
 
 class TestBitEnergyCurve:
