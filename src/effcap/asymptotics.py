@@ -15,8 +15,8 @@ import numpy as np
 from scipy import integrate
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
-                       iter_sample_chunks, iter_spectra, max_eig_subspace,
-                       mean_gram)
+                       hermitian_eig, iter_sample_chunks, iter_spectra,
+                       max_eig_subspace, mean_gram)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, simplex_maximize, LN2)
@@ -182,8 +182,7 @@ def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
     rho = scenario.theta * scenario.t * config.p_over_n0 / config.m
 
     if isinstance(strategy, StatisticalOptimized):
-        return _sparse_ebmin_statistical(config, scenario, model, rho,
-                                         n_samples, seed)
+        return _sparse_ebmin_statistical(model, rho, n_samples, seed)
     acc = _LogMeanExp()
     for q in _sparse_exponent_chunks(model, strategy, n_samples, seed):
         acc.add(-rho * q / LN2)
@@ -206,10 +205,9 @@ def _sparse_objective(gains: np.ndarray, rho: float):
     return fg
 
 
-def _sparse_ebmin_statistical(config, scenario, model, rho, n_samples, seed):
+def _sparse_ebmin_statistical(model, rho, n_samples, seed):
     """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
-    _, u = np.linalg.eigh(mean_gram(model, n_samples, seed))
-    u = u[:, ::-1]
+    _, u = hermitian_eig(mean_gram(model, n_samples, seed))
     # per-sample per-direction gains |H u_i|^2
     gains = np.concatenate([
         (np.abs(h @ u) ** 2).sum(axis=1)

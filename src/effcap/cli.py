@@ -16,7 +16,7 @@ from .engine import (StatisticalOptimized, UniformIdentity, WaterfillingCsit,
                      BeamformingCsit, bit_energy_curve)
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import _write_csv, reproduce_figure, run_sweep
-from .queuesim import validate_theta, simulate_queue, write_trace_csv
+from .queuesim import validate_and_trace, write_trace_csv
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -151,8 +151,9 @@ def cmd_sparse_wideband(args) -> int:
 def cmd_queue_validate(args) -> int:
     cfg = _load_config(args)
     snr = 10.0 ** (args.snr_db / 10.0)
-    res = validate_theta(cfg.scenario(), cfg.model(), cfg.strategy(), snr,
-                         args.blocks, cfg.seed, n_samples=cfg.n_samples)
+    res, trace = validate_and_trace(cfg.scenario(), cfg.model(),
+                                    cfg.strategy(), snr, args.blocks,
+                                    cfg.seed, n_samples=cfg.n_samples)
     _say(args, f"theta_target = {res.theta_target:.12g}")
     _say(args, f"theta_est = {res.theta_est:.12g}")
     _say(args, f"tail_r_squared = {res.tail_r_squared:.12g}")
@@ -160,9 +161,6 @@ def cmd_queue_validate(args) -> int:
     _say(args, f"vacuous = {res.vacuous}")
     _say(args, f"passed = {res.passed}")
     if args.trace_out:
-        trace = simulate_queue(cfg.scenario(), cfg.model(), cfg.strategy(),
-                               snr, res.arrival_per_block, args.blocks,
-                               cfg.seed + 1)
         write_trace_csv(trace, args.trace_out)
         _say(args, f"wrote {args.trace_out}")
     return EXIT_OK if res.passed else EXIT_VALIDATION

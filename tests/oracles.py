@@ -3,9 +3,11 @@
 The library evaluates rates in batches over chunks of spectra; the scalar
 one-matrix versions here are their references. The incomplete Gamma
 function and the two-variable quadratic minimum are closed forms that no
-library code needs.
+library code needs. The queue trace writer is the one-`csv.writer`-row-per-
+block version whose bytes the blocked library writer must reproduce.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -96,3 +98,12 @@ def central_gradient(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[i] = h
         grad[i] = (f(p + e) - f(p - e)) / (2.0 * h)
     return grad
+
+
+def write_trace_csv(trace, path: str) -> None:
+    """Export the queue sample path as (block_index, queue_bits) rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["block_index", "queue_bits"])
+        for i, q in enumerate(trace.queue_lengths):
+            w.writerow([i, "%.12g" % q])

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effcap import cli
+from effcap import cli, queuesim
 from effcap.channels import IidComplexGaussian, KroneckerCorrelated
 from effcap.config import (RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
@@ -230,6 +230,39 @@ class TestCli:
         assert code == 0
         assert 0.9 <= float(printed["tail_r_squared"]) <= 1.0
         assert int(printed["tail_n_points"]) >= 20
+
+    def test_queue_validate_simulates_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        simulate = queuesim.simulate_queue
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        for mod in (queuesim, cli):  # wherever it is bound
+            if getattr(mod, "simulate_queue", None) is simulate:
+                monkeypatch.setattr(mod, "simulate_queue", counted)
+        got = tmp_path / "trace.csv"
+        code = run_cli("queue-validate", "--set", "scenario.theta_hat=1.0",
+                       "--samples", "20000", "--blocks", "100000",
+                       "--seed", "5", "--trace-out", str(got))
+        printed = dict(line.split(" = ", 1)
+                       for line in capsys.readouterr().out.splitlines()
+                       if " = " in line)
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        cfg = parse_config("scenario.theta_hat = 1.0\n")
+        args = (cfg.scenario(), cfg.model(), cfg.strategy(), 10.0)
+        res = queuesim.validate_theta(*args, 100_000, 5, n_samples=20_000)
+        assert type(res) is queuesim.ThetaValidation
+        assert printed["theta_est"] == f"{res.theta_est:.12g}"
+        want = tmp_path / "want.csv"
+        queuesim.write_trace_csv(queuesim.simulate_queue(
+            *args, res.arrival_per_block, 100_000, 6), str(want))
+        assert got.read_bytes() == want.read_bytes()
 
     def test_validate_suite(self):
         assert run_cli("validate", "wideband", "--samples", "20000",

@@ -6,8 +6,10 @@ import pytest
 from effcap.channels import FixedMatrix, IidComplexGaussian
 from effcap.engine import QosScenario, UniformIdentity
 from effcap.errors import DomainError, FitError
-from effcap.queuesim import (QueueTrace, estimate_tail_exponent, lindley_path,
+from effcap.queuesim import (_CSV_BLOCK_ROWS, QueueTrace,
+                             estimate_tail_exponent, lindley_path,
                              simulate_queue, validate_theta, write_trace_csv)
+from oracles import write_trace_csv as write_trace_csv_rows
 
 T, B = 1e-3, 1e5
 
@@ -173,3 +175,24 @@ def test_write_trace_csv_roundtrip(tmp_path):
     assert int(idx) == 2
     assert abs(float(q) - trace.queue_lengths[2]) \
         <= 1e-11 * abs(trace.queue_lengths[2])
+
+
+def _trace_csv_cases():
+    rng = np.random.default_rng(3)
+    zeros = rng.exponential(1.0, 3000)
+    zeros[rng.random(3000) < 0.6] = 0.0
+    wide = np.concatenate([
+        10.0 ** rng.uniform(-300, 15, 2000), [1e-300, 1e15, -0.0, 0.5]])
+    ragged = rng.exponential(1e6, 2 * _CSV_BLOCK_ROWS + 17)
+    return {"many_zeros": zeros, "1e-300_to_1e15": wide,
+            "ragged_length": ragged, "whole_blocks": ragged[:_CSV_BLOCK_ROWS],
+            "one_row": np.array([12.5]), "empty": np.array([])}
+
+
+@pytest.mark.parametrize("name", sorted(_trace_csv_cases()))
+def test_write_trace_csv_bytes_match_row_writer(tmp_path, name):
+    trace = make_trace(_trace_csv_cases()[name])
+    write_trace_csv(trace, str(tmp_path / "blocked.csv"))
+    write_trace_csv_rows(trace, str(tmp_path / "rows.csv"))
+    assert (tmp_path / "blocked.csv").read_bytes() \
+        == (tmp_path / "rows.csv").read_bytes()
