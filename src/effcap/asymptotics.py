@@ -296,11 +296,11 @@ def _hankel_log_mgf(scenario: QosScenario, snr: float,
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
     c = scenario.n_r / scenario.n_t * snr
-    g = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = g[j, i] = _hankel_integrand_entry(th, i + j + d, c,
-                                                        quad_order)
+    # g[i, j] depends only on i + j, so each of the 2k - 1 distinct
+    # entries is evaluated once
+    entries = np.array([_hankel_integrand_entry(th, d + s, c, quad_order)
+                        for s in range(2 * k - 1)])
+    g = entries[np.add.outer(np.arange(k), np.arange(k))]
     # factor out row scales so slogdet sees O(1) numbers
     scales = g.max(axis=1)
     sign, logdet = np.linalg.slogdet(g / scales[:, None])

@@ -160,6 +160,8 @@ def cmd_queue_validate(args) -> int:
     _say(args, f"tail_n_points = {res.tail_n_points}")
     _say(args, f"vacuous = {res.vacuous}")
     _say(args, f"passed = {res.passed}")
+    _say(args, f"arrival_per_block = {res.arrival_per_block:.17g}")
+    _say(args, f"trace_seed = {cfg.seed + 1}")
     if args.trace_out:
         write_trace_csv(trace, args.trace_out)
         _say(args, f"wrote {args.trace_out}")

@@ -5,6 +5,7 @@ All functions are pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,9 +57,16 @@ def confluent_1f1(a: float, b: float, z: float) -> float:
         f"confluent_1f1 did not converge for a={a}, b={b}, z={z}")
 
 
+@functools.lru_cache(maxsize=None)  # bounded: n is limited to [1, 256]
 def gauss_laguerre(n: int) -> QuadratureRule:
-    """Gauss-Laguerre rule with n points; exact for polynomials up to 2n-1."""
+    """Gauss-Laguerre rule with n points; exact for polynomials up to 2n-1.
+
+    Each rule is built once per process and shared by every caller, so its
+    nodes and weights are read-only.
+    """
     if not (1 <= n <= 256):
         raise DomainError(f"gauss_laguerre order must be in [1, 256], got {n}")
     nodes, weights = sps.roots_laguerre(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)

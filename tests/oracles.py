@@ -3,8 +3,11 @@
 The library evaluates rates in batches over chunks of spectra; the scalar
 one-matrix versions here are their references. The incomplete Gamma
 function and the two-variable quadratic minimum are closed forms that no
-library code needs. The queue trace writer is the one-`csv.writer`-row-per-
-block version whose bytes the blocked library writer must reproduce.
+library code needs. The Hankel log-MGF evaluates the entry once per (i, j)
+pair of the upper triangle; the library's one call per anti-diagonal must
+reproduce its values exactly. The queue trace writer is the
+one-`csv.writer`-row-per-block version whose bytes the blocked library
+writer must reproduce.
 """
 
 import csv
@@ -14,6 +17,8 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
+from effcap.asymptotics import _hankel_integrand_entry
+from effcap.engine import QosScenario
 from effcap.errors import DomainError, NumericError
 
 
@@ -98,6 +103,33 @@ def central_gradient(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[i] = h
         grad[i] = (f(p + e) - f(p - e)) / (2.0 * h)
     return grad
+
+
+def hankel_log_mgf(scenario: QosScenario, snr: float,
+                   quad_order: int = 32) -> float:
+    if snr <= 0:
+        raise DomainError("hankel MGF requires snr > 0")
+    th = scenario.theta_hat
+    if th == 0:
+        return 0.0
+    k = min(scenario.n_r, scenario.n_t)
+    d = abs(scenario.n_r - scenario.n_t)
+    c = scenario.n_r / scenario.n_t * snr
+    g = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            g[i, j] = g[j, i] = _hankel_integrand_entry(th, i + j + d, c,
+                                                        quad_order)
+    # factor out row scales so slogdet sees O(1) numbers
+    scales = g.max(axis=1)
+    sign, logdet = np.linalg.slogdet(g / scales[:, None])
+    if sign <= 0:
+        raise NumericError("Hankel MGF determinant not positive")
+    # normalization det(G)|_{theta=0} = prod_i Gamma(d+i)*Gamma(i), so the
+    # MGF is exactly 1 when theta = 0
+    log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
+                   for i in range(1, k + 1))
+    return logdet + float(np.log(scales).sum()) - log_norm
 
 
 def write_trace_csv(trace, path: str) -> None:

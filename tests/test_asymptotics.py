@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from effcap import asymptotics
 from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 _sparse_objective, derivs_csit,
                                 derivs_statistical, derivs_uniform,
@@ -17,7 +18,7 @@ from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
                            UniformIdentity, WaterfillingCsit,
                            effective_rate_mc, ergodic_rate_mc)
 from effcap.errors import DomainError, NumericError
-from oracles import central_gradient, upper_incomplete_gamma
+from oracles import central_gradient, hankel_log_mgf, upper_incomplete_gamma
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
@@ -288,6 +289,48 @@ class TestHankelMgf:
             hankel_mgf(scen(1.0), 0.0)
         with pytest.raises(DomainError):
             hankel_effective_rate(scen(0.0), 1.0)
+
+    # snr 0.01 and 10 converge under Gauss-Laguerre; at 1e5 the larger
+    # theta_hat entries fall back to quad
+    @pytest.mark.parametrize("snr", [0.01, 10.0, 1e5])
+    @pytest.mark.parametrize("theta_hat", [0.5, 1.5, 8.0])
+    @pytest.mark.parametrize("n_r,n_t", [(1, 1), (2, 2), (2, 5), (5, 2),
+                                         (3, 3), (4, 4)])
+    def test_bitwise_equal_to_per_pair_loop(self, n_r, n_t, theta_hat, snr):
+        sc = scen(theta_hat, n_r, n_t)
+        want = hankel_log_mgf(sc, snr)
+        assert asymptotics._hankel_log_mgf(sc, snr) == want
+        assert hankel_mgf(sc, snr) == math.exp(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_entry_per_anti_diagonal(self, k, monkeypatch):
+        calls = []
+        entry = asymptotics._hankel_integrand_entry
+
+        def counted(*args):
+            calls.append(args[1])
+            return entry(*args)
+
+        monkeypatch.setattr(asymptotics, "_hankel_integrand_entry", counted)
+        hankel_mgf(scen(1.5, k, k), 10.0)
+        assert sorted(calls) == list(range(2 * k - 1))
+
+
+class TestHankelIntegrandEntry:
+    @pytest.mark.parametrize("theta_hat", [0.5, 2.0, 8.0])
+    def test_matches_tricomi_u_mpmath(self, theta_hat):
+        # g = Gamma(p+1) c^{-(p+1)} U(p+1, p+2-theta_hat, 1/c); the measured
+        # worst relative error on this grid is 1.75e-8, at theta_hat = 8,
+        # p = 9, c = 1e5
+        mpmath = pytest.importorskip("mpmath")
+        for c in [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5]:
+            for p in [0, 3, 9, 12]:
+                val = asymptotics._hankel_integrand_entry(theta_hat, p, c, 32)
+                with mpmath.workdps(40):
+                    cm, th = mpmath.mpf(c), mpmath.mpf(theta_hat)
+                    ref = float(mpmath.gamma(p + 1) * cm ** (-(p + 1))
+                                * mpmath.hyperu(p + 1, p + 2 - th, 1 / cm))
+                assert abs(val - ref) <= 5e-8 * abs(ref), (c, p)
 
 
 class TestHankelEntryClosed:

@@ -264,6 +264,14 @@ class TestCli:
             *args, res.arrival_per_block, 100_000, 6), str(want))
         assert got.read_bytes() == want.read_bytes()
 
+        # the printed rate and seed alone rebuild the same trace
+        assert float(printed["arrival_per_block"]) == res.arrival_per_block
+        again = tmp_path / "again.csv"
+        queuesim.write_trace_csv(queuesim.simulate_queue(
+            *args, float(printed["arrival_per_block"]), 100_000,
+            int(printed["trace_seed"])), str(again))
+        assert got.read_bytes() == again.read_bytes()
+
     def test_validate_suite(self):
         assert run_cli("validate", "wideband", "--samples", "20000",
                        "--quiet") == 0

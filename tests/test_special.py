@@ -109,6 +109,14 @@ class TestGaussLaguerre:
         nodes = gauss_laguerre(32).nodes
         assert np.all(np.diff(nodes) > 0)
 
+    def test_rule_is_shared_and_read_only(self):
+        rule = gauss_laguerre(32)
+        assert gauss_laguerre(32) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
+
     @pytest.mark.parametrize("n", [0, -1, 257])
     def test_order_out_of_range(self, n):
         with pytest.raises(DomainError):
