@@ -1,9 +1,10 @@
 """Low-SNR derivatives, energy-efficiency metrics, sparse-wideband minimum
 bit energies, and high-SNR slope / power-offset computations.
 
-The closed-form low-SNR results take Monte Carlo spectral moments as inputs;
-the high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
-log-det rate by quadrature.
+The closed-form low-SNR results take Monte Carlo spectral moments as inputs.
+The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
+log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
+t = ln z, to about 1e-13 relative. The slope S_inf is exact in every band.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# unused here; perfbench/tracing.py patches asymptotics.integrate.quad and
+# fails without it
 from scipy import integrate
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
@@ -241,90 +244,71 @@ def sparse_ebmin_sublinear(model: ChannelModel,
 # ---------------------------------------------------------------------------
 # high-SNR Hankel MGF
 
-def _hankel_integrand_entry(theta_hat: float, p: int, c: float,
-                            quad_order: int) -> float:
-    """g = int_0^inf (1+c z)^{-theta_hat} z^p e^{-z} dz.
+# step and upper end of the trapezoidal rule in t = ln z; with this step the
+# worst relative error against mpmath is 1.1e-13 over theta_hat 0.01-30,
+# p 0-20 and c 1e-6-1e12
+_LOG_Z_STEP = 0.1
+_LOG_Z_MAX = math.log(800.0)
 
-    Gauss-Laguerre with order doubling; falls back to piecewise adaptive
-    quadrature when the two-scale integrand (c >> 1) defeats the rule.
+
+def _hankel_integrand_entry(theta_hat: float, orders, c: float) -> np.ndarray:
+    """log g_p for each p in orders, where
+    g_p = int_0^inf (1+c z)^{-theta_hat} z^p e^{-z} dz.
+
+    Substituting z = e^t makes the integrand smooth on the whole line, with
+    exponential decay as t -> -inf and doubly exponential decay as
+    t -> +inf, so the plain trapezoidal rule converges geometrically
+    (Trefethen & Weideman, SIAM Review 2014). The range starts 40 e-folds
+    below the smaller of z = 1 and the corner z = 1/c.
     """
-    from .special import gauss_laguerre
-
-    prev = None
-    order = max(1, min(quad_order, 256))
-    while order <= 256:
-        rule = gauss_laguerre(order)
-        val = float(np.sum(rule.weights
-                           * (1.0 + c * rule.nodes) ** (-theta_hat)
-                           * rule.nodes ** p))
-        if prev is not None and abs(val - prev) <= 1e-8 * abs(val):
-            return val
-        prev = val
-        order *= 2
-
-    def f(z):
-        return (1.0 + c * z) ** (-theta_hat) * z ** p * math.exp(-z)
-
-    cuts = [0.0]
-    if c > 1.0:
-        cuts.append(1.0 / c)
-        if 100.0 / c < 1.0:
-            cuts.append(100.0 / c)
-    cuts.extend([1.0, 10.0, 50.0])
-    cuts = sorted(set(cuts))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=300)
-        total += v
-    v, _ = integrate.quad(f, cuts[-1], np.inf, epsabs=1e-300, epsrel=1e-12,
-                          limit=300)
-    total += v
-    if not math.isfinite(total) or total <= 0:
-        raise NumericError(
-            f"hankel entry quadrature failed for theta_hat={theta_hat}, "
-            f"p={p}, c={c}")
-    return total
+    # integer multiples of the step: np.arange with a float step drifts
+    # from it by about 1e-13 relative, a bias on every entry
+    lo = math.floor((-math.log(max(c, 1.0)) - 40.0) / _LOG_Z_STEP)
+    t = _LOG_Z_STEP * np.arange(lo, math.ceil(_LOG_Z_MAX / _LOG_Z_STEP) + 1)
+    shared = -theta_hat * np.logaddexp(0.0, math.log(c) + t) - np.exp(t)
+    log_f = (np.asarray(orders, dtype=float)[:, None] + 1.0) * t + shared
+    top = log_f.max(axis=1)
+    return top + np.log(_LOG_Z_STEP
+                        * np.exp(log_f - top[:, None]).sum(axis=1))
 
 
-def _hankel_log_mgf(scenario: QosScenario, snr: float,
-                    quad_order: int = 32) -> float:
-    if snr <= 0:
-        raise DomainError("hankel MGF requires snr > 0")
+def _hankel_log_mgf(scenario: QosScenario, snr: float) -> float:
+    if not (snr > 0 and math.isfinite(snr)):
+        raise DomainError(f"hankel MGF requires finite snr > 0, got {snr}")
     th = scenario.theta_hat
     if th == 0:
         return 0.0
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
     c = scenario.n_r / scenario.n_t * snr
-    # g[i, j] depends only on i + j, so each of the 2k - 1 distinct
-    # entries is evaluated once
-    entries = np.array([_hankel_integrand_entry(th, d + s, c, quad_order)
-                        for s in range(2 * k - 1)])
-    g = entries[np.add.outer(np.arange(k), np.arange(k))]
+    # g[i, j] depends only on i + j: one call evaluates the 2k - 1 orders
+    log_g = _hankel_integrand_entry(th, np.arange(d, d + 2 * k - 1), c)
+    if not np.all(np.isfinite(log_g)):
+        raise NumericError(f"hankel entry not finite for theta_hat={th}, "
+                           f"c={c}")
+    log_g = log_g[np.add.outer(np.arange(k), np.arange(k))]
     # factor out row scales so slogdet sees O(1) numbers
-    scales = g.max(axis=1)
-    sign, logdet = np.linalg.slogdet(g / scales[:, None])
+    scales = log_g.max(axis=1)
+    sign, logdet = np.linalg.slogdet(np.exp(log_g - scales[:, None]))
     if sign <= 0:
         raise NumericError("Hankel MGF determinant not positive")
     # normalization det(G)|_{theta=0} = prod_i Gamma(d+i)*Gamma(i), so the
     # MGF is exactly 1 when theta = 0
     log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
                    for i in range(1, k + 1))
-    return logdet + float(np.log(scales).sum()) - log_norm
+    return logdet + float(scales.sum()) - log_norm
 
 
-def hankel_mgf(scenario: QosScenario, snr: float,
-               quad_order: int = 32) -> float:
+def hankel_mgf(scenario: QosScenario, snr: float) -> float:
     """MGF E{exp(-theta*T*B*log2 det(I + (n_R/n_T) SNR H H^dag))}, i.i.d."""
-    return math.exp(_hankel_log_mgf(scenario, snr, quad_order))
+    return math.exp(_hankel_log_mgf(scenario, snr))
 
 
-def hankel_effective_rate(scenario: QosScenario, snr: float,
-                          quad_order: int = 32) -> float:
-    """Closed-form (quadrature) effective rate in bits/s/Hz, unnormalized."""
+def hankel_effective_rate(scenario: QosScenario, snr: float) -> float:
+    """Effective rate in bits/s/Hz, unnormalized, from the Hankel MGF."""
     if scenario.theta <= 0:
         raise DomainError("hankel_effective_rate requires theta > 0")
-    return -_hankel_log_mgf(scenario, snr, quad_order) / scenario.theta_tb
+    return -_hankel_log_mgf(scenario, snr) / scenario.theta_tb
 
 
 def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
@@ -375,7 +359,11 @@ def highsnr_slope_empirical(rate_points) -> float:
 
 def highsnr_metrics(scenario: QosScenario, model: ChannelModel,
                     n_samples: int, seed: int) -> HighSnrMetrics:
-    """High-SNR slope and power offset for the i.i.d. Gaussian model."""
+    """High-SNR slope and power offset for the i.i.d. Gaussian model.
+
+    The slope is exact. The offset is a Monte Carlo estimate for
+    theta_hat < max - min + 1 and NaN above.
+    """
     if not isinstance(model, IidComplexGaussian):
         raise DomainError("highsnr_metrics requires the i.i.d. Gaussian model")
     n_r, n_t = scenario.n_r, scenario.n_t
@@ -403,17 +391,9 @@ def highsnr_metrics(scenario: QosScenario, model: ChannelModel,
         return HighSnrMetrics(float(mn), l_inf,
                               "full slope (theta_hat < max - min + 1)")
 
-    if mn == 1 and th > 1:
-        return HighSnrMetrics(1.0 / th, math.nan,
-                              "single-antenna reduced slope")
-
-    if th > mx + mn - 1:
-        return HighSnrMetrics(mn ** 2 / th, math.nan,
-                              "heuristic multi-antenna reduced slope")
-
-    # intermediate band: empirical regression on the Hankel rate curve
-    snrs = 10.0 ** (np.array([30.0, 35.0, 40.0, 45.0, 50.0]) / 10.0)
-    pts = [(s, hankel_effective_rate(scenario, s)) for s in snrs]
-    s_inf = highsnr_slope_empirical(pts)
-    l_inf = float(np.mean([math.log2(s) - r / s_inf for s, r in pts]))
-    return HighSnrMetrics(s_inf, l_inf, "empirical (intermediate band)")
+    # E{det(I + cW)^{-theta_hat}} decays as c^{-sum_i min(theta_hat,
+    # 2i-1+d)}: the outage exponent of Zheng & Tse (IEEE TIT 2003)
+    d = mx - mn
+    s_inf = sum(min(th, 2 * i - 1 + d) for i in range(1, mn + 1)) / th
+    return HighSnrMetrics(s_inf, math.nan,
+                          "reduced slope (theta_hat >= max - min + 1)")

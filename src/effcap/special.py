@@ -61,8 +61,11 @@ def confluent_1f1(a: float, b: float, z: float) -> float:
 def gauss_laguerre(n: int) -> QuadratureRule:
     """Gauss-Laguerre rule with n points; exact for polynomials up to 2n-1.
 
-    Each rule is built once per process and shared by every caller, so its
-    nodes and weights are read-only.
+    Nothing in src/ calls it since the Hankel entries moved to the
+    trapezoidal rule. It stays only until the benchmark tracer, which
+    patches it, is re-bound (ROADMAP item 2). Each rule is built once per
+    process and shared by every caller, so its nodes and weights are
+    read-only.
     """
     if not (1 <= n <= 256):
         raise DomainError(f"gauss_laguerre order must be in [1, 256], got {n}")

@@ -183,7 +183,7 @@ def highsnr_suite(n_samples=200_000, seed=0):
         quad = asy.hankel_mgf(sc, 10.0)
         checks.append(_check(
             f"closed-form entry theta_hat={th}",
-            abs(closed - quad) <= 1e-8 * abs(quad),
+            abs(closed - quad) <= 1e-12 * abs(quad),
             f"closed {closed:.12g} vs quad {quad:.12g}"))
 
     # the log|h|^2 moment is noisy; a 1% check needs ~1e6 draws

@@ -3,11 +3,11 @@
 The library evaluates rates in batches over chunks of spectra; the scalar
 one-matrix versions here are their references. The incomplete Gamma
 function and the two-variable quadratic minimum are closed forms that no
-library code needs. The Hankel log-MGF evaluates the entry once per (i, j)
-pair of the upper triangle; the library's one call per anti-diagonal must
-reproduce its values exactly. The queue trace writer is the
-one-`csv.writer`-row-per-block version whose bytes the blocked library
-writer must reproduce.
+library code needs. The Hankel entries and log-MGF use mpmath's Tricomi U
+function at 40 digits, imported only when called; the per-pair Hankel
+log-MGF is the loop the library's one call for all orders must reproduce
+exactly. The queue trace writer is the one-`csv.writer`-row-per-block
+version whose bytes the blocked library writer must reproduce.
 """
 
 import csv
@@ -105,31 +105,56 @@ def central_gradient(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def hankel_log_entry(theta_hat: float, p: int, c: float):
+    """log g_p, g_p = int_0^inf (1+c z)^{-theta_hat} z^p e^{-z} dz
+    = Gamma(p+1) c^{-(p+1)} U(p+1, p+2-theta_hat, 1/c), as an mpmath
+    number at the caller's working precision."""
+    import mpmath
+
+    c, th = mpmath.mpf(c), mpmath.mpf(theta_hat)
+    return (mpmath.loggamma(p + 1) - (p + 1) * mpmath.log(c)
+            + mpmath.log(mpmath.hyperu(p + 1, p + 2 - th, 1 / c)))
+
+
 def hankel_log_mgf(scenario: QosScenario, snr: float,
-                   quad_order: int = 32) -> float:
-    if snr <= 0:
-        raise DomainError("hankel MGF requires snr > 0")
-    th = scenario.theta_hat
-    if th == 0:
-        return 0.0
+                   digits: int = 40) -> float:
+    """log E{det(I + c W)^{-theta_hat}} from the Hankel determinant of
+    mpmath entries, c = (n_R/n_T) snr."""
+    import mpmath
+
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
     c = scenario.n_r / scenario.n_t * snr
-    g = np.empty((k, k))
+    with mpmath.workdps(digits):
+        g = [mpmath.exp(hankel_log_entry(scenario.theta_hat, d + s, c))
+             for s in range(2 * k - 1)]
+        det = mpmath.det(mpmath.matrix(
+            [[g[i + j] for j in range(k)] for i in range(k)]))
+        log_norm = mpmath.fsum(mpmath.loggamma(d + i) + mpmath.loggamma(i)
+                               for i in range(1, k + 1))
+        return float(mpmath.log(det) - log_norm)
+
+
+def hankel_log_mgf_per_pair(scenario: QosScenario, snr: float) -> float:
+    """The library's Hankel log-MGF with one entry call per (i, j) pair of
+    the upper triangle, each for a single order; the library's one call
+    for all 2k - 1 orders must reproduce its values exactly."""
+    th = scenario.theta_hat
+    k = min(scenario.n_r, scenario.n_t)
+    d = abs(scenario.n_r - scenario.n_t)
+    c = scenario.n_r / scenario.n_t * snr
+    log_g = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            g[i, j] = g[j, i] = _hankel_integrand_entry(th, i + j + d, c,
-                                                        quad_order)
-    # factor out row scales so slogdet sees O(1) numbers
-    scales = g.max(axis=1)
-    sign, logdet = np.linalg.slogdet(g / scales[:, None])
+            log_g[i, j] = log_g[j, i] = _hankel_integrand_entry(
+                th, [d + i + j], c)[0]
+    scales = log_g.max(axis=1)
+    sign, logdet = np.linalg.slogdet(np.exp(log_g - scales[:, None]))
     if sign <= 0:
         raise NumericError("Hankel MGF determinant not positive")
-    # normalization det(G)|_{theta=0} = prod_i Gamma(d+i)*Gamma(i), so the
-    # MGF is exactly 1 when theta = 0
     log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
                    for i in range(1, k + 1))
-    return logdet + float(np.log(scales).sum()) - log_norm
+    return logdet + float(scales.sum()) - log_norm
 
 
 def write_trace_csv(trace, path: str) -> None:
