@@ -4,7 +4,8 @@ bit energies, and high-SNR slope / power-offset computations.
 The closed-form low-SNR results take Monte Carlo spectral moments as inputs.
 The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
 log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
-t = ln z, to about 1e-13 relative. The slope S_inf is exact in every band.
+t = ln z, to about 1e-13 relative; shapes whose top entry order
+n_R + n_T - 2 exceeds 60 are refused. The slope S_inf is exact in every band.
 """
 
 from __future__ import annotations
@@ -244,11 +245,13 @@ def sparse_ebmin_sublinear(model: ChannelModel,
 # ---------------------------------------------------------------------------
 # high-SNR Hankel MGF
 
-# step and upper end of the trapezoidal rule in t = ln z; with this step the
-# worst relative error against mpmath is 1.1e-13 over theta_hat 0.01-30,
-# p 0-20 and c 1e-6-1e12
+# step and upper end of the trapezoidal rule in t = ln z, and the highest
+# order p it resolves: against mpmath over theta_hat 0.01-30 and c
+# 1e-6-1e12 the worst relative error is 1.1e-13 for p <= 55, 8.5e-13 at
+# p = 60 and 1.3e-12 at p = 61, rising to 2e-3 at p = 300
 _LOG_Z_STEP = 0.1
 _LOG_Z_MAX = math.log(800.0)
+_HANKEL_MAX_ORDER = 60
 
 
 def _hankel_integrand_entry(theta_hat: float, orders, c: float) -> np.ndarray:
@@ -281,6 +284,11 @@ def _hankel_log_mgf(scenario: QosScenario, snr: float) -> float:
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
     c = scenario.n_r / scenario.n_t * snr
+    if d + 2 * k - 2 > _HANKEL_MAX_ORDER:
+        raise NumericError(
+            f"Hankel entry order {d + 2 * k - 2} of {scenario.n_r}x"
+            f"{scenario.n_t} exceeds {_HANKEL_MAX_ORDER}, the highest the "
+            f"trapezoidal grid resolves to 1e-12")
     # g[i, j] depends only on i + j: one call evaluates the 2k - 1 orders
     log_g = _hankel_integrand_entry(th, np.arange(d, d + 2 * k - 1), c)
     if not np.all(np.isfinite(log_g)):

@@ -116,8 +116,16 @@ def iter_spectra(model: ChannelModel, n_samples: int, seed: int):
     `iter_sample_chunks`; callers apply their own clip or floor."""
     for h in iter_sample_chunks(model, n_samples, seed):
         hh = h.conj().transpose(0, 2, 1)
-        yield np.linalg.eigvalsh(h @ hh if h.shape[1] <= h.shape[2]
-                                 else hh @ h)
+        yield _eigvalsh(h @ hh if h.shape[1] <= h.shape[2] else hh @ h)
+
+
+def _eigvalsh(g: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a stack of Hermitian matrices. For 1x1 it
+    returns the real part of the entry, which is bitwise what LAPACK zheevd
+    returns for N = 1 (W(1) = DBLE(A(1,1))), without the call."""
+    if g.shape[-1] == 1:
+        return np.ascontiguousarray(g[..., 0].real)
+    return np.linalg.eigvalsh(g)
 
 
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:

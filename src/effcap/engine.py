@@ -214,9 +214,9 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
         _, est = optimize_covariance_statistical(scenario, model, snr,
                                                  n_opt, seed)
         return est
-    return _estimate(scenario.theta_tb, scenario.n_r, model.n_t, strategy,
-                     snr, strategy_spectra(model, strategy, n_samples, seed),
-                     n_samples)
+    rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
+                        strategy, snr, scenario.n_r, model.n_t)
+    return _estimate(scenario.theta_tb, scenario.n_r, rates, n_samples)
 
 
 def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
@@ -224,19 +224,23 @@ def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
                     n_r: int | None = None) -> EffCapEstimate:
     """Sample-mean log-det rate per receive dimension (theta -> 0 limit)."""
     n_r = n_r if n_r is not None else model.n_r
-    return _estimate(0.0, n_r, model.n_t, strategy, snr,
-                     strategy_spectra(model, strategy, n_samples, seed),
-                     n_samples)
+    rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
+                        strategy, snr, n_r, model.n_t)
+    return _estimate(0.0, n_r, rates, n_samples)
 
 
-def _estimate(theta_tb: float, n_r: int, n_t: int,
-              strategy: CovarianceStrategy, snr: float, spectra,
-              n_samples: int) -> EffCapEstimate:
-    """Effective rate per receive dimension over per-chunk spectra, or the
-    sample-mean (ergodic) rate when theta_tb = 0."""
+def _iter_rates(spectra, strategy: CovarianceStrategy, snr: float, n_r: int,
+                n_t: int):
+    """`chunk_rates` of each chunk of spectra, lazily."""
     if snr < 0:
         raise DomainError("snr must be >= 0")
-    rates = (chunk_rates(ev, strategy, snr, n_r, n_t) for ev in spectra)
+    return (chunk_rates(ev, strategy, snr, n_r, n_t) for ev in spectra)
+
+
+def _estimate(theta_tb: float, n_r: int, rates,
+              n_samples: int) -> EffCapEstimate:
+    """Effective rate per receive dimension over per-chunk rates, or the
+    sample-mean (ergodic) rate when theta_tb = 0."""
     if theta_tb == 0:
         s = 0.0
         sq = 0.0
@@ -264,14 +268,28 @@ def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
     The draws are eigensolved once, here, and every point is evaluated
     from those spectra, bitwise equal to effective_rate_mc /
     ergodic_rate_mc; StatisticalOptimized re-runs its optimizer per point.
+    The rates depend on (snr, scenario.n_r) and not on theta, so the
+    per-chunk rates of the most recent (snr, scenario.n_r) are kept and
+    reused while calls repeat that key, as the theta curves of one SNR do.
+    This one-entry memo holds at most n_samples floats and lives as long
+    as the returned function.
     """
     if isinstance(strategy, StatisticalOptimized):
         return lambda scenario, snr: effective_rate_mc(
             scenario, model, strategy, snr, n_samples, seed)
     spectra = list(strategy_spectra(model, strategy, n_samples, seed))
-    return lambda scenario, snr: _estimate(
-        scenario.theta_tb, scenario.n_r, model.n_t, strategy, snr, spectra,
-        n_samples)
+    memo = {}
+
+    def estimate(scenario: QosScenario, snr: float) -> EffCapEstimate:
+        key = (snr, scenario.n_r)
+        if key not in memo:
+            rates = list(_iter_rates(spectra, strategy, snr, scenario.n_r,
+                                     model.n_t))
+            memo.clear()
+            memo[key] = rates
+        return _estimate(scenario.theta_tb, scenario.n_r, memo[key],
+                         n_samples)
+    return estimate
 
 
 def _simplex_project(p: np.ndarray) -> np.ndarray:

@@ -52,16 +52,18 @@ def sweep_rows(scenario: QosScenario, model, strategy, snr_db_grid,
     if estimate is None:
         estimate = rate_estimator(model, strategy, n_samples, seed)
     name = type(strategy).__name__
-    rows = []
-    for db in snr_db_grid:
-        snr = 10.0 ** (db / 10.0)
-        est = estimate(scenario, snr)
-        unnorm = est.value * scenario.n_r
-        eb_db = 10.0 * math.log10(snr / unnorm) if unnorm > 0 else math.inf
-        rows.append((float(db), snr, unnorm, est.value, est.std_err, eb_db,
-                     name, scenario.theta_hat, scenario.n_r, scenario.n_t,
-                     n_samples, seed))
-    return rows
+    return [_sweep_row(scenario, name, db, estimate, n_samples, seed)
+            for db in snr_db_grid]
+
+
+def _sweep_row(scenario: QosScenario, name: str, db, estimate,
+               n_samples: int, seed: int):
+    snr = 10.0 ** (db / 10.0)
+    est = estimate(scenario, snr)
+    unnorm = est.value * scenario.n_r
+    eb_db = 10.0 * math.log10(snr / unnorm) if unnorm > 0 else math.inf
+    return (float(db), snr, unnorm, est.value, est.std_err, eb_db, name,
+            scenario.theta_hat, scenario.n_r, scenario.n_t, n_samples, seed)
 
 
 def run_sweep(cfg: RunConfig, out_path: str | None = None) -> str:
@@ -86,15 +88,21 @@ def _antenna_figure(name, out_dir, n_samples, seed, curves, snr_db_grid):
     """Figures 1-4 share the sweep schema; one file per curve."""
     strategy = UniformIdentity()
     estimators = {}
-    out = []
+    points = []
     for label, theta_hat, n_r, n_t in curves:
-        scenario = QosScenario.from_theta_hat(theta_hat, _T, _B, n_r, n_t)
-        model = IidComplexGaussian(n_r, n_t)
         if (n_r, n_t) not in estimators:
-            estimators[n_r, n_t] = rate_estimator(model, strategy, n_samples,
-                                                  seed)
-        rows = sweep_rows(scenario, model, strategy, snr_db_grid, n_samples,
-                          seed, estimators[n_r, n_t])
+            estimators[n_r, n_t] = rate_estimator(
+                IidComplexGaussian(n_r, n_t), strategy, n_samples, seed)
+        scenario = QosScenario.from_theta_hat(theta_hat, _T, _B, n_r, n_t)
+        points.append((label, scenario, estimators[n_r, n_t], []))
+    # SNR outside, curves inside: the curves of one shape share the rates
+    # their estimator keeps for the current SNR
+    for db in snr_db_grid:
+        for _, scenario, estimate, rows in points:
+            rows.append(_sweep_row(scenario, type(strategy).__name__, db,
+                                   estimate, n_samples, seed))
+    out = []
+    for label, _, _, rows in points:
         path = os.path.join(out_dir, f"{name}_{label}.csv")
         _write_csv(path, SWEEP_COLUMNS, rows)
         out.append(FigureCurve(label, path, SWEEP_COLUMNS, rows))
@@ -112,22 +120,25 @@ def _sparse_figure(name, out_dir, n_samples, seed, m_schedule, n_points,
     p_over_n0 = 1e4
     estimate = rate_estimator(IidComplexGaussian(n_r, n_t), UniformIdentity(),
                               n_samples, seed)
-    out = []
-    for theta in thetas:
-        rows = []
-        for b_c in b_c_grid:
-            m = m_schedule(b_c)
-            snr = p_over_n0 / (n_r * m * b_c)
+    rows = [[] for _ in thetas]
+    # B_c outside, theta inside: the SNR depends on B_c only, so every
+    # theta of one B_c shares its rates
+    for b_c in b_c_grid:
+        m = m_schedule(b_c)
+        snr = p_over_n0 / (n_r * m * b_c)
+        for theta, curve_rows in zip(thetas, rows):
             # unnormalized rate of one subchannel of bandwidth b_c
             scenario = QosScenario(theta, _T, float(b_c), n_r, n_t)
             rate = estimate(scenario, snr).value * n_r
             eb_db = 10.0 * math.log10(snr / rate) if rate > 0 else math.inf
-            rows.append((float(b_c), m, snr, theta, rate, eb_db, n_samples,
-                         seed))
+            curve_rows.append((float(b_c), m, snr, theta, rate, eb_db,
+                               n_samples, seed))
+    out = []
+    for theta, curve_rows in zip(thetas, rows):
         label = ("theta%g" % theta).replace(".", "p")
         path = os.path.join(out_dir, f"{name}_{label}.csv")
-        _write_csv(path, _SPARSE_COLUMNS, rows)
-        out.append(FigureCurve(label, path, _SPARSE_COLUMNS, rows))
+        _write_csv(path, _SPARSE_COLUMNS, curve_rows)
+        out.append(FigureCurve(label, path, _SPARSE_COLUMNS, curve_rows))
     return out
 
 

