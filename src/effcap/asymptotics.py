@@ -248,7 +248,9 @@ def sparse_ebmin_sublinear(model: ChannelModel,
 # step and upper end of the trapezoidal rule in t = ln z, and the highest
 # order p it resolves: against mpmath over theta_hat 0.01-30 and c
 # 1e-6-1e12 the worst relative error is 1.1e-13 for p <= 55, 8.5e-13 at
-# p = 60 and 1.3e-12 at p = 61, rising to 2e-3 at p = 300
+# p = 60 and 1.3e-12 at p = 61, rising to 2e-3 at p = 300. This bounds the
+# entries only: the Hankel determinant of a large shape can lose more digits
+# to conditioning (7x7 is already off by about 4e-9)
 _LOG_Z_STEP = 0.1
 _LOG_Z_MAX = math.log(800.0)
 _HANKEL_MAX_ORDER = 60
@@ -287,8 +289,9 @@ def _hankel_log_mgf(scenario: QosScenario, snr: float) -> float:
     if d + 2 * k - 2 > _HANKEL_MAX_ORDER:
         raise NumericError(
             f"Hankel entry order {d + 2 * k - 2} of {scenario.n_r}x"
-            f"{scenario.n_t} exceeds {_HANKEL_MAX_ORDER}, the highest the "
-            f"trapezoidal grid resolves to 1e-12")
+            f"{scenario.n_t} exceeds {_HANKEL_MAX_ORDER}, the highest "
+            f"order whose entries the trapezoidal grid resolves to 1e-12; "
+            f"the bound is on entry order only, not on the determinant")
     # g[i, j] depends only on i + j: one call evaluates the 2k - 1 orders
     log_g = _hankel_integrand_entry(th, np.arange(d, d + 2 * k - 1), c)
     if not np.all(np.isfinite(log_g)):

@@ -8,6 +8,7 @@ log-mean-exp so that large theta*T*B products never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -278,17 +279,14 @@ def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
         return lambda scenario, snr: effective_rate_mc(
             scenario, model, strategy, snr, n_samples, seed)
     spectra = list(strategy_spectra(model, strategy, n_samples, seed))
-    memo = {}
+
+    @functools.lru_cache(maxsize=1)
+    def rates(snr: float, n_r: int) -> list:
+        return list(_iter_rates(spectra, strategy, snr, n_r, model.n_t))
 
     def estimate(scenario: QosScenario, snr: float) -> EffCapEstimate:
-        key = (snr, scenario.n_r)
-        if key not in memo:
-            rates = list(_iter_rates(spectra, strategy, snr, scenario.n_r,
-                                     model.n_t))
-            memo.clear()
-            memo[key] = rates
-        return _estimate(scenario.theta_tb, scenario.n_r, memo[key],
-                         n_samples)
+        return _estimate(scenario.theta_tb, scenario.n_r,
+                         rates(snr, scenario.n_r), n_samples)
     return estimate
 
 

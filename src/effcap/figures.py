@@ -46,11 +46,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def sweep_rows(scenario: QosScenario, model, strategy, snr_db_grid,
-               n_samples: int, seed: int, estimate=None):
-    """One row per SNR grid point in the stable sweep schema; `estimate`
-    is a `rate_estimator` of (model, strategy, n_samples, seed)."""
-    if estimate is None:
-        estimate = rate_estimator(model, strategy, n_samples, seed)
+               n_samples: int, seed: int):
+    """One row per SNR grid point in the stable sweep schema."""
+    estimate = rate_estimator(model, strategy, n_samples, seed)
     name = type(strategy).__name__
     return [_sweep_row(scenario, name, db, estimate, n_samples, seed)
             for db in snr_db_grid]
