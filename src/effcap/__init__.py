@@ -2,9 +2,8 @@
 queueing constraints."""
 
 from .channels import (FixedMatrix, IidComplexGaussian, KroneckerCorrelated,
-                       MomentEstimates, SpectralSummary, gram, hermitian_eig,
-                       max_eig_subspace, mean_gram_mc, sample_channel,
-                       spectral_moments_mc)
+                       MomentEstimates, SpectralSummary, hermitian_eig,
+                       max_eig_subspace, mean_gram_mc, spectral_moments_mc)
 from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, bit_energy_curve, effective_rate_mc,

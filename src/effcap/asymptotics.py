@@ -5,7 +5,9 @@ The closed-form low-SNR results take Monte Carlo spectral moments as inputs.
 The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
 log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
 t = ln z, to about 1e-13 relative; shapes whose top entry order
-n_R + n_T - 2 exceeds 60 are refused. The slope S_inf is exact in every band.
+n_R + n_T - 2 exceeds 60 are refused. The slope S_inf is exact in every band;
+the power offset L_inf is exact (complex-Wishart determinant moments) below
+the reduced-slope band theta_hat >= max - min + 1 and NaN in it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 # unused here; perfbench/tracing.py patches asymptotics.integrate.quad and
 # fails without it
 from scipy import integrate
+from scipy.special import digamma
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        hermitian_eig, iter_sample_chunks, iter_spectra,
@@ -368,37 +371,33 @@ def highsnr_slope_empirical(rate_points) -> float:
     return float(slope)
 
 
-def highsnr_metrics(scenario: QosScenario, model: ChannelModel,
-                    n_samples: int, seed: int) -> HighSnrMetrics:
+def highsnr_metrics(scenario: QosScenario,
+                    model: ChannelModel) -> HighSnrMetrics:
     """High-SNR slope and power offset for the i.i.d. Gaussian model.
 
-    The slope is exact. The offset is a Monte Carlo estimate for
-    theta_hat < max - min + 1 and NaN above.
+    The slope is exact in every band. Below the reduced-slope band
+    (theta_hat < max - min + 1) the offset is exact too, from the
+    determinant moments of the complex Wishart matrix W (Goodman 1963;
+    Tulino & Verdu 2004): E{ln det W} = sum_i psi(max-i+1) and
+    E{det W^-theta_hat} = prod_i Gamma(max-i+1-theta_hat)/Gamma(max-i+1).
+    In the band the offset is NaN.
     """
     if not isinstance(model, IidComplexGaussian):
         raise DomainError("highsnr_metrics requires the i.i.d. Gaussian model")
     n_r, n_t = scenario.n_r, scenario.n_t
     mn, mx = min(n_r, n_t), max(n_r, n_t)
     th = scenario.theta_hat
-    a = scenario.theta_tb
-
-    def det_w_log2(ev):
-        return np.log2(np.maximum(ev, 1e-300)).sum(axis=1)
+    # the Wishart degrees max - i + 1 of the moments above, i = 1..min
+    dof = range(mx - mn + 1, mx + 1)
 
     if th == 0:
-        total = 0.0
-        n = 0
-        for ev in iter_spectra(model, n_samples, seed):
-            total += float(det_w_log2(ev).sum())
-            n += ev.shape[0]
-        l_inf = math.log2(n_t / n_r) - total / n / mn
+        e_ln_det = float(sum(digamma(k) for k in dof))
+        l_inf = math.log2(n_t / n_r) - e_ln_det / (mn * LN2)
         return HighSnrMetrics(float(mn), l_inf, "ergodic (theta = 0)")
 
     if th < mx - mn + 1:
-        acc = _LogMeanExp()
-        for ev in iter_spectra(model, n_samples, seed):
-            acc.add(-a * det_w_log2(ev))
-        l_inf = math.log2(n_t / n_r) + acc.log_mean() / (a * mn)
+        ln_moment = sum(math.lgamma(k - th) - math.lgamma(k) for k in dof)
+        l_inf = math.log2(n_t / n_r) + ln_moment / (scenario.theta_tb * mn)
         return HighSnrMetrics(float(mn), l_inf,
                               "full slope (theta_hat < max - min + 1)")
 

@@ -128,16 +128,6 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(g)
 
 
-def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
-    """One independent channel draw."""
-    return model.sample_batch(1, rng)[0]
-
-
-def gram(h: np.ndarray) -> np.ndarray:
-    """H^dagger H, an n_t x n_t Hermitian PSD matrix."""
-    return h.conj().T @ h
-
-
 def hermitian_eig(a: np.ndarray):
     """Eigenvalues (descending) and matching orthonormal eigenvectors."""
     a = np.asarray(a)

@@ -112,8 +112,7 @@ def cmd_low_snr(args) -> int:
 
 def cmd_high_snr(args) -> int:
     cfg = _load_config(args)
-    m = asy.highsnr_metrics(cfg.scenario(), cfg.model(), cfg.n_samples,
-                            cfg.seed)
+    m = asy.highsnr_metrics(cfg.scenario(), cfg.model())
     _say(args, f"s_inf = {m.s_inf:.12g}")
     _say(args, f"l_inf = {m.l_inf:.12g}")
     _say(args, f"regime = {m.regime_note}")

@@ -95,8 +95,6 @@ class FixedCovariance:
 class StatisticalOptimized:
     """K maximizing the effective rate given only E{H^dagger H}."""
 
-    opt_samples: int | None = None
-
 
 CovarianceStrategy = (UniformIdentity | WaterfillingCsit | BeamformingCsit |
                       FixedCovariance | StatisticalOptimized)
@@ -152,7 +150,6 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
 class EffCapEstimate:
     value: float
     std_err: float
-    normalized_per_rx: bool
     n_samples: int
 
 
@@ -211,9 +208,8 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
     if snr < 0:
         raise DomainError("snr must be >= 0")
     if isinstance(strategy, StatisticalOptimized):
-        n_opt = strategy.opt_samples or n_samples
         _, est = optimize_covariance_statistical(scenario, model, snr,
-                                                 n_opt, seed)
+                                                 n_samples, seed)
         return est
     rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
                         strategy, snr, scenario.n_r, model.n_t)
@@ -251,14 +247,13 @@ def _estimate(theta_tb: float, n_r: int, rates,
             sq += float((r * r).sum())
         mean = s / n_samples
         var = max(sq / n_samples - mean ** 2, 0.0)
-        return EffCapEstimate(mean, math.sqrt(var / n_samples), True,
-                              n_samples)
+        return EffCapEstimate(mean, math.sqrt(var / n_samples), n_samples)
     acc = _LogMeanExp()
     for r in rates:
         acc.add(-theta_tb * r)
     denom = theta_tb * n_r
     return EffCapEstimate(-acc.log_mean() / denom, acc.se_log() / denom,
-                          True, n_samples)
+                          n_samples)
 
 
 def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
@@ -369,8 +364,7 @@ def _statistical_estimate(scenario: QosScenario, snr: float, grams,
         d_rate = gain * np.einsum("nii->ni", np.linalg.solve(m, gm)).real
         acc.add(-a / LN2 * logdet, -a / LN2 * d_rate)
     est = EffCapEstimate(value=-acc.log_mean() / denom,
-                         std_err=acc.se_log() / denom,
-                         normalized_per_rx=True, n_samples=n_samples)
+                         std_err=acc.se_log() / denom, n_samples=n_samples)
     return est, -acc.d_log_mean() / denom
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from effcap.channels import (FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, chunk_rng, gram,
-                             hermitian_eig, iter_sample_chunks,
-                             max_eig_subspace, mean_gram_mc, sample_channel,
-                             spectral_moments_mc)
+                             KroneckerCorrelated, chunk_rng, hermitian_eig,
+                             iter_sample_chunks, max_eig_subspace,
+                             mean_gram_mc, spectral_moments_mc)
 from effcap.errors import DomainError
 
 # E{lambda_max} and E{lambda_max^2} for the 2x2 i.i.d. complex case, from
@@ -21,7 +20,7 @@ class TestSampling:
         model = FixedMatrix(h)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            assert np.array_equal(sample_channel(model, rng), h)
+            assert np.array_equal(model.sample_batch(1, rng)[0], h)
 
     def test_iid_unit_entry_variance(self):
         model = IidComplexGaussian(2, 2)
@@ -47,22 +46,6 @@ class TestSampling:
             KroneckerCorrelated(np.array([[1.0, 2.0], [2.0, 1.0]],
                                          dtype=complex),
                                 np.eye(2, dtype=complex))
-
-
-class TestGram:
-    def test_identity(self):
-        assert np.allclose(gram(np.eye(2, dtype=complex)), np.eye(2))
-
-    def test_diagonal(self):
-        h = np.diag([1.0, 2.0]).astype(complex)
-        assert np.allclose(gram(h), np.diag([1.0, 4.0]))
-
-    def test_trace_is_frobenius_sq(self):
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        g = gram(h)
-        assert abs(np.trace(g).real - np.linalg.norm(h) ** 2) < 1e-12
-        assert np.max(np.abs(g - g.conj().T)) < 1e-14
 
 
 class TestHermitianEig:

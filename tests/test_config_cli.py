@@ -175,7 +175,7 @@ class TestCli:
 
     def test_high_snr(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
-        assert run_cli("high-snr", "--config", cfg, "--samples", "2000",
+        assert run_cli("high-snr", "--config", cfg,
                        "--set", "scenario.theta_hat=0.5") == 0
         assert "s_inf = 2" in capsys.readouterr().out
 
