@@ -11,10 +11,9 @@ from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
 from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
                           SparseWidebandConfig, derivs_csit,
                           derivs_statistical, derivs_uniform, energy_metrics,
-                          hankel_effective_rate, hankel_entry_closed,
-                          hankel_mgf, highsnr_metrics,
-                          highsnr_slope_empirical, sparse_ebmin_bounded,
-                          sparse_ebmin_sublinear)
+                          hankel_effective_rate, hankel_mgf,
+                          highsnr_metrics, highsnr_slope_empirical,
+                          sparse_ebmin_bounded, sparse_ebmin_sublinear)
 from .queuesim import (QueueTrace, TailFit, ThetaValidation,
                        estimate_tail_exponent, simulate_queue, validate_theta,
                        write_trace_csv)

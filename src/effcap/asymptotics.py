@@ -4,8 +4,9 @@ bit energies, and high-SNR slope / power-offset computations.
 The closed-form low-SNR results take Monte Carlo spectral moments as inputs.
 The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
 log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
-t = ln z, to about 1e-13 relative; shapes whose top entry order
-n_R + n_T - 2 exceeds 60 are refused. The slope S_inf is exact in every band;
+t = ln z, to about 1e-13 relative, the one place a Hankel entry is
+evaluated; shapes whose top entry order n_R + n_T - 2 exceeds 60 are
+refused. The slope S_inf is exact in every band;
 the power offset L_inf is exact (complex-Wishart determinant moments) below
 the reduced-slope band theta_hat >= max - min + 1 and NaN in it.
 """
@@ -28,7 +29,6 @@ from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, simplex_maximize, LN2)
 from .errors import DomainError, NumericError
-from .special import gamma_fn, confluent_1f1
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class EnergyMetrics:
     eb_min_linear: float
     eb_min_db: float
     wideband_slope_s0: float
-    per_receive_antenna: bool = True
 
 
 @dataclass(frozen=True)
@@ -58,29 +57,24 @@ class SparseWidebandConfig:
     m: int
     p_over_n0: float
     b_c: float
-    growth: str = "bounded_m"
 
     def __post_init__(self):
         if self.m < 1 or self.p_over_n0 <= 0 or self.b_c <= 0:
             raise DomainError("invalid SparseWidebandConfig")
-        if self.growth not in ("bounded_m", "sublinear"):
-            raise DomainError(f"unknown growth mode {self.growth!r}")
 
 
 # ---------------------------------------------------------------------------
 # low-SNR derivatives
 
-def derivs_csit(moments: MomentEstimates, scenario: QosScenario,
-                l: int = 1) -> LowSnrDerivatives:
+def derivs_csit(moments: MomentEstimates,
+                scenario: QosScenario) -> LowSnrDerivatives:
     """Derivatives at SNR=0 with per-realization channel knowledge."""
-    if l < 1:
-        raise DomainError("multiplicity l must be >= 1")
     e1 = moments.e_lambda_max
     e2 = moments.e_lambda_max_sq
     a = scenario.theta_tb
     n_r = scenario.n_r
     first = e1 / LN2
-    second = a * n_r / LN2 ** 2 * (e1 ** 2 - e2) - n_r / (l * LN2) * e2
+    second = a * n_r / LN2 ** 2 * (e1 ** 2 - e2) - n_r / LN2 * e2
     return LowSnrDerivatives(first, second, "csit")
 
 
@@ -184,8 +178,6 @@ def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
     """
     if scenario.theta <= 0:
         raise DomainError("sparse_ebmin_bounded requires theta > 0")
-    if config.growth != "bounded_m":
-        raise DomainError("config.growth must be 'bounded_m'")
     rho = scenario.theta * scenario.t * config.p_over_n0 / config.m
 
     if isinstance(strategy, StatisticalOptimized):
@@ -323,33 +315,6 @@ def hankel_effective_rate(scenario: QosScenario, snr: float) -> float:
     if scenario.theta <= 0:
         raise DomainError("hankel_effective_rate requires theta > 0")
     return -_hankel_log_mgf(scenario, snr) / scenario.theta_tb
-
-
-def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
-                        snr: float) -> float:
-    """Two-term confluent-hypergeometric form of the Hankel entry g_{i,j};
-    refused below c = (n_R/n_T)*snr = 1, where the two terms cancel."""
-    th = scenario.theta_hat
-    k = min(scenario.n_r, scenario.n_t)
-    d = abs(scenario.n_r - scenario.n_t)
-    if not (0 <= i < k and 0 <= j < k):
-        raise DomainError("entry indices out of range")
-    p = d + i + j
-    if abs((th - p) - round(th - p)) < 1e-9:
-        raise DomainError(
-            f"closed form invalid: theta_hat - (d+i+j) = {th - p} is the "
-            f"integer {int(round(th - p))}")
-    c = scenario.n_r / scenario.n_t * snr
-    if not c >= 1.0:
-        raise NumericError(f"closed form inaccurate at c = (n_R/n_T)*snr = "
-                           f"{c:.3g} < 1; use hankel_mgf")
-    x = 1.0 / c
-    pref = math.pi / (gamma_fn(th) * math.sin(math.pi * (p - th)))
-    term1 = (c ** (-1.0 - p) * gamma_fn(1.0 + p) / gamma_fn(2.0 + p - th)
-             * confluent_1f1(1.0 + p, 2.0 + p - th, x))
-    term2 = (c ** (-th) * gamma_fn(th) / gamma_fn(th - p)
-             * confluent_1f1(th, th - p, x))
-    return pref * (term1 - term2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import sys
 from . import asymptotics as asy
 from .channels import spectral_moments_mc, mean_gram
 from .config import RunConfig, apply_overrides, parse_kv_text
-from .engine import (StatisticalOptimized, UniformIdentity, WaterfillingCsit,
-                     BeamformingCsit, bit_energy_curve)
+from .engine import (StatisticalOptimized, WaterfillingCsit, BeamformingCsit,
+                     bit_energy_curve)
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import _write_csv, reproduce_figure, run_sweep
 from .queuesim import validate_and_trace, write_trace_csv

@@ -71,15 +71,12 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
                    strategy: CovarianceStrategy, snr: float,
                    arrival_per_block: float, n_blocks: int,
                    seed: int) -> QueueTrace:
-    """Run the Lindley recursion over n_blocks i.i.d. fading blocks."""
+    """Run the Lindley recursion over n_blocks i.i.d. fading blocks;
+    StatisticalOptimized is refused, resolve it to a FixedCovariance."""
     if n_blocks < _MIN_BLOCKS:
         raise DomainError(f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
     if arrival_per_block < 0:
         raise DomainError("arrival_per_block must be >= 0")
-    if isinstance(strategy, StatisticalOptimized):
-        k, _ = optimize_covariance_statistical(scenario, model, snr,
-                                               50_000, seed)
-        strategy = FixedCovariance(k)
     bits_per_block = scenario.t * scenario.b
     services = np.concatenate([
         bits_per_block * chunk_rates(ev, strategy, snr, scenario.n_r,
@@ -150,7 +147,14 @@ def validate_and_trace(scenario: QosScenario, model: ChannelModel,
     """validate_theta plus the QueueTrace it simulated (with seed + 1)."""
     if scenario.theta <= 0:
         raise DomainError("validate_theta requires theta > 0")
-    est = effective_rate_mc(scenario, model, strategy, snr, n_samples, seed)
+    if isinstance(strategy, StatisticalOptimized):
+        # one optimizer run sets both the arrival rate and the serving K
+        k, est = optimize_covariance_statistical(scenario, model, snr,
+                                                 n_samples, seed)
+        strategy = FixedCovariance(k)
+    else:
+        est = effective_rate_mc(scenario, model, strategy, snr, n_samples,
+                                seed)
     arrival = arrival_scale * scenario.t * scenario.b * scenario.n_r \
         * est.value
     trace = simulate_queue(scenario, model, strategy, snr, arrival,

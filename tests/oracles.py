@@ -2,8 +2,9 @@
 
 The library evaluates rates in batches over chunks of spectra; the scalar
 one-matrix versions here are their references. The incomplete Gamma
-function and the two-variable quadratic minimum are closed forms that no
-library code needs. The Hankel entries and log-MGF use mpmath's Tricomi U
+function, the two-variable quadratic minimum and the confluent
+hypergeometric form of a Hankel entry (with its Gamma and 1F1 helpers) are
+closed forms that no library code needs. The Hankel entries and log-MGF use mpmath's Tricomi U
 function at 40 digits, imported only when called; the per-pair Hankel
 log-MGF is the loop the library's one call for all orders must reproduce
 exactly. The queue trace writer is the one-`csv.writer`-row-per-block
@@ -82,6 +83,59 @@ def upper_incomplete_gamma(alpha: float, x: float) -> float:
         raise NumericError(
             f"upper_incomplete_gamma integral diverged for alpha={alpha}, x={x}")
     return float(x ** alpha * math.exp(-x) * val)
+
+
+def gamma_fn(x: float) -> float:
+    """Gamma function for real x away from the poles at 0, -1, -2, ..."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma_fn requires finite x, got {x}")
+    if x <= 0 and x == math.floor(x):
+        raise DomainError(f"gamma_fn pole at x={x}")
+    return math.gamma(x)
+
+
+def confluent_1f1(a: float, b: float, z: float) -> float:
+    """Confluent hypergeometric series 1F1(a, b, z), summed until a term
+    falls below 1e-13 of the total; no Kummer transformation."""
+    if b <= 0 and b == math.floor(b):
+        raise DomainError(f"confluent_1f1 pole at b={b}")
+    total = 1.0
+    term = 1.0
+    for n in range(10_000):
+        term *= (a + n) / (b + n) * z / (n + 1)
+        total += term
+        if abs(term) <= 1e-13 * abs(total):
+            return total
+    raise NumericError(
+        f"confluent_1f1 did not converge for a={a}, b={b}, z={z}")
+
+
+def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
+                        snr: float) -> float:
+    """Two-term confluent-hypergeometric form of the Hankel entry g_{i,j};
+    refused below c = (n_R/n_T)*snr = 1, where the two terms cancel, and at
+    integer theta_hat - (d+i+j), where it has a pole."""
+    th = scenario.theta_hat
+    k = min(scenario.n_r, scenario.n_t)
+    d = abs(scenario.n_r - scenario.n_t)
+    if not (0 <= i < k and 0 <= j < k):
+        raise DomainError("entry indices out of range")
+    p = d + i + j
+    if abs((th - p) - round(th - p)) < 1e-9:
+        raise DomainError(
+            f"closed form invalid: theta_hat - (d+i+j) = {th - p} is the "
+            f"integer {int(round(th - p))}")
+    c = scenario.n_r / scenario.n_t * snr
+    if not c >= 1.0:
+        raise NumericError(f"closed form inaccurate at c = (n_R/n_T)*snr = "
+                           f"{c:.3g} < 1")
+    x = 1.0 / c
+    pref = math.pi / (gamma_fn(th) * math.sin(math.pi * (p - th)))
+    term1 = (c ** (-1.0 - p) * gamma_fn(1.0 + p) / gamma_fn(2.0 + p - th)
+             * confluent_1f1(1.0 + p, 2.0 + p - th, x))
+    term2 = (c ** (-th) * gamma_fn(th) / gamma_fn(th - p)
+             * confluent_1f1(th, th - p, x))
+    return pref * (term1 - term2)
 
 
 def min_simplex_quadratic_2(q: np.ndarray) -> float:

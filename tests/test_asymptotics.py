@@ -8,9 +8,9 @@ from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 _sparse_objective, derivs_csit,
                                 derivs_statistical, derivs_uniform,
                                 energy_metrics, hankel_effective_rate,
-                                hankel_entry_closed, hankel_mgf,
-                                highsnr_metrics, highsnr_slope_empirical,
-                                sparse_ebmin_bounded, sparse_ebmin_sublinear)
+                                hankel_mgf, highsnr_metrics,
+                                highsnr_slope_empirical, sparse_ebmin_bounded,
+                                sparse_ebmin_sublinear)
 from effcap.channels import (FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, MomentEstimates,
                              iter_sample_chunks, spectral_moments_mc)
@@ -18,8 +18,10 @@ from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
                            UniformIdentity, WaterfillingCsit,
                            effective_rate_mc, ergodic_rate_mc)
 from effcap.errors import DomainError, NumericError
-from oracles import (central_gradient, hankel_log_entry, hankel_log_mgf,
-                     hankel_log_mgf_per_pair, upper_incomplete_gamma)
+from effcap.validation import siso_mgf_exact
+from oracles import (central_gradient, hankel_entry_closed, hankel_log_entry,
+                     hankel_log_mgf, hankel_log_mgf_per_pair,
+                     upper_incomplete_gamma)
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
@@ -249,8 +251,6 @@ class TestSparseWideband:
     def test_config_validated(self):
         with pytest.raises(DomainError):
             SparseWidebandConfig(m=0, p_over_n0=1.0, b_c=1.0)
-        with pytest.raises(DomainError):
-            SparseWidebandConfig(m=5, p_over_n0=1.0, b_c=1.0, growth="other")
 
 
 class TestHankelMgf:
@@ -378,6 +378,23 @@ class TestHankelIntegrandEntry:
         assert n_r + n_t - 2 == asymptotics._HANKEL_MAX_ORDER + 1
         with pytest.raises(NumericError):
             hankel_mgf(scen(1.5, n_r, n_t), 10.0)
+
+
+class TestSisoMgfExact:
+    # the reference of the closed-form checks of `validate highsnr`
+    @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("theta_hat", [0.5, 0.7, 1.0, 2.0, 3.0])
+    def test_matches_mpmath_and_hankel(self, theta_hat, snr):
+        pytest.importorskip("mpmath")
+        got = siso_mgf_exact(theta_hat, snr)
+        want = math.exp(hankel_log_mgf(scen(theta_hat), snr))
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - hankel_mgf(scen(theta_hat), snr)) <= 1e-12 * want
+
+    @pytest.mark.parametrize("theta_hat", [0.0, 1.5, -1.0])
+    def test_other_theta_refused(self, theta_hat):
+        with pytest.raises(DomainError):
+            siso_mgf_exact(theta_hat, 10.0)
 
 
 class TestHankelEntryClosed:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from effcap.channels import FixedMatrix, IidComplexGaussian
-from effcap.engine import QosScenario, UniformIdentity
+from effcap import engine, queuesim
+from effcap.channels import FixedMatrix, IidComplexGaussian, KroneckerCorrelated
+from effcap.engine import QosScenario, StatisticalOptimized, UniformIdentity
 from effcap.errors import DomainError, FitError
 from effcap.queuesim import (_CSV_BLOCK_ROWS, QueueTrace,
                              estimate_tail_exponent, lindley_path,
-                             simulate_queue, validate_theta, write_trace_csv)
+                             simulate_queue, validate_and_trace,
+                             validate_theta, write_trace_csv)
 from oracles import write_trace_csv as write_trace_csv_rows
 
 T, B = 1e-3, 1e5
@@ -161,6 +163,31 @@ class TestValidateTheta:
         with pytest.raises(DomainError):
             validate_theta(scen(0.0), IidComplexGaussian(1, 1),
                            UniformIdentity(), 1.0, 200_000, 0)
+
+    def test_statistical_optimized_runs_optimizer_once(self, monkeypatch):
+        # the K that serves the queue is the one that set its arrival rate
+        calls = []
+        optimize = engine.optimize_covariance_statistical
+
+        def counted(scenario, model, snr, n_samples, seed):
+            calls.append((n_samples, seed))
+            return optimize(scenario, model, snr, n_samples, seed)
+
+        monkeypatch.setattr(engine, "optimize_covariance_statistical",
+                            counted)
+        monkeypatch.setattr(queuesim, "optimize_covariance_statistical",
+                            counted)
+        lag = np.abs(np.subtract.outer(np.arange(2), np.arange(2)))
+        model = KroneckerCorrelated(np.eye(2, dtype=complex), 0.9 ** lag)
+        sc = scen(1.0, 2, 2)
+        res, trace = validate_and_trace(sc, model, StatisticalOptimized(),
+                                        10.0, 100_000, 0, n_samples=5000)
+        assert calls == [(5000, 0)]
+        assert res.arrival_per_block > 0
+        assert trace.n_blocks == 100_000
+        with pytest.raises(DomainError):
+            simulate_queue(sc, model, StatisticalOptimized(), 10.0, 1.0,
+                           100_000, 0)
 
 
 def test_write_trace_csv_roundtrip(tmp_path):

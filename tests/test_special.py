@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from effcap.errors import DomainError
-from effcap.special import confluent_1f1, gamma_fn, gauss_laguerre
-from oracles import upper_incomplete_gamma
+from effcap.special import gauss_laguerre
+from oracles import confluent_1f1, gamma_fn, upper_incomplete_gamma
 
 
 class TestGamma:
