@@ -9,11 +9,12 @@ from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      WaterfillingCsit, bit_energy_curve, effective_rate_mc,
                      ergodic_rate_mc, optimize_covariance_statistical)
 from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
-                          SparseWidebandConfig, derivs_csit,
-                          derivs_statistical, derivs_uniform, energy_metrics,
-                          hankel_effective_rate, hankel_mgf,
+                          SparseWidebandConfig, StatisticalMoments,
+                          derivs_csit, derivs_statistical, derivs_uniform,
+                          energy_metrics, hankel_effective_rate, hankel_mgf,
                           highsnr_metrics, highsnr_slope_empirical,
-                          sparse_ebmin_bounded, sparse_ebmin_sublinear)
+                          sparse_ebmin_bounded, sparse_ebmin_sublinear,
+                          statistical_moments_mc)
 from .queuesim import (QueueTrace, TailFit, ThetaValidation,
                        estimate_tail_exponent, simulate_queue, validate_theta,
                        write_trace_csv)

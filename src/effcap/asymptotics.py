@@ -24,7 +24,7 @@ from scipy.special import digamma
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        hermitian_eig, iter_sample_chunks, iter_spectra,
-                       max_eig_subspace, mean_gram)
+                       max_eig_subspace, mean_gram, mean_gram_and_chunks)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, simplex_maximize, LN2)
@@ -98,23 +98,25 @@ def _quadratic_objective(q: np.ndarray):
     return lambda a: (-float(a @ q @ a), -2.0 * (q @ a))
 
 
-def derivs_statistical(mean_gram: np.ndarray, model: ChannelModel,
-                       scenario: QosScenario, n_samples: int = 100_000,
-                       seed: int = 0, rel_tol: float = 1e-2,
-                       ) -> LowSnrDerivatives:
-    """Derivatives at SNR=0 when only E{H^dagger H} is known.
+@dataclass(frozen=True)
+class StatisticalMoments:
+    """The theta-independent inputs of `derivs_statistical`: the largest
+    eigenvalue of E{H^dagger H} and, for M = U^dagger H^dagger H U with U a
+    basis of its maximal eigenspace, Monte Carlo E{M_ii M_jj} and
+    E{|M_ij|^2}."""
 
-    The second derivative minimizes a quadratic form over the simplex of
-    power fractions in the maximal-eigenvalue eigenspace of mean_gram; the
-    quadratic coefficients are Monte Carlo expectations.
-    """
+    lambda_max: float
+    e_diag_products: np.ndarray
+    e_abs_sq: np.ndarray
+
+
+def statistical_moments_mc(mean_gram: np.ndarray, model: ChannelModel,
+                           n_samples: int = 100_000, seed: int = 0,
+                           rel_tol: float = 1e-2) -> StatisticalMoments:
+    """`StatisticalMoments` of model, given E{H^dagger H} as mean_gram."""
     summ = max_eig_subspace(mean_gram, rel_tol=rel_tol)
-    lam = summ.lambda_max
     l = summ.multiplicity_l
     u = summ.max_eig_basis
-    first = lam / LN2
-
-    # MC estimates of E{M_ii M_jj} and E{|M_ij|^2} for M = U^dag H^dag H U
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
     n = 0
@@ -125,12 +127,23 @@ def derivs_statistical(mean_gram: np.ndarray, model: ChannelModel,
         a_sum += np.einsum("ni,nj->ij", diag, diag)
         b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
         n += h.shape[0]
-    a_mat = a_sum / n
-    b_mat = b_sum / n
+    return StatisticalMoments(summ.lambda_max, a_sum / n, b_sum / n)
 
+
+def derivs_statistical(moments: StatisticalMoments,
+                       scenario: QosScenario) -> LowSnrDerivatives:
+    """Derivatives at SNR=0 when only E{H^dagger H} is known.
+
+    The second derivative minimizes a quadratic form over the simplex of
+    power fractions in the maximal-eigenvalue eigenspace of E{H^dagger H};
+    only its weight c1 depends on theta.
+    """
+    lam = moments.lambda_max
+    first = lam / LN2
     c1 = scenario.theta_tb * scenario.n_r / LN2 ** 2
     c2 = scenario.n_r / LN2
-    q = c1 * a_mat + c2 * b_mat
+    q = c1 * moments.e_diag_products + c2 * moments.e_abs_sq
+    l = len(q)
     _, neg_min, _ = simplex_maximize(_quadratic_objective(q),
                                      np.full(l, 1.0 / l))
     second = c1 * lam ** 2 + neg_min
@@ -206,11 +219,10 @@ def _sparse_objective(gains: np.ndarray, rho: float):
 
 def _sparse_ebmin_statistical(model, rho, n_samples, seed):
     """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
-    _, u = hermitian_eig(mean_gram(model, n_samples, seed))
+    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
+    _, u = hermitian_eig(g)
     # per-sample per-direction gains |H u_i|^2
-    gains = np.concatenate([
-        (np.abs(h @ u) ** 2).sum(axis=1)
-        for h in iter_sample_chunks(model, n_samples, seed)])
+    gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in chunks])
     _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
                                   np.full(model.n_t, 1.0 / model.n_t))
     eb = rho / best

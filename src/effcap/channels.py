@@ -89,8 +89,19 @@ class KroneckerCorrelated:
         return self.r_t.shape[0]
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws of R_r^{1/2} G R_t^{1/2}, mixed as the sum over (j, k),
+        in C order, of the outer products
+        (G_jk * R_r^{1/2}[:, j]) R_t^{1/2}[k]. That is the order and the
+        products of the naive einsum("ij,njk,kl->nil"), so with real
+        correlation matrices the draws are bitwise those of the einsum; with
+        complex ones they can differ in the last bits."""
         g = _complex_gaussian(rng, (n, self.n_r, self.n_t))
-        return np.einsum("ij,njk,kl->nil", self._sq_r, g, self._sq_t)
+        sq_r, sq_t = self._sq_r, self._sq_t
+        out = np.zeros((n, self.n_r, self.n_t), dtype=complex)
+        for j in range(self.n_r):
+            for k in range(self.n_t):
+                out += (g[:, j, k, None] * sq_r[:, j])[:, :, None] * sq_t[k]
+        return out
 
 
 ChannelModel = IidComplexGaussian | FixedMatrix | KroneckerCorrelated
@@ -199,13 +210,20 @@ def spectral_moments_mc(model: ChannelModel, n_samples: int,
                            n_samples=n_samples)
 
 
-def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo estimate of E{H^dagger H}."""
-    acc = np.zeros((model.n_t, model.n_t), dtype=complex)
-    for h in iter_sample_chunks(model, n_samples, seed):
+def _mean_gram_of(chunks, n_t: int, n_samples: int) -> np.ndarray:
+    """E{H^dagger H} averaged over chunks of n_samples draws in total, each
+    chunk's sum added in turn; the one Monte Carlo estimator of it."""
+    acc = np.zeros((n_t, n_t), dtype=complex)
+    for h in chunks:
         acc += np.einsum("nij,nik->jk", h.conj(), h)
     g = acc / n_samples
     return 0.5 * (g + g.conj().T)
+
+
+def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
+    """Monte Carlo estimate of E{H^dagger H}."""
+    return _mean_gram_of(iter_sample_chunks(model, n_samples, seed),
+                         model.n_t, n_samples)
 
 
 def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
@@ -213,3 +231,25 @@ def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
     if isinstance(model, IidComplexGaussian):
         return model.exact_mean_gram()
     return mean_gram_mc(model, n_samples, seed)
+
+
+def mean_gram_and_chunks(model: ChannelModel, n_samples: int, seed: int):
+    """(E{H^dagger H}, chunks): bitwise `mean_gram` and an iterator over
+    the chunks of `iter_sample_chunks`, each drawn once.
+
+    The i.i.d. model's mean is exact and its chunks are drawn lazily. Any
+    other model's chunks are drawn and held for the Monte Carlo mean, and
+    the iterator drops each held chunk as it yields it.
+    """
+    chunks = iter_sample_chunks(model, n_samples, seed)
+    if isinstance(model, IidComplexGaussian):
+        return model.exact_mean_gram(), chunks
+    held = list(chunks)
+    return _mean_gram_of(held, model.n_t, n_samples), _drain(held)
+
+
+def _drain(held: list):
+    """Yield the held chunks in order, dropping each from the list."""
+    held.reverse()
+    while held:
+        yield held.pop()

@@ -87,9 +87,10 @@ def cmd_low_snr(args) -> int:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_csit(mom, sc)
     elif isinstance(strategy, StatisticalOptimized):
-        d = asy.derivs_statistical(mean_gram(model, cfg.n_samples, cfg.seed),
-                                   model, sc, n_samples=cfg.n_samples,
-                                   seed=cfg.seed)
+        mom = asy.statistical_moments_mc(
+            mean_gram(model, cfg.n_samples, cfg.seed), model,
+            n_samples=cfg.n_samples, seed=cfg.seed)
+        d = asy.derivs_statistical(mom, sc)
     else:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_uniform(mom, sc)

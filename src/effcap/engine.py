@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (ChannelModel, iter_sample_chunks, iter_spectra,
-                       hermitian_eig, mean_gram)
+                       hermitian_eig, mean_gram_and_chunks)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -374,14 +374,17 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
 
     `simplex_maximize` over the power fractions with common random numbers;
     ties within two standard errors are broken toward the uniform allocation.
+    The draws of (model, n_samples, seed) are sampled once
+    (`mean_gram_and_chunks`): they give the Monte Carlo E{H^dagger H}, then
+    each chunk becomes its rotated grams U^dagger H^dagger H U and is
+    released, and every candidate K reuses those grams.
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
-    _, u = hermitian_eig(mean_gram(model, n_samples, seed))
-
-    # cache rotated grams once; every candidate K reuses the same draws
+    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
+    _, u = hermitian_eig(g)
     grams = []
-    for h in iter_sample_chunks(model, n_samples, seed):
+    for h in chunks:
         b = h @ u
         grams.append(b.conj().transpose(0, 2, 1) @ b)
     estimates = {}

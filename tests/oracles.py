@@ -7,7 +7,9 @@ hypergeometric form of a Hankel entry (with its Gamma and 1F1 helpers) are
 closed forms that no library code needs. The Hankel entries and log-MGF use mpmath's Tricomi U
 function at 40 digits, imported only when called; the per-pair Hankel
 log-MGF is the loop the library's one call for all orders must reproduce
-exactly. The queue trace writer is the one-`csv.writer`-row-per-block
+exactly. The Kronecker draw is the three-operand einsum whose bits the
+sampler's explicit accumulation must reproduce for real correlations. The
+queue trace writer is the one-`csv.writer`-row-per-block
 version whose bytes the blocked library writer must reproduce.
 """
 
@@ -19,6 +21,7 @@ from scipy import integrate
 from scipy import special as sps
 
 from effcap.asymptotics import _hankel_integrand_entry
+from effcap.channels import KroneckerCorrelated, _complex_gaussian
 from effcap.engine import QosScenario
 from effcap.errors import DomainError, NumericError
 
@@ -218,3 +221,11 @@ def write_trace_csv(trace, path: str) -> None:
         w.writerow(["block_index", "queue_bits"])
         for i, q in enumerate(trace.queue_lengths):
             w.writerow([i, "%.12g" % q])
+
+
+def kronecker_sample(model: KroneckerCorrelated, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """n draws R_r^{1/2} G R_t^{1/2} mixed by one unoptimized einsum, from
+    the same G that `model.sample_batch(n, rng)` draws."""
+    g = _complex_gaussian(rng, (n, model.n_r, model.n_t))
+    return np.einsum("ij,njk,kl->nil", model._sq_r, g, model._sq_t)

@@ -10,7 +10,8 @@ from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 energy_metrics, hankel_effective_rate,
                                 hankel_mgf, highsnr_metrics,
                                 highsnr_slope_empirical, sparse_ebmin_bounded,
-                                sparse_ebmin_sublinear)
+                                sparse_ebmin_sublinear,
+                                statistical_moments_mc)
 from effcap.channels import (FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, MomentEstimates,
                              iter_sample_chunks, spectral_moments_mc)
@@ -83,8 +84,9 @@ class TestLowSnrDerivatives:
         r_t = np.diag([1.5, 0.5]).astype(complex)
         model = KroneckerCorrelated(np.eye(2, dtype=complex), r_t)
         # E{H^dag H} = tr(R_r) * R_t = 2 R_t -> lambda_max = 3, l = 1
-        d = derivs_statistical(2.0 * np.asarray(r_t), model, scen(1.0, 2, 2),
-                               n_samples=50_000, seed=0)
+        mom = statistical_moments_mc(2.0 * np.asarray(r_t), model,
+                                     n_samples=50_000, seed=0)
+        d = derivs_statistical(mom, scen(1.0, 2, 2))
         assert abs(d.first_deriv - 3.0 / LN2) < 1e-12
         assert d.second_deriv < 0.0
 
@@ -92,8 +94,9 @@ class TestLowSnrDerivatives:
         h = np.diag([2.0, 1.0]).astype(complex)
         model = FixedMatrix(h)
         sc = scen(1.0, 2, 2)
-        ds = derivs_statistical(h.conj().T @ h, model, sc, n_samples=2_000,
-                                seed=0)
+        ds = derivs_statistical(
+            statistical_moments_mc(h.conj().T @ h, model, n_samples=2_000,
+                                   seed=0), sc)
         m = spectral_moments_mc(model, 2_000, 0)
         dc = derivs_csit(m, sc)
         assert abs(ds.first_deriv - dc.first_deriv) < 1e-9
@@ -102,8 +105,9 @@ class TestLowSnrDerivatives:
     def test_statistical_iid_matches_uniform(self):
         model = IidComplexGaussian(2, 2)
         sc = scen(1.0, 2, 2)
-        ds = derivs_statistical(model.exact_mean_gram(), model, sc,
-                                n_samples=500_000, seed=0)
+        ds = derivs_statistical(
+            statistical_moments_mc(model.exact_mean_gram(), model,
+                                   n_samples=500_000, seed=0), sc)
         m = spectral_moments_mc(model, 500_000, 0)
         du = derivs_uniform(m, sc)
         # statistical uses the exact mean Gram, so its first derivative is

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from effcap.channels import (FixedMatrix, IidComplexGaussian,
+from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, chunk_rng, hermitian_eig,
-                             iter_sample_chunks, max_eig_subspace,
-                             mean_gram_mc, spectral_moments_mc)
+                             iter_sample_chunks, max_eig_subspace, mean_gram,
+                             mean_gram_and_chunks, mean_gram_mc,
+                             spectral_moments_mc)
 from effcap.errors import DomainError
+from oracles import kronecker_sample
 
 # E{lambda_max} and E{lambda_max^2} for the 2x2 i.i.d. complex case, from
 # the joint eigenvalue density (l1-l2)^2 exp(-l1-l2): computed analytically
@@ -165,3 +167,49 @@ def test_chunk_rng_is_chunk_indexed():
     chunks = list(iter_sample_chunks(model, 2 * 16384, 13))
     direct = model.sample_batch(16384, chunk_rng(13, 1))
     assert np.array_equal(chunks[1], direct)
+
+
+def _exponential(n: int, rho: float) -> np.ndarray:
+    return rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+
+
+def _complex_correlation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random complex Hermitian PSD matrix with unit diagonal."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = x @ x.conj().T
+    d = 1.0 / np.sqrt(np.diag(a).real)
+    return d[:, None] * a * d[None, :]
+
+
+class TestKroneckerMixing:
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 5, 8])
+    def test_real_correlations_match_einsum_bitwise(self, n_r, n_t):
+        model = KroneckerCorrelated(_exponential(n_r, 0.7),
+                                    _exponential(n_t, 0.5))
+        for n in (1, 7, CHUNK):
+            got = model.sample_batch(n, chunk_rng(11, n))
+            assert np.array_equal(got, kronecker_sample(model, n,
+                                                        chunk_rng(11, n)))
+
+    @pytest.mark.parametrize("n_r,n_t", [(2, 2), (3, 4), (5, 2), (8, 8)])
+    def test_complex_correlations_match_einsum_closely(self, n_r, n_t):
+        rng = np.random.default_rng(n_r * 10 + n_t)
+        model = KroneckerCorrelated(_complex_correlation(n_r, rng),
+                                    _complex_correlation(n_t, rng))
+        got = model.sample_batch(CHUNK, chunk_rng(5, 0))
+        ref = kronecker_sample(model, CHUNK, chunk_rng(5, 0))
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+class TestMeanGramAndChunks:
+    @pytest.mark.parametrize("model", [
+        KroneckerCorrelated(_exponential(3, 0.7), _exponential(2, 0.5)),
+        IidComplexGaussian(2, 3)])
+    def test_matches_mean_gram_and_draws(self, model):
+        n = CHUNK + 100  # two chunks, the second partial
+        g, chunks = mean_gram_and_chunks(model, n, 4)
+        assert np.array_equal(g, mean_gram(model, n, 4))
+        for got, ref in zip(chunks, iter_sample_chunks(model, n, 4),
+                            strict=True):
+            assert np.array_equal(got, ref)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from effcap.asymptotics import _quadratic_objective
-from effcap.channels import (FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, iter_sample_chunks)
+from effcap import asymptotics, channels, engine
+from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
+                                _sparse_objective, sparse_ebmin_bounded)
+from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
+                             KroneckerCorrelated, chunk_rng, hermitian_eig,
+                             iter_sample_chunks)
 from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            QosScenario, StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp,
@@ -14,8 +17,8 @@ from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            ergodic_rate_mc, optimize_covariance_statistical,
                            simplex_maximize)
 from effcap.errors import DomainError
-from oracles import (central_gradient, log_det_rate, min_simplex_quadratic_2,
-                     waterfill)
+from oracles import (central_gradient, kronecker_sample, log_det_rate,
+                     min_simplex_quadratic_2, waterfill)
 
 T, B = 1e-3, 1e5
 
@@ -234,6 +237,113 @@ class TestStatisticalOptimization:
         fd = central_gradient(
             lambda q: _statistical_estimate(sc, 10.0, grams, q, n)[0].value, p)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def _kronecker(n, rho_r, rho_t):
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return KroneckerCorrelated(rho_r ** lag, rho_t ** lag)
+
+
+def _einsum_chunks(model, n_samples, seed):
+    for i, start in enumerate(range(0, n_samples, CHUNK)):
+        yield kronecker_sample(model, min(CHUNK, n_samples - start),
+                               chunk_rng(seed, i))
+
+
+def _two_pass_eigenbasis(model, n_samples, seed):
+    """Eigenvectors of the Monte Carlo E{H^dagger H} from a first pass
+    over the einsum-mixed draws."""
+    acc = np.zeros((model.n_t, model.n_t), dtype=complex)
+    for h in _einsum_chunks(model, n_samples, seed):
+        acc += np.einsum("nij,nik->jk", h.conj(), h)
+    g = acc / n_samples
+    return hermitian_eig(0.5 * (g + g.conj().T))[1]
+
+
+def _two_pass_optimize(scenario, model, snr, n_samples, seed):
+    """The statistical optimizer with a second pass over the same draws
+    for the rotated grams."""
+    u = _two_pass_eigenbasis(model, n_samples, seed)
+    grams = []
+    for h in _einsum_chunks(model, n_samples, seed):
+        b = h @ u
+        grams.append(b.conj().transpose(0, 2, 1) @ b)
+    estimates = {}
+
+    def fg(p):
+        est, grad = _statistical_estimate(scenario, snr, grams, p, n_samples)
+        estimates[p.tobytes()] = est
+        return est.value, grad
+
+    uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
+    p, _, _ = simplex_maximize(fg, uniform)
+    best = estimates[p.tobytes()]
+    uniform_est = estimates[uniform.tobytes()]
+    if best.value <= uniform_est.value + 2.0 * uniform_est.std_err:
+        p, best = uniform, uniform_est
+    return (u * p) @ u.conj().T, best
+
+
+def _count_draws(monkeypatch) -> list:
+    """Patch every effcap binding of iter_sample_chunks to record the size
+    of each chunk it draws."""
+    original = channels.iter_sample_chunks
+    drawn = []
+
+    def counting(model, n_samples, seed):
+        for h in original(model, n_samples, seed):
+            drawn.append(h.shape[0])
+            yield h
+    for mod in (channels, engine, asymptotics):
+        if getattr(mod, "iter_sample_chunks", None) is original:
+            monkeypatch.setattr(mod, "iter_sample_chunks", counting)
+    return drawn
+
+
+class TestStatisticalDrawsOnce:
+    MODEL = _kronecker(2, 0.7, 0.5)
+
+    def test_optimizer_draws_each_sample_once(self, monkeypatch):
+        drawn = _count_draws(monkeypatch)
+        optimize_covariance_statistical(scen(2.0, 2, 2), self.MODEL, 10.0,
+                                        4096, 0)
+        assert sum(drawn) == 4096
+
+    def test_sparse_statistical_draws_each_sample_once(self, monkeypatch):
+        drawn = _count_draws(monkeypatch)
+        sparse_ebmin_bounded(SparseWidebandConfig(4, 1e4, 1e5),
+                             scen(2.0, 2, 2), self.MODEL,
+                             StatisticalOptimized(), 4096, 0)
+        assert sum(drawn) == 4096
+
+    # the benchmark's optimize cases (rho_t = 0.5, uniform optimum) and a
+    # stronger transmit correlation whose optimum is not uniform
+    @pytest.mark.parametrize("rho_t", [0.5, 0.9])
+    @pytest.mark.parametrize("n,n_samples", [(2, 4096), (4, 2048)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_optimizer_matches_two_pass_bitwise(self, rho_t, n, n_samples,
+                                                seed):
+        model = _kronecker(n, 0.7, rho_t)
+        sc = scen(2.0, n, n)
+        k, est = optimize_covariance_statistical(sc, model, 10.0, n_samples,
+                                                 seed)
+        k_ref, est_ref = _two_pass_optimize(sc, model, 10.0, n_samples, seed)
+        assert np.array_equal(k, k_ref)
+        assert (est.value, est.std_err) == (est_ref.value, est_ref.std_err)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_statistical_matches_two_pass_bitwise(self, seed):
+        config = SparseWidebandConfig(4, 1e4, 1e5)
+        sc = scen(2.0, 2, 2)
+        rho = sc.theta * sc.t * config.p_over_n0 / config.m
+        u = _two_pass_eigenbasis(self.MODEL, 4096, seed)
+        gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in
+                                _einsum_chunks(self.MODEL, 4096, seed)])
+        _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
+                                      np.full(2, 0.5))
+        eb, _ = sparse_ebmin_bounded(config, sc, self.MODEL,
+                                     StatisticalOptimized(), 4096, seed)
+        assert eb == rho / best
 
 
 def test_log_mean_exp_gradient_survives_rescaling():
