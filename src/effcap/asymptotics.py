@@ -27,7 +27,8 @@ from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        max_eig_subspace, mean_gram, mean_gram_and_chunks)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, _LogMeanExp, simplex_maximize, LN2)
+                     WaterfillingCsit, _LogMeanExp, check_shape,
+                     simplex_maximize, LN2)
 from .errors import DomainError, NumericError
 
 
@@ -56,10 +57,9 @@ class HighSnrMetrics:
 class SparseWidebandConfig:
     m: int
     p_over_n0: float
-    b_c: float
 
     def __post_init__(self):
-        if self.m < 1 or self.p_over_n0 <= 0 or self.b_c <= 0:
+        if self.m < 1 or self.p_over_n0 <= 0:
             raise DomainError("invalid SparseWidebandConfig")
 
 
@@ -110,17 +110,18 @@ class StatisticalMoments:
     e_abs_sq: np.ndarray
 
 
-def statistical_moments_mc(mean_gram: np.ndarray, model: ChannelModel,
-                           n_samples: int = 100_000, seed: int = 0,
-                           rel_tol: float = 1e-2) -> StatisticalMoments:
-    """`StatisticalMoments` of model, given E{H^dagger H} as mean_gram."""
-    summ = max_eig_subspace(mean_gram, rel_tol=rel_tol)
+def statistical_moments_mc(model: ChannelModel, n_samples: int,
+                           seed: int) -> StatisticalMoments:
+    """`StatisticalMoments` of model; one draw of each sample gives both
+    E{H^dagger H} and the moments (`mean_gram_and_chunks`)."""
+    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
+    summ = max_eig_subspace(g)
     l = summ.multiplicity_l
     u = summ.max_eig_basis
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
     n = 0
-    for h in iter_sample_chunks(model, n_samples, seed):
+    for h in chunks:
         c = h @ u
         m = c.conj().transpose(0, 2, 1) @ c
         diag = np.real(np.einsum("nii->ni", m))
@@ -361,6 +362,7 @@ def highsnr_metrics(scenario: QosScenario,
     """
     if not isinstance(model, IidComplexGaussian):
         raise DomainError("highsnr_metrics requires the i.i.d. Gaussian model")
+    check_shape(scenario, model)
     n_r, n_t = scenario.n_r, scenario.n_t
     mn, mx = min(n_r, n_t), max(n_r, n_t)
     th = scenario.theta_hat

@@ -158,16 +158,20 @@ class SpectralSummary:
     max_eig_basis: np.ndarray
 
 
-def max_eig_subspace(a: np.ndarray, rel_tol: float = 1e-8) -> SpectralSummary:
-    """Maximum eigenvalue, its numerical multiplicity and eigenspace basis."""
-    if not (0.0 < rel_tol <= 1e-2):
-        raise DomainError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
+# eigenvalues within this fraction of the largest count as maximal: it
+# absorbs the Monte Carlo error of an estimated E{H^dagger H}
+MAX_EIG_REL_TOL = 1e-2
+
+
+def max_eig_subspace(a: np.ndarray) -> SpectralSummary:
+    """Maximum eigenvalue, its numerical multiplicity (eigenvalues within
+    MAX_EIG_REL_TOL of it, relative) and eigenspace basis."""
     w, v = hermitian_eig(a)
     lam = float(w[0])
     if lam <= 0.0:
         # zero (or numerically zero) matrix: the whole space is maximal
         return SpectralSummary(w, 0.0, len(w), v)
-    mask = (lam - w) / lam <= rel_tol
+    mask = (lam - w) / lam <= MAX_EIG_REL_TOL
     l = int(np.sum(mask))
     return SpectralSummary(w, lam, l, v[:, :l])
 
@@ -181,10 +185,6 @@ class MomentEstimates:
     e_trace_gram_sq: float
     std_errs: dict
     n_samples: int
-
-    @property
-    def kurtosis_sigma_max(self) -> float:
-        return self.e_lambda_max_sq / self.e_lambda_max ** 2
 
 
 def spectral_moments_mc(model: ChannelModel, n_samples: int,

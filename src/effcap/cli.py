@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import asymptotics as asy
-from .channels import spectral_moments_mc, mean_gram
+from .channels import spectral_moments_mc
 from .config import RunConfig, apply_overrides, parse_kv_text
 from .engine import (StatisticalOptimized, WaterfillingCsit, BeamformingCsit,
                      bit_energy_curve)
@@ -25,13 +25,17 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _add_common(p):
+def _add_common(p, out: bool = True, mc: bool = True):
+    """The flags of every subcommand; --out and the Monte Carlo --seed and
+    --samples only where the subcommand reads them."""
     p.add_argument("--config", help="path to a key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="config override (dotted key, repeatable)")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--samples", type=int, help="MC samples per point")
+    if out:
+        p.add_argument("--out", help="output path")
+    if mc:
+        p.add_argument("--seed", type=int, help="RNG seed")
+        p.add_argument("--samples", type=int, help="MC samples per point")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -41,12 +45,10 @@ def _load_config(args, needs_scenario: bool = True) -> RunConfig:
         with open(args.config, encoding="utf-8") as fh:
             kv = parse_kv_text(fh.read())
     kv = apply_overrides(kv, args.set)
-    if args.seed is not None:
-        kv["mc.seed"] = args.seed
-    if args.samples is not None:
-        kv["mc.n_samples"] = args.samples
-    if args.out is not None:
-        kv["output.path"] = args.out
+    for flag, key in (("seed", "mc.seed"), ("samples", "mc.n_samples"),
+                      ("out", "output.path")):
+        if getattr(args, flag, None) is not None:
+            kv[key] = getattr(args, flag)
     if not needs_scenario and "scenario.theta" not in kv \
             and "scenario.theta_hat" not in kv:
         # figure/validation grids carry their own scenarios
@@ -87,9 +89,7 @@ def cmd_low_snr(args) -> int:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_csit(mom, sc)
     elif isinstance(strategy, StatisticalOptimized):
-        mom = asy.statistical_moments_mc(
-            mean_gram(model, cfg.n_samples, cfg.seed), model,
-            n_samples=cfg.n_samples, seed=cfg.seed)
+        mom = asy.statistical_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_statistical(mom, sc)
     else:
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
@@ -125,12 +125,11 @@ def cmd_high_snr(args) -> int:
 
 def cmd_sparse_wideband(args) -> int:
     cfg = _load_config(args)
-    for key in ("sparse.m", "sparse.p_over_n0", "sparse.b_c"):
+    for key in ("sparse.m", "sparse.p_over_n0"):
         if key not in cfg.kv:
             raise ConfigError(f"{key} required for sparse-wideband")
     swc = asy.SparseWidebandConfig(m=cfg.kv["sparse.m"],
-                                   p_over_n0=float(cfg.kv["sparse.p_over_n0"]),
-                                   b_c=float(cfg.kv["sparse.b_c"]))
+                                   p_over_n0=float(cfg.kv["sparse.p_over_n0"]))
     sc = cfg.scenario()
     model = cfg.model()
     strategy = cfg.strategy()
@@ -204,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_low_snr)
 
+    # the slope and offset are exact: nothing is drawn
     p = sub.add_parser("high-snr", help="high-SNR slope and power offset")
-    _add_common(p)
+    _add_common(p, mc=False)
     p.set_defaults(fn=cmd_high_snr)
 
     p = sub.add_parser("sparse-wideband", help="sparse-multipath minimum "
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sparse_wideband)
 
     p = sub.add_parser("queue-validate", help="queue-tail exponent check")
-    _add_common(p)
+    _add_common(p, out=False)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--blocks", type=int, default=1_000_000)
     p.add_argument("--trace-out", help="also export the queue trace CSV")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a self-check suite")
     p.add_argument("suite",
                    choices=["lowsnr", "highsnr", "wideband", "queue", "all"])
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(fn=cmd_validate)
     return ap
 

@@ -56,6 +56,14 @@ class QosScenario:
                    n_r=n_r, n_t=n_t)
 
 
+def check_shape(scenario: QosScenario, model: ChannelModel) -> None:
+    """Refuse a scenario whose n_R x n_T differs from the model's."""
+    if (scenario.n_r, scenario.n_t) != (model.n_r, model.n_t):
+        raise DomainError(
+            f"scenario is {scenario.n_r}x{scenario.n_t} but the channel "
+            f"model is {model.n_r}x{model.n_t}")
+
+
 # ---------------------------------------------------------------------------
 # covariance strategies
 
@@ -207,6 +215,7 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
                           "use ergodic_rate_mc for theta = 0")
     if snr < 0:
         raise DomainError("snr must be >= 0")
+    check_shape(scenario, model)
     if isinstance(strategy, StatisticalOptimized):
         _, est = optimize_covariance_statistical(scenario, model, snr,
                                                  n_samples, seed)
@@ -217,13 +226,11 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
 
 
 def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
-                    snr: float, n_samples: int, seed: int,
-                    n_r: int | None = None) -> EffCapEstimate:
+                    snr: float, n_samples: int, seed: int) -> EffCapEstimate:
     """Sample-mean log-det rate per receive dimension (theta -> 0 limit)."""
-    n_r = n_r if n_r is not None else model.n_r
     rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
-                        strategy, snr, n_r, model.n_t)
-    return _estimate(0.0, n_r, rates, n_samples)
+                        strategy, snr, model.n_r, model.n_t)
+    return _estimate(0.0, model.n_r, rates, n_samples)
 
 
 def _iter_rates(spectra, strategy: CovarianceStrategy, snr: float, n_r: int,
@@ -264,11 +271,11 @@ def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
     The draws are eigensolved once, here, and every point is evaluated
     from those spectra, bitwise equal to effective_rate_mc /
     ergodic_rate_mc; StatisticalOptimized re-runs its optimizer per point.
-    The rates depend on (snr, scenario.n_r) and not on theta, so the
-    per-chunk rates of the most recent (snr, scenario.n_r) are kept and
-    reused while calls repeat that key, as the theta curves of one SNR do.
-    This one-entry memo holds at most n_samples floats and lives as long
-    as the returned function.
+    A scenario whose shape is not the model's is refused. The rates depend
+    on snr and not on theta, so the per-chunk rates of the most recent snr
+    are kept and reused while calls repeat it, as the theta curves of one
+    SNR do. This one-entry memo holds at most n_samples floats and lives as
+    long as the returned function.
     """
     if isinstance(strategy, StatisticalOptimized):
         return lambda scenario, snr: effective_rate_mc(
@@ -276,12 +283,13 @@ def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
     spectra = list(strategy_spectra(model, strategy, n_samples, seed))
 
     @functools.lru_cache(maxsize=1)
-    def rates(snr: float, n_r: int) -> list:
-        return list(_iter_rates(spectra, strategy, snr, n_r, model.n_t))
+    def rates(snr: float) -> list:
+        return list(_iter_rates(spectra, strategy, snr, model.n_r,
+                                model.n_t))
 
     def estimate(scenario: QosScenario, snr: float) -> EffCapEstimate:
-        return _estimate(scenario.theta_tb, scenario.n_r,
-                         rates(snr, scenario.n_r), n_samples)
+        check_shape(scenario, model)
+        return _estimate(scenario.theta_tb, model.n_r, rates(snr), n_samples)
     return estimate
 
 
@@ -381,6 +389,7 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
+    check_shape(scenario, model)
     g, chunks = mean_gram_and_chunks(model, n_samples, seed)
     _, u = hermitian_eig(g)
     grams = []

@@ -189,15 +189,3 @@ def reproduce_figure(name: str, out_dir: str = ".", n_samples: int = 200_000,
                               n_points, ths)
     raise ConfigError(f"unknown figure name {name!r} (use fig1..fig6)")
 
-
-def extrapolated_eb_min_db(rows) -> float:
-    """Zero-rate intercept of the E_b/N0 (dB) vs rate curve.
-
-    Linear extrapolation through the two smallest-rate points of a sweep
-    dataset (rows in the sweep schema).
-    """
-    pts = sorted((r[2], r[5]) for r in rows if math.isfinite(r[5]))
-    if len(pts) < 2:
-        raise ConfigError("need at least two finite bit-energy points")
-    (r1, e1), (r2, e2) = pts[0], pts[1]
-    return e1 - r1 * (e2 - e1) / (r2 - r1)

@@ -15,14 +15,19 @@ import numpy as np
 
 from .channels import ChannelModel
 from .engine import (CovarianceStrategy, FixedCovariance, QosScenario,
-                     StatisticalOptimized, chunk_rates, effective_rate_mc,
-                     optimize_covariance_statistical, strategy_spectra)
+                     StatisticalOptimized, check_shape, chunk_rates,
+                     effective_rate_mc, optimize_covariance_statistical,
+                     strategy_spectra)
 from .errors import DomainError, FitError
 
 _MIN_BLOCKS = 100_000
 _WARMUP_FRACTION = 0.10
 # rows per formatted trace-CSV write; bounds the formatting step's memory
 _CSV_BLOCK_ROWS = 4096
+# the quantile window of the stationary queue that the tail slope is fitted
+# over, and the relative error in theta that validate_theta accepts
+TAIL_QUANTILES = (0.90, 0.999)
+THETA_TOLERANCE = 0.15
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,7 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
         raise DomainError(f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
     if arrival_per_block < 0:
         raise DomainError("arrival_per_block must be >= 0")
+    check_shape(scenario, model)
     bits_per_block = scenario.t * scenario.b
     services = np.concatenate([
         bits_per_block * chunk_rates(ev, strategy, snr, scenario.n_r,
@@ -88,16 +94,12 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
                       warmup_blocks=int(n_blocks * _WARMUP_FRACTION))
 
 
-def estimate_tail_exponent(trace: QueueTrace, quantile_lo: float = 0.90,
-                           quantile_hi: float = 0.999) -> TailFit:
-    """Least-squares slope of log P(Q >= q) over the given quantile window."""
-    if not (0.5 <= quantile_lo < quantile_hi <= 0.999):
-        raise DomainError("quantile window must satisfy "
-                          "0.5 <= lo < hi <= 0.999")
+def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
+    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window."""
     q = trace.stationary
     if len(q) == 0:
         raise FitError("stationary segment is empty")
-    levels = np.linspace(quantile_lo, quantile_hi, 60)
+    levels = np.linspace(*TAIL_QUANTILES, 60)
     qs = np.quantile(q, levels)
     # collapse duplicate quantile values (flat CDF regions carry no slope
     # information and would just be repeated points)
@@ -131,18 +133,17 @@ class ThetaValidation:
 def validate_theta(scenario: QosScenario, model: ChannelModel,
                    strategy: CovarianceStrategy, snr: float, n_blocks: int,
                    seed: int, arrival_scale: float = 1.0,
-                   n_samples: int = 200_000,
-                   tolerance: float = 0.15) -> ThetaValidation:
+                   n_samples: int = 200_000) -> ThetaValidation:
     """Check that the queue built at arrival rate T*B*n_R*C_E(theta)
-    decays with exponent theta."""
+    decays with exponent theta, to within THETA_TOLERANCE relative."""
     return validate_and_trace(scenario, model, strategy, snr, n_blocks, seed,
-                              arrival_scale, n_samples, tolerance)[0]
+                              arrival_scale, n_samples)[0]
 
 
 def validate_and_trace(scenario: QosScenario, model: ChannelModel,
                        strategy: CovarianceStrategy, snr: float, n_blocks: int,
                        seed: int, arrival_scale: float = 1.0,
-                       n_samples: int = 200_000, tolerance: float = 0.15
+                       n_samples: int = 200_000
                        ) -> tuple[ThetaValidation, QueueTrace]:
     """validate_theta plus the QueueTrace it simulated (with seed + 1)."""
     if scenario.theta <= 0:
@@ -169,7 +170,7 @@ def validate_and_trace(scenario: QosScenario, model: ChannelModel,
     fit = estimate_tail_exponent(trace)
     rel = abs(fit.theta_est - scenario.theta) / scenario.theta
     return ThetaValidation(scenario.theta, fit.theta_est,
-                           rel <= tolerance, False, arrival, fit.r_squared,
+                           rel <= THETA_TOLERANCE, False, arrival, fit.r_squared,
                            fit.n_points), trace
 
 

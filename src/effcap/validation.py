@@ -17,7 +17,7 @@ from scipy import special as sps
 from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
 from .engine import (QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, effective_rate_mc, bit_energy_curve)
+                     WaterfillingCsit, bit_energy_curve, rate_estimator)
 from .errors import DomainError
 from .queuesim import validate_theta
 
@@ -82,15 +82,15 @@ def lowsnr_suite(n_samples=200_000, seed=0):
 
     model = IidComplexGaussian(2, 2)
     mom = moments[2, 2]
-    stat_mom = asy.statistical_moments_mc(model.exact_mean_gram(), model,
-                                          n_samples=n_big, seed=seed)
+    stat_mom = asy.statistical_moments_mc(model, n_big, seed)
+    # one eigensolve of the draws per strategy, shared by every theta and SNR
+    uniform = rate_estimator(model, UniformIdentity(), n_samples, seed)
+    csit = rate_estimator(model, WaterfillingCsit(), n_samples, seed)
     snr0 = 1e-3
     for th in (0.5, 2.0):
         sc = _scenario(th, 2, 2)
         d = asy.derivs_uniform(mom, sc)
-        r = lambda s: effective_rate_mc(sc, model, UniformIdentity(), s,
-                                        n_samples, seed).value
-        rp, rm = r(snr0), r(snr0 / 2)
+        rp, rm = uniform(sc, snr0).value, uniform(sc, snr0 / 2).value
         fd1 = rp / snr0  # rate(0) = 0 exactly
         # second difference on nodes 0, h, 2h with h = snr0/2
         fd2 = (rp - 2.0 * rm) / (snr0 / 2) ** 2
@@ -110,9 +110,7 @@ def lowsnr_suite(n_samples=200_000, seed=0):
             f"stat {dstat.second_deriv:.5g} vs unif {d.second_deriv:.5g}"))
 
         dc = asy.derivs_csit(mom, sc)
-        rc = lambda s: effective_rate_mc(sc, model, WaterfillingCsit(), s,
-                                         n_samples, seed).value
-        rcp, rcm = rc(snr0), rc(snr0 / 2)
+        rcp, rcm = csit(sc, snr0).value, csit(sc, snr0 / 2).value
         fd1c = rcp / snr0
         fd2c = (rcp - 2.0 * rcm) / (snr0 / 2) ** 2
         checks.append(_check(
@@ -154,11 +152,12 @@ def highsnr_suite(n_samples=200_000, seed=0):
     # moment identities in the low-SNR suite
     n_big = max(n_samples, 1_000_000)
     for n_r, n_t in ((1, 1), (2, 2), (2, 3)):
+        estimate = rate_estimator(IidComplexGaussian(n_r, n_t),
+                                  UniformIdentity(), n_big, seed)
         for th in (0.5, 1.0):
             sc = _scenario(th, n_r, n_t)
             quad = asy.hankel_effective_rate(sc, 10.0)
-            est = effective_rate_mc(sc, IidComplexGaussian(n_r, n_t),
-                                    UniformIdentity(), 10.0, n_big, seed)
+            est = estimate(sc, 10.0)
             diff = abs(quad - est.value * n_r)
             tol = 3.0 * est.std_err * n_r
             checks.append(_check(
@@ -200,12 +199,12 @@ def highsnr_suite(n_samples=200_000, seed=0):
 def wideband_suite(n_samples=200_000, seed=0):
     checks = []
     model = IidComplexGaussian(2, 2)
-    cfg = lambda: asy.SparseWidebandConfig(m=5, p_over_n0=1e4, b_c=1e5)
+    cfg = asy.SparseWidebandConfig(m=5, p_over_n0=1e4)
     ref_theta = 1.0 / (_T * 1e4 / 5)  # rho = 1 at the reference scale
     ebs = []
     for scale in (1e-4, 0.1, 0.5, 1.0, 2.0):
         sc = QosScenario(theta=scale * ref_theta, t=_T, b=_B, n_r=2, n_t=2)
-        eb, _ = asy.sparse_ebmin_bounded(cfg(), sc, model, UniformIdentity(),
+        eb, _ = asy.sparse_ebmin_bounded(cfg, sc, model, UniformIdentity(),
                                          n_samples, seed)
         ebs.append(eb)
     rich = math.log(2.0) / (2 * 2 / 2)  # ln2 / (E{tr}/n_T) per dimension

@@ -10,7 +10,9 @@ log-MGF is the loop the library's one call for all orders must reproduce
 exactly. The Kronecker draw is the three-operand einsum whose bits the
 sampler's explicit accumulation must reproduce for real correlations. The
 queue trace writer is the one-`csv.writer`-row-per-block
-version whose bytes the blocked library writer must reproduce.
+version whose bytes the blocked library writer must reproduce. The
+zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure
+curve for the acceptance checks.
 """
 
 import csv
@@ -23,7 +25,7 @@ from scipy import special as sps
 from effcap.asymptotics import _hankel_integrand_entry
 from effcap.channels import KroneckerCorrelated, _complex_gaussian
 from effcap.engine import QosScenario
-from effcap.errors import DomainError, NumericError
+from effcap.errors import ConfigError, DomainError, NumericError
 
 
 def log_det_rate(h: np.ndarray, k: np.ndarray, snr: float, n_r: int) -> float:
@@ -229,3 +231,16 @@ def kronecker_sample(model: KroneckerCorrelated, n: int,
     the same G that `model.sample_batch(n, rng)` draws."""
     g = _complex_gaussian(rng, (n, model.n_r, model.n_t))
     return np.einsum("ij,njk,kl->nil", model._sq_r, g, model._sq_t)
+
+
+def extrapolated_eb_min_db(rows) -> float:
+    """Zero-rate intercept of the E_b/N0 (dB) vs rate curve.
+
+    Linear extrapolation through the two smallest-rate points of a sweep
+    dataset (rows in the sweep schema).
+    """
+    pts = sorted((r[2], r[5]) for r in rows if math.isfinite(r[5]))
+    if len(pts) < 2:
+        raise ConfigError("need at least two finite bit-energy points")
+    (r1, e1), (r2, e2) = pts[0], pts[1]
+    return e1 - r1 * (e2 - e1) / (r2 - r1)

@@ -14,7 +14,8 @@ from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 statistical_moments_mc)
 from effcap.channels import (FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, MomentEstimates,
-                             iter_sample_chunks, spectral_moments_mc)
+                             iter_sample_chunks, max_eig_subspace, mean_gram,
+                             spectral_moments_mc)
 from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
                            UniformIdentity, WaterfillingCsit,
                            effective_rate_mc, ergodic_rate_mc)
@@ -84,10 +85,15 @@ class TestLowSnrDerivatives:
         r_t = np.diag([1.5, 0.5]).astype(complex)
         model = KroneckerCorrelated(np.eye(2, dtype=complex), r_t)
         # E{H^dag H} = tr(R_r) * R_t = 2 R_t -> lambda_max = 3, l = 1
-        mom = statistical_moments_mc(2.0 * np.asarray(r_t), model,
-                                     n_samples=50_000, seed=0)
+        mom = statistical_moments_mc(model, 50_000, 0)
         d = derivs_statistical(mom, scen(1.0, 2, 2))
-        assert abs(d.first_deriv - 3.0 / LN2) < 1e-12
+        # lambda_max is that of the Monte Carlo mean of the same draws,
+        # whose (0, 0) entry has a standard error of 3/sqrt(2 * 50_000)
+        want = max_eig_subspace(mean_gram(model, 50_000, 0)).lambda_max
+        assert mom.lambda_max == want
+        assert abs(want - 3.0) < 3.0 * 3.0 / math.sqrt(100_000)
+        assert mom.e_abs_sq.shape == (1, 1)
+        assert d.first_deriv == mom.lambda_max / LN2
         assert d.second_deriv < 0.0
 
     def test_statistical_deterministic_matches_csit(self):
@@ -95,8 +101,7 @@ class TestLowSnrDerivatives:
         model = FixedMatrix(h)
         sc = scen(1.0, 2, 2)
         ds = derivs_statistical(
-            statistical_moments_mc(h.conj().T @ h, model, n_samples=2_000,
-                                   seed=0), sc)
+            statistical_moments_mc(model, 2_000, 0), sc)
         m = spectral_moments_mc(model, 2_000, 0)
         dc = derivs_csit(m, sc)
         assert abs(ds.first_deriv - dc.first_deriv) < 1e-9
@@ -106,8 +111,7 @@ class TestLowSnrDerivatives:
         model = IidComplexGaussian(2, 2)
         sc = scen(1.0, 2, 2)
         ds = derivs_statistical(
-            statistical_moments_mc(model.exact_mean_gram(), model,
-                                   n_samples=500_000, seed=0), sc)
+            statistical_moments_mc(model, 500_000, 0), sc)
         m = spectral_moments_mc(model, 500_000, 0)
         du = derivs_uniform(m, sc)
         # statistical uses the exact mean Gram, so its first derivative is
@@ -161,8 +165,8 @@ class TestEnergyMetrics:
 
 
 class TestSparseWideband:
-    def cfg(self, m=5, p=1e4, b_c=1e5):
-        return SparseWidebandConfig(m=m, p_over_n0=p, b_c=b_c)
+    def cfg(self, m=5, p=1e4):
+        return SparseWidebandConfig(m=m, p_over_n0=p)
 
     def test_deterministic_channel_any_theta(self):
         # q = 1 deterministic: E_b = rho/( -ln e^{-rho/ln2}) = ln2 always
@@ -254,7 +258,9 @@ class TestSparseWideband:
 
     def test_config_validated(self):
         with pytest.raises(DomainError):
-            SparseWidebandConfig(m=0, p_over_n0=1.0, b_c=1.0)
+            SparseWidebandConfig(m=0, p_over_n0=1.0)
+        with pytest.raises(DomainError):
+            SparseWidebandConfig(m=1, p_over_n0=0.0)
 
 
 class TestHankelMgf:

@@ -1,10 +1,13 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from effcap import cli, queuesim
-from effcap.channels import IidComplexGaussian, KroneckerCorrelated
+from effcap import asymptotics, channels, cli, queuesim
+from effcap.asymptotics import StatisticalMoments
+from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
+                             iter_sample_chunks, max_eig_subspace, mean_gram)
 from effcap.config import (RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import UniformIdentity, WaterfillingCsit
@@ -190,8 +193,7 @@ class TestCli:
 
     def test_sparse_wideband(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, BASE + "sparse.m = 5\n"
-                                              "sparse.p_over_n0 = 1e4\n"
-                                              "sparse.b_c = 1e5\n")
+                                              "sparse.p_over_n0 = 1e4\n")
         assert run_cli("sparse-wideband", "--config", cfg) == 0
         out = capsys.readouterr().out
         assert "ebmin_bounded_db" in out
@@ -208,7 +210,7 @@ class TestCli:
             "scenario.n_r = 1\nscenario.n_t = 1\n"
             "model.variant = fixed\nmodel.h_real = 0.0\n"
             "mc.n_samples = 2000\n"
-            "sparse.m = 5\nsparse.p_over_n0 = 1e4\nsparse.b_c = 1e5\n")
+            "sparse.m = 5\nsparse.p_over_n0 = 1e4\n")
         assert run_cli("sparse-wideband", "--config", cfg, "--quiet") == 3
 
     def test_queue_validate(self, tmp_path):
@@ -272,6 +274,20 @@ class TestCli:
             int(printed["trace_seed"])), str(again))
         assert got.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        # high-snr draws nothing; queue-validate writes only --trace-out;
+        # validate writes nothing
+        ("high-snr", "--set", "scenario.theta_hat=1.0", "--seed", "1"),
+        ("high-snr", "--set", "scenario.theta_hat=1.0", "--samples", "5000"),
+        ("queue-validate", "--set", "scenario.theta_hat=1.0", "--out", "x"),
+        ("validate", "wideband", "--out", "x"),
+    ])
+    def test_flags_without_effect_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_validate_suite(self):
         assert run_cli("validate", "wideband", "--samples", "20000",
                        "--quiet") == 0
@@ -296,3 +312,69 @@ def test_version_matches_pyproject():
     with open(root / "pyproject.toml", "rb") as fh:
         meta = tomllib.load(fh)
     assert effcap.__version__ == meta["project"]["version"]
+
+
+KRONECKER_STATISTICAL = (
+    "--set", "scenario.theta_hat=1.0", "--set", "scenario.n_r=2",
+    "--set", "scenario.n_t=2", "--set", "model.variant=kronecker",
+    "--set", "model.rho_r=0.7", "--set", "model.rho_t=0.5",
+    "--set", "strategy.name=statistical")
+
+
+def _two_pass_statistical_moments(model, n_samples, seed):
+    """statistical_moments_mc as it was with a caller-supplied E{H^dag H}:
+    one pass of draws for the mean, a second for the moments."""
+    summ = max_eig_subspace(mean_gram(model, n_samples, seed))
+    l, u = summ.multiplicity_l, summ.max_eig_basis
+    a_sum = np.zeros((l, l))
+    b_sum = np.zeros((l, l))
+    n = 0
+    for h in iter_sample_chunks(model, n_samples, seed):
+        c = h @ u
+        m = c.conj().transpose(0, 2, 1) @ c
+        diag = np.real(np.einsum("nii->ni", m))
+        a_sum += np.einsum("ni,nj->ij", diag, diag)
+        b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
+        n += h.shape[0]
+    return StatisticalMoments(summ.lambda_max, a_sum / n, b_sum / n)
+
+
+class TestLowSnrStatistical:
+    def test_draws_each_sample_once(self, monkeypatch, capsys):
+        original = channels.iter_sample_chunks
+        drawn = []
+
+        def counting(model, n_samples, seed):
+            for h in original(model, n_samples, seed):
+                drawn.append(h.shape[0])
+                yield h
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "effcap" \
+                    and getattr(mod, "iter_sample_chunks", None) is original:
+                monkeypatch.setattr(mod, "iter_sample_chunks", counting)
+        assert run_cli("low-snr", *KRONECKER_STATISTICAL,
+                       "--samples", "20000", "--quiet") == 0
+        assert sum(drawn) == 20_000
+
+    @pytest.mark.parametrize("n_samples,seed", [(20_000, 0), (30_000, 4)])
+    def test_values_equal_two_pass_bitwise(self, n_samples, seed, capsys):
+        argv = KRONECKER_STATISTICAL + ("--samples", str(n_samples),
+                                        "--seed", str(seed))
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            ("low-snr",) + argv))
+        model = cfg.model()
+        mom = asymptotics.statistical_moments_mc(model, n_samples, seed)
+        ref = _two_pass_statistical_moments(model, n_samples, seed)
+        assert mom.lambda_max == ref.lambda_max
+        assert np.array_equal(mom.e_diag_products, ref.e_diag_products)
+        assert np.array_equal(mom.e_abs_sq, ref.e_abs_sq)
+
+        d = asymptotics.derivs_statistical(ref, cfg.scenario())
+        em = asymptotics.energy_metrics(d)
+        want = [f"regime = {d.regime}",
+                f"first_deriv = {d.first_deriv:.12g}",
+                f"second_deriv = {d.second_deriv:.12g}",
+                f"eb_n0_min_db = {em.eb_min_db:.12g}",
+                f"wideband_slope_s0 = {em.wideband_slope_s0:.12g}"]
+        assert run_cli("low-snr", *argv) == 0
+        assert capsys.readouterr().out.splitlines() == want

@@ -15,7 +15,7 @@ from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            _statistical_estimate, bit_energy_curve,
                            chunk_rates, effective_rate_mc,
                            ergodic_rate_mc, optimize_covariance_statistical,
-                           simplex_maximize)
+                           rate_estimator, simplex_maximize)
 from effcap.errors import DomainError
 from oracles import (central_gradient, kronecker_sample, log_det_rate,
                      min_simplex_quadratic_2, waterfill)
@@ -160,6 +160,39 @@ class TestEffectiveRate:
         with pytest.raises(DomainError):
             effective_rate_mc(scen(0.0), IidComplexGaussian(1, 1),
                               UniformIdentity(), 1.0, 2000, 0)
+
+
+class TestShapeRefused:
+    """A scenario whose n_R x n_T is not the model's is refused, not
+    evaluated on the model's shape."""
+
+    def test_effective_rate(self):
+        with pytest.raises(DomainError):
+            effective_rate_mc(scen(1.0, 2, 2), IidComplexGaussian(1, 1),
+                              UniformIdentity(), 1.0, 2000, 0)
+
+    @pytest.mark.parametrize("theta_hat", [0.0, 1.0])
+    def test_rate_estimator(self, theta_hat):
+        estimate = rate_estimator(IidComplexGaussian(2, 2),
+                                  UniformIdentity(), 2000, 0)
+        with pytest.raises(DomainError):
+            estimate(scen(theta_hat, 1, 2), 1.0)
+        with pytest.raises(DomainError):
+            estimate(scen(theta_hat, 2, 3), 1.0)
+
+    def test_statistical_optimizer(self):
+        model = _kronecker(2, 0.7, 0.5)
+        with pytest.raises(DomainError):
+            optimize_covariance_statistical(scen(1.0, 2, 3), model, 1.0,
+                                            2000, 0)
+        with pytest.raises(DomainError):
+            effective_rate_mc(scen(1.0, 3, 2), model, StatisticalOptimized(),
+                              1.0, 2000, 0)
+
+    def test_highsnr_metrics(self):
+        with pytest.raises(DomainError):
+            asymptotics.highsnr_metrics(scen(1.0, 2, 5),
+                                        IidComplexGaussian(1, 1))
 
 
 class TestErgodicRate:
@@ -311,7 +344,7 @@ class TestStatisticalDrawsOnce:
 
     def test_sparse_statistical_draws_each_sample_once(self, monkeypatch):
         drawn = _count_draws(monkeypatch)
-        sparse_ebmin_bounded(SparseWidebandConfig(4, 1e4, 1e5),
+        sparse_ebmin_bounded(SparseWidebandConfig(4, 1e4),
                              scen(2.0, 2, 2), self.MODEL,
                              StatisticalOptimized(), 4096, 0)
         assert sum(drawn) == 4096
@@ -333,7 +366,7 @@ class TestStatisticalDrawsOnce:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_statistical_matches_two_pass_bitwise(self, seed):
-        config = SparseWidebandConfig(4, 1e4, 1e5)
+        config = SparseWidebandConfig(4, 1e4)
         sc = scen(2.0, 2, 2)
         rho = sc.theta * sc.t * config.p_over_n0 / config.m
         u = _two_pass_eigenbasis(self.MODEL, 4096, seed)

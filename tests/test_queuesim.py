@@ -88,6 +88,11 @@ class TestSimulateQueue:
             simulate_queue(scen(1.0), IidComplexGaussian(1, 1),
                            UniformIdentity(), 1.0, 1.0, 1000, 0)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            simulate_queue(scen(1.0, 2, 2), IidComplexGaussian(1, 1),
+                           UniformIdentity(), 1.0, 1.0, 200_000, 0)
+
     def test_negative_arrival_rejected(self):
         with pytest.raises(DomainError):
             simulate_queue(scen(1.0), IidComplexGaussian(1, 1),
@@ -107,15 +112,6 @@ class TestEstimateTailExponent:
     def test_all_zero_queue_raises(self):
         with pytest.raises(FitError):
             estimate_tail_exponent(make_trace(np.zeros(10_000)))
-
-    def test_quantile_window_validated(self):
-        trace = make_trace(np.random.default_rng(0).exponential(1.0, 10_000))
-        with pytest.raises(DomainError):
-            estimate_tail_exponent(trace, quantile_lo=0.4)
-        with pytest.raises(DomainError):
-            estimate_tail_exponent(trace, quantile_lo=0.95, quantile_hi=0.9)
-        with pytest.raises(DomainError):
-            estimate_tail_exponent(trace, quantile_hi=0.9999)
 
     def test_warmup_excluded(self):
         rng = np.random.default_rng(7)
