@@ -126,14 +126,23 @@ def iter_spectra(model: ChannelModel, n_samples: int, seed: int):
     HH^dagger or H^dagger H, one (n, min(n_r, n_t)) array per chunk of
     `iter_sample_chunks`; callers apply their own clip or floor."""
     for h in iter_sample_chunks(model, n_samples, seed):
-        hh = h.conj().transpose(0, 2, 1)
-        yield _eigvalsh(h @ hh if h.shape[1] <= h.shape[2] else hh @ h)
+        yield _gram_eigvalsh(h)
 
 
-def _eigvalsh(g: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a stack of Hermitian matrices. For 1x1 it
-    returns the real part of the entry, which is bitwise what LAPACK zheevd
-    returns for N = 1 (W(1) = DBLE(A(1,1))), without the call."""
+def _gram_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of the smaller gram of each H in a stack.
+
+    Two shapes skip work and keep the bits. A 1x1 H gives re*re + im*im,
+    bitwise the gram matmul followed by zheevd, without forming the gram.
+    Any other single-eigenvalue gram (1xn, nx1, whose matmul sums in
+    another order) gives the real part of its entry, which is what LAPACK
+    zheevd returns for N = 1 (W(1) = DBLE(A(1,1))), without the call.
+    """
+    if h.shape[1:] == (1, 1):
+        x = h[:, :, 0]
+        return x.real * x.real + x.imag * x.imag
+    hh = h.conj().transpose(0, 2, 1)
+    g = h @ hh if h.shape[1] <= h.shape[2] else hh @ h
     if g.shape[-1] == 1:
         return np.ascontiguousarray(g[..., 0].real)
     return np.linalg.eigvalsh(g)

@@ -24,8 +24,20 @@ from .engine import (BeamformingCsit, FixedCovariance, QosScenario,
                      StatisticalOptimized, UniformIdentity, WaterfillingCsit)
 from .errors import ConfigError
 
-_SECTIONS = ("scenario", "model", "strategy", "sweep", "mc", "sparse",
-             "output")
+# every key that some code reads; any other key is refused, so that a
+# misspelt one cannot leave its default running without a word
+_KEYS = (
+    "scenario.theta", "scenario.theta_hat", "scenario.t", "scenario.b",
+    "scenario.n_r", "scenario.n_t",
+    "model.variant", "model.h_real", "model.h_imag", "model.rho_r",
+    "model.rho_t",
+    "strategy.name", "strategy.k_diag",
+    "sweep.snr_db_start", "sweep.snr_db_stop", "sweep.n_points",
+    "mc.n_samples", "mc.seed",
+    "sparse.m", "sparse.p_over_n0",
+    "output.path",
+)
+_SECTIONS = tuple(dict.fromkeys(k.split(".", 1)[0] for k in _KEYS))
 
 _STRATEGIES = ("uniform", "waterfilling", "beamforming", "fixed",
                "statistical")
@@ -67,6 +79,13 @@ def _format_scalar(v) -> str:
     return str(v)
 
 
+def _check_key(key: str, where: str = "") -> None:
+    """Refuse, naming it, a key that no code reads."""
+    if key not in _KEYS:
+        raise ConfigError(f"{where}unknown config key {key!r} "
+                          f"(keys: {', '.join(_KEYS)})")
+
+
 def parse_kv_text(text: str) -> dict:
     """Parse 'section.key = value' lines into a flat dict."""
     out = {}
@@ -78,10 +97,7 @@ def parse_kv_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if "." not in key or key.split(".", 1)[0] not in _SECTIONS:
-            raise ConfigError(
-                f"line {lineno}: unknown section in key {key!r} "
-                f"(sections: {', '.join(_SECTIONS)})")
+        _check_key(key, f"line {lineno}: ")
         out[key] = _parse_scalar(raw)
     return out
 
@@ -93,8 +109,7 @@ def apply_overrides(kv: dict, overrides) -> dict:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if "." not in key or key.split(".", 1)[0] not in _SECTIONS:
-            raise ConfigError(f"override key {key!r} has no known section")
+        _check_key(key, "override: ")
         out[key] = _parse_scalar(raw)
     return out
 
@@ -106,6 +121,8 @@ class RunConfig:
     kv: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in self.kv:
+            _check_key(key)
         merged = dict(_DEFAULTS)
         merged.update(self.kv)
         object.__setattr__(self, "kv", merged)

@@ -421,10 +421,17 @@ def bit_energy_curve(scenario: QosScenario, model: ChannelModel,
     E_b/N0 = snr / rate with the rate in the requested normalization;
     points whose rate is below 10 standard errors are dropped.
     """
+    return bit_energy_points(rate_estimator(model, strategy, n_samples, seed),
+                             scenario, snr_grid, normalized_per_rx)
+
+
+def bit_energy_points(estimate, scenario: QosScenario, snr_grid,
+                      normalized_per_rx: bool = True):
+    """The points of `bit_energy_curve` from estimate(scenario, snr), a
+    `rate_estimator` that callers may share between curves."""
     snr_grid = np.asarray(snr_grid, dtype=float)
     if np.any(snr_grid <= 0) or np.any(np.diff(snr_grid) <= 0):
         raise DomainError("snr_grid must be positive and ascending")
-    estimate = rate_estimator(model, strategy, n_samples, seed)
     rows = []
     for snr in snr_grid:
         est = estimate(scenario, snr)

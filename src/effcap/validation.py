@@ -17,7 +17,7 @@ from scipy import special as sps
 from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
 from .engine import (QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, bit_energy_curve, rate_estimator)
+                     WaterfillingCsit, bit_energy_points, rate_estimator)
 from .errors import DomainError
 from .queuesim import validate_theta
 
@@ -128,9 +128,7 @@ def lowsnr_suite(n_samples=200_000, seed=0):
         sc = _scenario(th, 2, 2)
         em = asy.energy_metrics(asy.derivs_uniform(mom, sc))
         s0_values.append(em.wideband_slope_s0)
-        grid = np.array([1e-3, 2e-3])
-        pts = bit_energy_curve(sc, model, UniformIdentity(), grid,
-                               n_samples, seed)
+        pts = bit_energy_points(uniform, sc, [1e-3, 2e-3])
         (e1, r1), (e2, r2) = pts
         # S0 = slope of rate against E_b/N0 in dB, scaled by 10 log10(2)
         secant = (r2 - r1) / (e2 - e1) * (10.0 * math.log10(2.0))

@@ -56,6 +56,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_kv_text("nodots = 1\n")
 
+    def test_unknown_key_rejected(self):
+        # a misspelt key in a known section used to leave its default
+        with pytest.raises(ConfigError, match="'scenario.nr'"):
+            parse_kv_text("scenario.nr = 4\n")
+        with pytest.raises(ConfigError, match="'mc.n_sample'"):
+            apply_overrides({}, ["mc.n_sample=5"])
+        with pytest.raises(ConfigError, match="'sparse.b_c'"):
+            RunConfig({"scenario.theta_hat": 1.0, "sparse.b_c": 1e5})
+
+    def test_readme_config_loads(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```ini\n", 1)[1].split("```")[0]
+        cfg = parse_config(block)
+        assert (cfg.kv["scenario.n_r"], cfg.kv["sweep.n_points"]) == (2, 41)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_kv_text("scenario.theta 0.1\n")
@@ -168,6 +183,16 @@ class TestCli:
         assert run_cli("sweep", "--config", cfg, "--quiet",
                        "--set", "nonsense.key=1",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_misspelt_key_is_config_error(self, tmp_path, capsys):
+        assert run_cli("high-snr", "--set", "scenario.theta_hat=1",
+                       "--set", "scenario.nr=4",
+                       "--set", "mc.n_sample=5") == 2
+        out = capsys.readouterr()
+        assert "'scenario.nr'" in out.err and out.out == ""
+        cfg = self.write_cfg(tmp_path, BASE + "mc.sed = 3\n")
+        assert run_cli("low-snr", "--config", cfg, "--quiet") == 2
+        assert "'mc.sed'" in capsys.readouterr().err
 
     def test_low_snr(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

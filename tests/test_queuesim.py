@@ -7,7 +7,7 @@ from effcap import engine, queuesim
 from effcap.channels import FixedMatrix, IidComplexGaussian, KroneckerCorrelated
 from effcap.engine import QosScenario, StatisticalOptimized, UniformIdentity
 from effcap.errors import DomainError, FitError
-from effcap.queuesim import (_CSV_BLOCK_ROWS, QueueTrace,
+from effcap.queuesim import (_CSV_GROUP_ROWS, QueueTrace,
                              estimate_tail_exponent, lindley_path,
                              simulate_queue, validate_and_trace,
                              validate_theta, write_trace_csv)
@@ -155,6 +155,18 @@ class TestValidateTheta:
         assert math.isnan(res.tail_r_squared)
         assert res.tail_n_points == 0
 
+    def test_service_variance_only_for_a_queue_that_never_grew(
+            self, monkeypatch):
+        # the queue grows here, so the pass over the services is skipped
+        def boom(self):
+            raise AssertionError("service_variance read")
+
+        monkeypatch.setattr(QueueTrace, "service_variance", property(boom))
+        res = validate_theta(scen(1.0), IidComplexGaussian(1, 1),
+                             UniformIdentity(), 10.0, 100_000, 0,
+                             n_samples=20_000)
+        assert not res.vacuous
+
     def test_theta_zero_rejected(self):
         with pytest.raises(DomainError):
             validate_theta(scen(0.0), IidComplexGaussian(1, 1),
@@ -206,10 +218,25 @@ def _trace_csv_cases():
     zeros[rng.random(3000) < 0.6] = 0.0
     wide = np.concatenate([
         10.0 ** rng.uniform(-300, 15, 2000), [1e-300, 1e15, -0.0, 0.5]])
-    ragged = rng.exponential(1e6, 2 * _CSV_BLOCK_ROWS + 17)
+    ragged = rng.exponential(1e6, 2 * _CSV_GROUP_ROWS + 17)
+    # past 1e5 rows, so the index crosses 999/1000, 9999/10000 and
+    # 99999/100000; runs of +0.0 span those group edges, a whole group is
+    # +0.0, and the values that are not +0.0 but read as zero or are not
+    # finite sit on both sides of the edges
+    long = rng.exponential(1e3, 100_700)
+    long[rng.random(len(long)) < 0.5] = 0.0
+    for edge in (1000, 2000, 10_000, 100_000):
+        long[edge - 4:edge + 4] = 0.0
+    long[5000:6000] = 0.0
+    specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310,
+                -1e-310, -0.0]
+    long[[998, 1001, 9_999, 10_005, 99_994, 99_999, 100_004, 100_699]] = \
+        specials
+    long[[1999, 2004, 4999, 6000]] = [-0.0, math.nan, 1e-320, math.inf]
     return {"many_zeros": zeros, "1e-300_to_1e15": wide,
-            "ragged_length": ragged, "whole_blocks": ragged[:_CSV_BLOCK_ROWS],
-            "one_row": np.array([12.5]), "empty": np.array([])}
+            "ragged_length": ragged, "whole_blocks": ragged[:_CSV_GROUP_ROWS],
+            "one_row": np.array([12.5]), "empty": np.array([]),
+            "long_with_zero_runs_and_specials": long}
 
 
 @pytest.mark.parametrize("name", sorted(_trace_csv_cases()))

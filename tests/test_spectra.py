@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from effcap import engine
+from effcap import asymptotics, engine, validation
 from effcap.channels import (CHUNK, IidComplexGaussian, iter_sample_chunks,
                              iter_spectra)
 from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
@@ -45,7 +45,8 @@ def test_iter_spectra_chunks_and_orientation():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1)])
 def test_single_eigenvalue_spectra_equal_eigvalsh(shape, seed):
-    # one eigenvalue is read off the 1x1 gram; it must be eigvalsh's bits
+    # one eigenvalue is read off H (1x1) or off the 1x1 gram; it must be
+    # eigvalsh's bits
     model = IidComplexGaussian(*shape)
     for ev, h in zip(iter_spectra(model, N, seed),
                      iter_sample_chunks(model, N, seed)):
@@ -190,3 +191,27 @@ def test_estimator_memo_keeps_fresh_estimator_bits():
     for sc, snr in points:
         fresh = rate_estimator(model, UniformIdentity(), N, SEED)(sc, snr)
         assert estimate(sc, snr) == fresh
+
+
+def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch):
+    # the wideband-slope secants read the suite's own uniform estimator
+    calls = Counter()
+    spectra = engine.strategy_spectra
+
+    def counted(model, strategy, n_samples, seed):
+        calls[type(strategy).__name__] += 1
+        return spectra(model, strategy, n_samples, seed)
+
+    def fewer_draws(moments):
+        # the moment checks draw at least 1e6 samples; they call no
+        # strategy_spectra, so fewer draws keep this test fast
+        return lambda model, n_samples, seed: moments(model, 20_000, seed)
+
+    monkeypatch.setattr(engine, "strategy_spectra", counted)
+    monkeypatch.setattr(validation, "spectral_moments_mc",
+                        fewer_draws(validation.spectral_moments_mc))
+    monkeypatch.setattr(asymptotics, "statistical_moments_mc",
+                        fewer_draws(asymptotics.statistical_moments_mc))
+    checks = validation.lowsnr_suite(20_000, 0)
+    assert calls == {"UniformIdentity": 1, "WaterfillingCsit": 1}
+    assert sum(c.name.startswith("wideband slope") for c in checks) == 4
