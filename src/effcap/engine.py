@@ -174,7 +174,9 @@ class _LogMeanExp:
 
     def add(self, x: np.ndarray, dx: np.ndarray | None = None):
         cm = float(x.max())
-        if not math.isfinite(cm) and cm > 0:
+        if math.isnan(cm):
+            raise NumericError("NaN exponent in log-mean-exp")
+        if cm == math.inf:
             raise NumericError(f"infinite exponent in log-mean-exp: {cm}")
         if cm > self.m:
             if math.isfinite(self.m):
@@ -213,8 +215,6 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
     if scenario.theta <= 0:
         raise DomainError("effective_rate_mc requires theta > 0; "
                           "use ergodic_rate_mc for theta = 0")
-    if snr < 0:
-        raise DomainError("snr must be >= 0")
     check_shape(scenario, model)
     if isinstance(strategy, StatisticalOptimized):
         _, est = optimize_covariance_statistical(scenario, model, snr,
@@ -233,11 +233,15 @@ def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
     return _estimate(0.0, model.n_r, rates, n_samples)
 
 
+def _check_snr(snr: float) -> None:
+    if not 0.0 <= snr < math.inf:
+        raise DomainError(f"snr must be finite and >= 0, got {snr}")
+
+
 def _iter_rates(spectra, strategy: CovarianceStrategy, snr: float, n_r: int,
                 n_t: int):
     """`chunk_rates` of each chunk of spectra, lazily."""
-    if snr < 0:
-        raise DomainError("snr must be >= 0")
+    _check_snr(snr)
     return (chunk_rates(ev, strategy, snr, n_r, n_t) for ev in spectra)
 
 
@@ -353,27 +357,66 @@ def simplex_maximize(fg, p0: np.ndarray):
     return p, f, float(g.max() - g @ p)
 
 
-def _statistical_estimate(scenario: QosScenario, snr: float, grams,
+def _statistical_estimate(scenario: QosScenario, snr: float, factors,
                           p: np.ndarray, n_samples: int):
     """Effective rate of K = U diag(p) U^dagger and its gradient in p, on
-    per-chunk rotated grams G = U^dagger H^dagger H U.
+    per-chunk factors F (`_statistical_factor`), batch last.
 
-    The rate is log2 det(I + g G P) and its derivative in p_i is
-    g/ln2 [(I + g G P)^{-1} G]_ii, with g = n_R * snr and P = diag(p).
+    With g = n_R * snr, X = F (g diag(p))^{1/2} and the Cholesky factor L of
+    C = I + X X^dagger, the rate is log2 det C = 2 sum_j log2 L_jj and its
+    derivative in p_i is g/ln2 |L^{-1} f_i|^2, f_i the i-th column of F.
+    L^dagger is the R of a Householder QR of [I; X^dagger], built entry by
+    entry, each entry a vector over the chunk: every L_jj^2 = 1 + |z_j|^2
+    is a sum of squares, where factoring a formed C would cancel digits at
+    high SNR. The gradient divides by no p_i, so vertices are fine.
     """
     a = scenario.theta_tb
     gain = scenario.n_r * snr
     denom = a * scenario.n_r
-    eye = np.eye(len(p))
     acc = _LogMeanExp()
-    for gm in grams:
-        m = eye + gain * (gm * p)
-        _, logdet = np.linalg.slogdet(m)
-        d_rate = gain * np.einsum("nii->ni", np.linalg.solve(m, gm)).real
-        acc.add(-a / LN2 * logdet, -a / LN2 * d_rate)
+    for f in factors:
+        k = f.shape[0]
+        if k > len(p):
+            raise DomainError(f"a factor has {k} rows, more than n_T = "
+                              f"{len(p)}; pass (k, n_T, n) factors")
+        z = f.conj()  # z[j] becomes column j of X^dagger, then is reflected
+        z *= np.sqrt(gain * p)[:, None]
+        cols = []  # cols[j][i - j - 1] = L_ij for i > j
+        inv = []  # 1 / L_jj
+        logdet = 0.0
+        for j in range(k):
+            zj = z[j]
+            q = (zj.real ** 2 + zj.imag ** 2).sum(axis=0)
+            logdet = logdet + np.log1p(q)
+            r = np.sqrt(1.0 + q)
+            inv.append(1.0 / r)
+            if j + 1 < k:
+                ip = (zj.conj() * z[j + 1:]).sum(axis=1)
+                cols.append(ip.conj() * inv[j])
+                z[j + 1:] -= zj * (ip / (r * (1.0 + r)))[:, None]
+        d_rate = 0.0
+        ys = []  # rows of L^{-1} F by forward substitution
+        for j in range(k):
+            y = f[j]
+            for m in range(j):
+                y = y - cols[m][j - m - 1] * ys[m]
+            y = y * inv[j]
+            ys.append(y)
+            d_rate = d_rate + (y.real ** 2 + y.imag ** 2)
+        acc.add(-a / LN2 * logdet, -a / LN2 * gain * d_rate.T)
     est = EffCapEstimate(value=-acc.log_mean() / denom,
                          std_err=acc.se_log() / denom, n_samples=n_samples)
     return est, -acc.d_log_mean() / denom
+
+
+def _statistical_factor(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-draw factors F of a chunk h, batch last (k, n_T, n), with
+    F^dagger F = U^dagger H^dagger H U and k = min(n_R, n_T): H U itself, or
+    the R of its QR decomposition when n_R > n_T."""
+    b = h @ u
+    if b.shape[1] > b.shape[2]:
+        b = np.linalg.qr(b, mode="r")
+    return np.ascontiguousarray(b.transpose(1, 2, 0))
 
 
 def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
@@ -384,22 +427,22 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     ties within two standard errors are broken toward the uniform allocation.
     The draws of (model, n_samples, seed) are sampled once
     (`mean_gram_and_chunks`): they give the Monte Carlo E{H^dagger H}, then
-    each chunk becomes its rotated grams U^dagger H^dagger H U and is
-    released, and every candidate K reuses those grams.
+    each chunk becomes its factors F with F^dagger F = U^dagger H^dagger H U
+    (`_statistical_factor`) and is released, and every candidate K reuses
+    those factors.
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
+    _check_snr(snr)
     check_shape(scenario, model)
     g, chunks = mean_gram_and_chunks(model, n_samples, seed)
     _, u = hermitian_eig(g)
-    grams = []
-    for h in chunks:
-        b = h @ u
-        grams.append(b.conj().transpose(0, 2, 1) @ b)
+    factors = [_statistical_factor(h, u) for h in chunks]
     estimates = {}
 
     def fg(p):
-        est, grad = _statistical_estimate(scenario, snr, grams, p, n_samples)
+        est, grad = _statistical_estimate(scenario, snr, factors, p,
+                                          n_samples)
         estimates[p.tobytes()] = est
         return est.value, grad
 

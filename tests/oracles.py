@@ -4,15 +4,18 @@ The library evaluates rates in batches over chunks of spectra; the scalar
 one-matrix versions here are their references. The incomplete Gamma
 function, the two-variable quadratic minimum and the confluent
 hypergeometric form of a Hankel entry (with its Gamma and 1F1 helpers) are
-closed forms that no library code needs. The Hankel entries and log-MGF use mpmath's Tricomi U
-function at 40 digits, imported only when called; the per-pair Hankel
-log-MGF is the loop the library's one call for all orders must reproduce
-exactly. The Kronecker draw is the three-operand einsum whose bits the
-sampler's explicit accumulation must reproduce for real correlations. The
-queue trace writer is the one-`csv.writer`-row-per-block
-version whose bytes the blocked library writer must reproduce. The
-zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure
-curve for the acceptance checks.
+closed forms that no library code needs. The Hankel entries and log-MGF
+use mpmath's Tricomi U function at 40 digits, imported only when called;
+the per-pair Hankel log-MGF is the loop the library's one call for all
+orders must reproduce exactly. The statistical optimizer's objective has
+two references: the LU form, a batched `slogdet` and a batched `solve` on
+rotated grams, and the same sums per draw in 40-digit mpmath, which stands
+in at high SNR, where the LU form loses digits. The Kronecker draw is the
+three-operand einsum whose bits the sampler's explicit accumulation must
+reproduce for real correlations. The queue trace writer is the
+one-`csv.writer`-row-per-block version whose bytes the blocked library
+writer must reproduce. The zero-rate bit-energy intercept reads the
+minimum E_b/N0 off a figure curve for the acceptance checks.
 """
 
 import csv
@@ -24,7 +27,7 @@ from scipy import special as sps
 
 from effcap.asymptotics import _hankel_integrand_entry
 from effcap.channels import KroneckerCorrelated, _complex_gaussian
-from effcap.engine import QosScenario
+from effcap.engine import LN2, EffCapEstimate, QosScenario, _LogMeanExp
 from effcap.errors import ConfigError, DomainError, NumericError
 
 
@@ -141,6 +144,59 @@ def hankel_entry_closed(i: int, j: int, scenario: QosScenario,
     term2 = (c ** (-th) * gamma_fn(th) / gamma_fn(th - p)
              * confluent_1f1(th, th - p, x))
     return pref * (term1 - term2)
+
+
+def statistical_estimate_lu(scenario: QosScenario, snr: float, grams,
+                            p: np.ndarray, n_samples: int):
+    """Effective rate of K = U diag(p) U^dagger and its gradient in p, on
+    per-chunk rotated grams G = U^dagger H^dagger H U.
+
+    The rate is log2 det(I + g G P) and its derivative in p_i is
+    g/ln2 [(I + g G P)^{-1} G]_ii, with g = n_R * snr and P = diag(p).
+    """
+    a = scenario.theta_tb
+    gain = scenario.n_r * snr
+    denom = a * scenario.n_r
+    eye = np.eye(len(p))
+    acc = _LogMeanExp()
+    for gm in grams:
+        m = eye + gain * (gm * p)
+        _, logdet = np.linalg.slogdet(m)
+        d_rate = gain * np.einsum("nii->ni", np.linalg.solve(m, gm)).real
+        acc.add(-a / LN2 * logdet, -a / LN2 * d_rate)
+    est = EffCapEstimate(value=-acc.log_mean() / denom,
+                         std_err=acc.se_log() / denom, n_samples=n_samples)
+    return est, -acc.d_log_mean() / denom
+
+
+def statistical_estimate_mp(scenario: QosScenario, snr: float,
+                            draws: np.ndarray, p: np.ndarray):
+    """(value, gradient) of `statistical_estimate_lu` on rotated draws
+    B = H U of shape (n, n_R, n_T), each draw's determinant and inverse
+    taken in mpmath at 40 digits."""
+    import mpmath
+    a = scenario.theta_tb
+    denom = a * scenario.n_r
+    with mpmath.workdps(40):
+        gain = scenario.n_r * mpmath.mpf(snr)
+        pm = mpmath.diag([mpmath.mpf(float(x)) for x in p])
+        scale = -a / mpmath.log(2)
+        xs, dxs = [], []
+        for b in draws:
+            bm = mpmath.matrix(b.tolist())
+            gm = bm.H * bm
+            m = mpmath.eye(len(p)) + gain * gm * pm
+            s = mpmath.inverse(m) * gm
+            xs.append(scale * mpmath.log(mpmath.re(mpmath.det(m))))
+            dxs.append([scale * gain * mpmath.re(s[i, i])
+                        for i in range(len(p))])
+        top = max(xs)
+        w = [mpmath.exp(x - top) for x in xs]
+        s1 = mpmath.fsum(w)
+        value = -(top + mpmath.log(s1 / len(xs))) / denom
+        grad = [-mpmath.fsum(wi * d[i] for wi, d in zip(w, dxs)) / s1 / denom
+                for i in range(len(p))]
+        return float(value), np.array([float(g) for g in grad])
 
 
 def min_simplex_quadratic_2(q: np.ndarray) -> float:

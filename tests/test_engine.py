@@ -8,17 +8,18 @@ from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 _sparse_objective, sparse_ebmin_bounded)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, chunk_rng, hermitian_eig,
-                             iter_sample_chunks)
+                             iter_sample_chunks, mean_gram)
 from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            QosScenario, StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp,
-                           _statistical_estimate, bit_energy_curve,
-                           chunk_rates, effective_rate_mc,
+                           _statistical_estimate, _statistical_factor,
+                           bit_energy_curve, chunk_rates, effective_rate_mc,
                            ergodic_rate_mc, optimize_covariance_statistical,
                            rate_estimator, simplex_maximize)
-from effcap.errors import DomainError
+from effcap.errors import DomainError, NumericError
 from oracles import (central_gradient, kronecker_sample, log_det_rate,
-                     min_simplex_quadratic_2, waterfill)
+                     min_simplex_quadratic_2, statistical_estimate_lu,
+                     statistical_estimate_mp, waterfill)
 
 T, B = 1e-3, 1e5
 
@@ -259,22 +260,26 @@ class TestStatisticalOptimization:
         model = KroneckerCorrelated(0.7 ** lag, 0.5 ** lag)
         sc = scen(4.0, 3, 3)
         n = 20_000  # two chunks, so the accumulator rescales
-        grams = [h.conj().transpose(0, 2, 1) @ h
-                 for h in iter_sample_chunks(model, n, 0)]
+        factors = [_statistical_factor(h, np.eye(3))
+                   for h in iter_sample_chunks(model, n, 0)]
         p = np.array([0.5, 0.3, 0.2])
-        est, grad = _statistical_estimate(sc, 10.0, grams, p, n)
+        est, grad = _statistical_estimate(sc, 10.0, factors, p, n)
         ref = effective_rate_mc(sc, model, FixedCovariance(np.diag(p)), 10.0,
                                 n, 0)
         assert est.value == pytest.approx(ref.value, rel=1e-12)
         assert est.std_err == pytest.approx(ref.std_err, rel=1e-9)
         fd = central_gradient(
-            lambda q: _statistical_estimate(sc, 10.0, grams, q, n)[0].value, p)
+            lambda q: _statistical_estimate(sc, 10.0, factors, q, n)[0].value,
+            p)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
 
-def _kronecker(n, rho_r, rho_t):
-    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return KroneckerCorrelated(rho_r ** lag, rho_t ** lag)
+def _kronecker(n, rho_r, rho_t, n_t=None):
+    """Exponential correlation rho^|i-j| on each side of an n x n_t
+    channel (n_t = n by default)."""
+    def lag(m):
+        return np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    return KroneckerCorrelated(rho_r ** lag(n), rho_t ** lag(n_t or n))
 
 
 def _einsum_chunks(model, n_samples, seed):
@@ -295,16 +300,15 @@ def _two_pass_eigenbasis(model, n_samples, seed):
 
 def _two_pass_optimize(scenario, model, snr, n_samples, seed):
     """The statistical optimizer with a second pass over the same draws
-    for the rotated grams."""
+    for the per-draw factors."""
     u = _two_pass_eigenbasis(model, n_samples, seed)
-    grams = []
-    for h in _einsum_chunks(model, n_samples, seed):
-        b = h @ u
-        grams.append(b.conj().transpose(0, 2, 1) @ b)
+    factors = [_statistical_factor(h, u)
+               for h in _einsum_chunks(model, n_samples, seed)]
     estimates = {}
 
     def fg(p):
-        est, grad = _statistical_estimate(scenario, snr, grams, p, n_samples)
+        est, grad = _statistical_estimate(scenario, snr, factors, p,
+                                          n_samples)
         estimates[p.tobytes()] = est
         return est.value, grad
 
@@ -363,6 +367,9 @@ class TestStatisticalDrawsOnce:
         k_ref, est_ref = _two_pass_optimize(sc, model, 10.0, n_samples, seed)
         assert np.array_equal(k, k_ref)
         assert (est.value, est.std_err) == (est_ref.value, est_ref.std_err)
+        if rho_t == 0.9:
+            # the comparison must cover an optimum off the uniform K
+            assert not np.allclose(k, np.eye(n) / n)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_statistical_matches_two_pass_bitwise(self, seed):
@@ -395,6 +402,111 @@ def test_log_mean_exp_gradient_survives_rescaling():
                                rtol=1e-12)
     np.testing.assert_allclose(split.d_log_mean(), whole.d_log_mean(),
                                rtol=1e-12)
+
+
+# the objective's channel shapes; U comes from each model's E{H^dagger H}
+# as in the optimizer, and 8x2 and 5x2 take the QR factor
+_OBJECTIVE_CASES = {
+    "1x1": IidComplexGaussian(1, 1),
+    "2x2": _kronecker(2, 0.7, 0.9),
+    "4x4": _kronecker(4, 0.7, 0.9),
+    "2x5": _kronecker(2, 0.5, 0.8, n_t=5),
+    "5x2": _kronecker(5, 0.5, 0.8, n_t=2),
+    "8x2": _kronecker(8, 0.7, 0.9, n_t=2),
+    "rank1-3x2": FixedMatrix(np.outer([1.0, 0.5j, -2.0], [1.0 - 1.0j, 0.5])),
+}
+
+
+def _simplex_point(kind, n_t):
+    """e_1, a point whose first entry is zero, or an interior point; on the
+    one-point simplex of n_t = 1 all three are [1]."""
+    if kind == "vertex" or n_t == 1:
+        return np.eye(n_t)[0]
+    w = np.arange(n_t, dtype=float) + (kind == "interior")
+    return w / w.sum()
+
+
+class TestStatisticalObjective:
+    """The Householder objective on per-draw factors against the LU form on
+    rotated grams, on CHUNK + 123 draws so that the accumulator rescales,
+    and against 40-digit mpmath at high SNR, where the LU form is itself
+    off by up to 1e-11 of the gradient."""
+
+    N = CHUNK + 123
+    N_MP = 64
+
+    @pytest.fixture(scope="class", params=sorted(_OBJECTIVE_CASES))
+    def draws(self, request):
+        model = _OBJECTIVE_CASES[request.param]
+        u = hermitian_eig(mean_gram(model, self.N, 0))[1]
+        rotated = [h @ u for h in iter_sample_chunks(model, self.N, 0)]
+        return scen(2.0, model.n_r, model.n_t), rotated
+
+    @staticmethod
+    def _assert_close(est, grad, value, ref_grad):
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) \
+            <= 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("snr", [0.01, 10.0])
+    @pytest.mark.parametrize("kind", ["vertex", "zero", "interior"])
+    def test_matches_lu_oracle(self, draws, kind, snr):
+        sc, rotated = draws
+        p = _simplex_point(kind, sc.n_t)
+        factors = [_statistical_factor(b, np.eye(sc.n_t)) for b in rotated]
+        grams = [b.conj().transpose(0, 2, 1) @ b for b in rotated]
+        est, grad = _statistical_estimate(sc, snr, factors, p, self.N)
+        ref, ref_grad = statistical_estimate_lu(sc, snr, grams, p, self.N)
+        self._assert_close(est, grad, ref.value, ref_grad)
+
+    @pytest.mark.parametrize("kind", ["vertex", "zero", "interior"])
+    def test_matches_mpmath_at_high_snr(self, draws, kind):
+        sc, rotated = draws
+        p = _simplex_point(kind, sc.n_t)
+        b = rotated[0][:self.N_MP]
+        est, grad = _statistical_estimate(
+            sc, 1e6, [_statistical_factor(b, np.eye(sc.n_t))], p, self.N_MP)
+        self._assert_close(est, grad, *statistical_estimate_mp(sc, 1e6, b, p))
+
+    def test_gram_shaped_input_refused(self):
+        # (n, n_T, n_T) grams would be read as n-row factors
+        grams = np.ones((50, 2, 2), dtype=complex)
+        with pytest.raises(DomainError):
+            _statistical_estimate(scen(2.0, 2, 2), 10.0, [grams],
+                                  np.full(2, 0.5), 50)
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", ["effective", "statistical", "ergodic",
+                                  "estimator", "optimizer"])
+def test_bad_snr_refused(call, snr):
+    model, sc = _kronecker(2, 0.7, 0.5), scen(1.0, 2, 2)
+    calls = {
+        "effective": lambda: effective_rate_mc(sc, model, UniformIdentity(),
+                                               snr, 2000, 0),
+        "statistical": lambda: effective_rate_mc(
+            sc, model, StatisticalOptimized(), snr, 2000, 0),
+        "ergodic": lambda: ergodic_rate_mc(model, UniformIdentity(), snr,
+                                           2000, 0),
+        "estimator": lambda: rate_estimator(model, UniformIdentity(), 2000,
+                                            0)(sc, snr),
+        "optimizer": lambda: optimize_covariance_statistical(sc, model, snr,
+                                                             2000, 0),
+    }
+    with pytest.raises(DomainError, match="snr"):
+        calls[call]()
+
+
+class TestLogMeanExpNaN:
+    def test_nan_after_finite_chunk(self):
+        acc = _LogMeanExp()
+        acc.add(np.array([1.0, 2.0]))
+        with pytest.raises(NumericError, match="NaN exponent"):
+            acc.add(np.array([np.nan]))
+
+    def test_nan_first_chunk(self):
+        with pytest.raises(NumericError, match="NaN exponent"):
+            _LogMeanExp().add(np.array([np.nan]))
 
 
 class TestSimplexMaximize:
