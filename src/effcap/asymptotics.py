@@ -59,8 +59,12 @@ class SparseWidebandConfig:
     p_over_n0: float
 
     def __post_init__(self):
-        if self.m < 1 or self.p_over_n0 <= 0:
-            raise DomainError("invalid SparseWidebandConfig")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise DomainError(f"SparseWidebandConfig requires an integer "
+                              f"m >= 1, got {self.m!r}")
+        if not 0 < self.p_over_n0 < math.inf:
+            raise DomainError(f"SparseWidebandConfig requires a finite "
+                              f"p_over_n0 > 0, got {self.p_over_n0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +157,9 @@ def derivs_statistical(moments: StatisticalMoments,
 
 def energy_metrics(derivs: LowSnrDerivatives) -> EnergyMetrics:
     """Minimum bit energy and wideband slope from the zero-SNR derivatives."""
-    if derivs.first_deriv <= 0:
+    if not derivs.first_deriv > 0:
         raise DomainError("energy_metrics requires first_deriv > 0")
-    if derivs.second_deriv >= 0:
+    if not derivs.second_deriv < 0:
         raise DomainError("energy_metrics requires second_deriv < 0")
     eb = 1.0 / derivs.first_deriv
     s0 = 2.0 * derivs.first_deriv ** 2 / (-derivs.second_deriv) * LN2

@@ -12,8 +12,8 @@ import sys
 from . import asymptotics as asy
 from .channels import spectral_moments_mc
 from .config import RunConfig, apply_overrides, parse_kv_text
-from .engine import (StatisticalOptimized, WaterfillingCsit, BeamformingCsit,
-                     bit_energy_curve)
+from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
+                     WaterfillingCsit, bit_energy_curve)
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import _write_csv, reproduce_figure, run_sweep
 from .queuesim import validate_and_trace, write_trace_csv
@@ -91,9 +91,13 @@ def cmd_low_snr(args) -> int:
     elif isinstance(strategy, StatisticalOptimized):
         mom = asy.statistical_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_statistical(mom, sc)
-    else:
+    elif isinstance(strategy, UniformIdentity):
         mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
         d = asy.derivs_uniform(mom, sc)
+    else:
+        raise DomainError(f"low-snr has no derivatives for "
+                          f"{type(strategy).__name__} (strategy.name = "
+                          f"{cfg.kv['strategy.name']})")
     em = asy.energy_metrics(d)
     for key, val in (("regime", d.regime),
                      ("first_deriv", d.first_deriv),

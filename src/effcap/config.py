@@ -71,6 +71,10 @@ def _parse_scalar(raw: str):
     return raw
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _format_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -135,9 +139,14 @@ class RunConfig:
         if has_theta == has_hat:
             bad.append("scenario.theta / scenario.theta_hat "
                        "(exactly one required)")
+        # numbers that are read as floats; their ranges are the domain
+        # objects' to check
+        for k in ("scenario.theta", "scenario.theta_hat", "model.rho_r",
+                  "model.rho_t", "sweep.snr_db_start", "sweep.snr_db_stop"):
+            if k in self.kv and not _is_number(self.kv[k]):
+                bad.append(k)
         for k in ("scenario.t", "scenario.b"):
-            if not (isinstance(self.kv[k], (int, float))
-                    and self.kv[k] > 0):
+            if not (_is_number(self.kv[k]) and self.kv[k] > 0):
                 bad.append(k)
         for k in ("scenario.n_r", "scenario.n_t"):
             if not (isinstance(self.kv[k], int) and self.kv[k] >= 1):
@@ -165,6 +174,14 @@ class RunConfig:
         if not (isinstance(self.kv["mc.seed"], int)
                 and self.kv["mc.seed"] >= 0):
             bad.append("mc.seed")
+        if "sparse.m" in self.kv and not (
+                isinstance(self.kv["sparse.m"], int)
+                and self.kv["sparse.m"] >= 1):
+            bad.append("sparse.m (an integer >= 1)")
+        if "sparse.p_over_n0" in self.kv and not (
+                _is_number(self.kv["sparse.p_over_n0"])
+                and 0 < self.kv["sparse.p_over_n0"] < np.inf):
+            bad.append("sparse.p_over_n0 (finite, > 0)")
         if bad:
             raise ConfigError("invalid config fields: " + "; ".join(bad))
 
@@ -219,7 +236,11 @@ class RunConfig:
                 return default
             raise ConfigError(f"{key} required (comma-separated, {n} values)")
         raw = str(self.kv[key])
-        vals = [float(x) for x in raw.split(",")]
+        try:
+            vals = [float(x) for x in raw.split(",")]
+        except ValueError:
+            raise ConfigError(f"{key} must be comma-separated numbers, "
+                              f"got {raw!r}") from None
         if len(vals) != n:
             raise ConfigError(f"{key} must have {n} values, got {len(vals)}")
         return vals

@@ -34,8 +34,12 @@ class QosScenario:
     n_t: int
 
     def __post_init__(self):
-        if self.theta < 0 or self.t <= 0 or self.b <= 0:
-            raise DomainError("QosScenario requires theta >= 0, T > 0, B > 0")
+        # written so that NaN fails every bound; finite factors can still
+        # overflow theta_hat
+        if not (0 <= self.theta < math.inf and 0 < self.t < math.inf
+                and 0 < self.b < math.inf and self.theta_hat < math.inf):
+            raise DomainError("QosScenario requires finite theta >= 0, "
+                              "T > 0, B > 0 and theta*T*B")
         if self.n_r < 1 or self.n_t < 1:
             raise DomainError("QosScenario requires n_R, n_T >= 1")
 
@@ -216,33 +220,20 @@ def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
         raise DomainError("effective_rate_mc requires theta > 0; "
                           "use ergodic_rate_mc for theta = 0")
     check_shape(scenario, model)
-    if isinstance(strategy, StatisticalOptimized):
-        _, est = optimize_covariance_statistical(scenario, model, snr,
-                                                 n_samples, seed)
-        return est
-    rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
-                        strategy, snr, scenario.n_r, model.n_t)
-    return _estimate(scenario.theta_tb, scenario.n_r, rates, n_samples)
+    return rate_estimator(model, strategy, n_samples, seed)(scenario, snr)
 
 
 def ergodic_rate_mc(model: ChannelModel, strategy: CovarianceStrategy,
                     snr: float, n_samples: int, seed: int) -> EffCapEstimate:
-    """Sample-mean log-det rate per receive dimension (theta -> 0 limit)."""
-    rates = _iter_rates(strategy_spectra(model, strategy, n_samples, seed),
-                        strategy, snr, model.n_r, model.n_t)
-    return _estimate(0.0, model.n_r, rates, n_samples)
+    """Sample-mean log-det rate per receive dimension (theta -> 0 limit);
+    at theta = 0, T and B do not enter."""
+    scenario = QosScenario(0.0, 1.0, 1.0, model.n_r, model.n_t)
+    return rate_estimator(model, strategy, n_samples, seed)(scenario, snr)
 
 
 def _check_snr(snr: float) -> None:
     if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be finite and >= 0, got {snr}")
-
-
-def _iter_rates(spectra, strategy: CovarianceStrategy, snr: float, n_r: int,
-                n_t: int):
-    """`chunk_rates` of each chunk of spectra, lazily."""
-    _check_snr(snr)
-    return (chunk_rates(ev, strategy, snr, n_r, n_t) for ev in spectra)
 
 
 def _estimate(theta_tb: float, n_r: int, rates,
@@ -270,26 +261,30 @@ def _estimate(theta_tb: float, n_r: int, rates,
 def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
                    n_samples: int, seed: int):
     """Return estimate(scenario, snr), the effective rate (ergodic when
-    scenario.theta = 0) on the draws of (model, n_samples, seed).
+    scenario.theta = 0) on the draws of (model, n_samples, seed); the one
+    path from draws to a rate, which effective_rate_mc and ergodic_rate_mc
+    call for a single point.
 
     The draws are eigensolved once, here, and every point is evaluated
-    from those spectra, bitwise equal to effective_rate_mc /
-    ergodic_rate_mc; StatisticalOptimized re-runs its optimizer per point.
-    A scenario whose shape is not the model's is refused. The rates depend
-    on snr and not on theta, so the per-chunk rates of the most recent snr
-    are kept and reused while calls repeat it, as the theta curves of one
-    SNR do. This one-entry memo holds at most n_samples floats and lives as
-    long as the returned function.
+    from those spectra; StatisticalOptimized re-runs its optimizer per
+    point. A scenario whose shape is not the model's is refused. The rates
+    depend on snr and not on theta, so the per-chunk rates of the most
+    recent snr are kept and reused while calls repeat it, as the theta
+    curves of one SNR do. The spectra and this one-entry memo, k + 1
+    floats per draw for k eigenvalues, live as long as the returned
+    function, so a single-point call holds them until it returns.
     """
     if isinstance(strategy, StatisticalOptimized):
-        return lambda scenario, snr: effective_rate_mc(
-            scenario, model, strategy, snr, n_samples, seed)
+        # looked up at call time, so that a wrapped optimizer is the one run
+        return lambda scenario, snr: optimize_covariance_statistical(
+            scenario, model, snr, n_samples, seed)[1]
     spectra = list(strategy_spectra(model, strategy, n_samples, seed))
 
     @functools.lru_cache(maxsize=1)
     def rates(snr: float) -> list:
-        return list(_iter_rates(spectra, strategy, snr, model.n_r,
-                                model.n_t))
+        _check_snr(snr)
+        return [chunk_rates(ev, strategy, snr, model.n_r, model.n_t)
+                for ev in spectra]
 
     def estimate(scenario: QosScenario, snr: float) -> EffCapEstimate:
         check_shape(scenario, model)

@@ -163,6 +163,13 @@ class TestEnergyMetrics:
         with pytest.raises(DomainError):
             energy_metrics(LowSnrDerivatives(1.0, 0.5, "x"))
 
+    @pytest.mark.parametrize("first,second", [(math.nan, -1.0),
+                                              (1.0, math.nan)])
+    def test_nan_derivatives_rejected(self, first, second):
+        from effcap.asymptotics import LowSnrDerivatives
+        with pytest.raises(DomainError):
+            energy_metrics(LowSnrDerivatives(first, second, "x"))
+
 
 class TestSparseWideband:
     def cfg(self, m=5, p=1e4):
@@ -261,6 +268,12 @@ class TestSparseWideband:
             SparseWidebandConfig(m=0, p_over_n0=1.0)
         with pytest.raises(DomainError):
             SparseWidebandConfig(m=1, p_over_n0=0.0)
+
+    @pytest.mark.parametrize("m,p", [(2.5, 1e4), ("5", 1e4), (5, math.nan),
+                                     (5, math.inf)])
+    def test_non_integer_m_and_non_finite_power_refused(self, m, p):
+        with pytest.raises(DomainError):
+            SparseWidebandConfig(m=m, p_over_n0=p)
 
 
 class TestHankelMgf:

@@ -201,6 +201,60 @@ class TestCli:
         assert "eb_n0_min_db" in out
         assert "wideband_slope_s0" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("high-snr", "--set", "scenario.theta_hat=nan",
+         "--set", "scenario.n_r=2", "--set", "scenario.n_t=2"),
+        ("high-snr", "--set", "scenario.theta_hat=inf"),
+        ("high-snr", "--set", "scenario.theta=1", "--set", "scenario.t=inf"),
+        ("high-snr", "--set", "scenario.theta=1e300",
+         "--set", "scenario.t=1e10"),
+        ("low-snr", "--set", "scenario.theta_hat=nan", "--samples", "2000"),
+    ])
+    def test_non_finite_scenario_is_config_error(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        out = capsys.readouterr()
+        assert "QosScenario" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("k_diag", ["1,0", "0.5,0.5", "0.1,0.1"])
+    def test_low_snr_refuses_fixed_covariance(self, k_diag, capsys):
+        # derivs_uniform would report the same numbers for every K
+        assert run_cli("low-snr", "--set", "strategy.name=fixed",
+                       "--set", f"strategy.k_diag={k_diag}",
+                       "--set", "scenario.theta_hat=1",
+                       "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
+                       "--samples", "20000") == 2
+        out = capsys.readouterr()
+        assert "FixedCovariance" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("key,argv", [
+        ("sparse.m", ("sparse-wideband", "--set", "sparse.m=abc",
+                      "--set", "sparse.p_over_n0=1e4")),
+        ("sparse.m", ("sparse-wideband", "--set", "sparse.m=2.5",
+                      "--set", "sparse.p_over_n0=1e4")),
+        ("sparse.p_over_n0", ("sparse-wideband", "--set", "sparse.m=5",
+                              "--set", "sparse.p_over_n0=nan")),
+        ("sparse.p_over_n0", ("sparse-wideband", "--set", "sparse.m=5",
+                              "--set", "sparse.p_over_n0=x")),
+        ("model.rho_t", ("high-snr", "--set", "model.variant=kronecker",
+                         "--set", "model.rho_t=abc")),
+        ("model.h_imag", ("high-snr", "--set", "model.variant=fixed",
+                          "--set", "scenario.n_t=2",
+                          "--set", "model.h_real=1,1",
+                          "--set", "model.h_imag=a,b")),
+        ("strategy.k_diag", ("low-snr", "--set", "strategy.name=fixed",
+                             "--set", "scenario.n_t=2",
+                             "--set", "strategy.k_diag=1,x")),
+        ("sweep.snr_db_start", ("sweep", "--set", "sweep.snr_db_start=abc",
+                                "--set", "sweep.snr_db_stop=10",
+                                "--set", "sweep.n_points=3")),
+    ])
+    def test_malformed_value_is_config_error(self, key, argv, capsys):
+        # exit 1 would read as a failed check; a malformed value is a
+        # config error that names its key
+        assert run_cli(*argv, "--set", "scenario.theta_hat=1") == 2
+        out = capsys.readouterr()
+        assert key in out.err and out.out == ""
+
     def test_high_snr(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         assert run_cli("high-snr", "--config", cfg,

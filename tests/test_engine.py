@@ -50,6 +50,15 @@ class TestQosScenario:
         with pytest.raises(DomainError):
             QosScenario(theta=0.1, t=T, b=B, n_r=0, n_t=1)
 
+    @pytest.mark.parametrize("bad", [
+        dict(theta=math.nan), dict(theta=math.inf), dict(t=math.nan),
+        dict(t=math.inf), dict(b=math.nan), dict(b=math.inf),
+        # finite theta, T and B whose product is not
+        dict(theta=1e300, t=1e10)])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(DomainError):
+            QosScenario(**{**dict(theta=0.1, t=T, b=B, n_r=1, n_t=1), **bad})
+
 
 class TestLogDetRate:
     def test_zero_snr(self):
@@ -335,6 +344,30 @@ def _count_draws(monkeypatch) -> list:
         if getattr(mod, "iter_sample_chunks", None) is original:
             monkeypatch.setattr(mod, "iter_sample_chunks", counting)
     return drawn
+
+
+@pytest.mark.parametrize("call", ["effective", "estimator"])
+def test_statistical_point_runs_the_module_optimizer_once(monkeypatch, call):
+    # a rate of StatisticalOptimized is one call of
+    # engine.optimize_covariance_statistical, looked up as the module
+    # attribute, and is that call's estimate
+    model, sc = _kronecker(2, 0.7, 0.5), scen(2.0, 2, 2)
+    runs = []
+    optimize = engine.optimize_covariance_statistical
+
+    def counted(*args, **kwargs):
+        runs.append(optimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(engine, "optimize_covariance_statistical", counted)
+    if call == "effective":
+        est = effective_rate_mc(sc, model, StatisticalOptimized(), 10.0,
+                                4096, 0)
+    else:
+        est = rate_estimator(model, StatisticalOptimized(), 4096, 0)(sc, 10.0)
+    assert len(runs) == 1
+    assert (est.value, est.std_err, est.n_samples) == \
+        (runs[0][1].value, runs[0][1].std_err, runs[0][1].n_samples)
 
 
 class TestStatisticalDrawsOnce:
