@@ -9,6 +9,8 @@ evaluated; shapes whose top entry order n_R + n_T - 2 exceeds 60 are
 refused. The slope S_inf is exact in every band;
 the power offset L_inf is exact (complex-Wishart determinant moments) below
 the reduced-slope band theta_hat >= max - min + 1 and NaN in it.
+
+The module `__getattr__` at the end exists only for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; perfbench/tracing.py patches asymptotics.integrate.quad and
-# fails without it
-from scipy import integrate
-from scipy.special import digamma
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        hermitian_eig, iter_sample_chunks, iter_spectra,
@@ -374,6 +372,8 @@ def highsnr_metrics(scenario: QosScenario,
     dof = range(mx - mn + 1, mx + 1)
 
     if th == 0:
+        # imported here so that `import effcap` does not load SciPy
+        from scipy.special import digamma
         e_ln_det = float(sum(digamma(k) for k in dof))
         l_inf = math.log2(n_t / n_r) - e_ln_det / (mn * LN2)
         return HighSnrMetrics(float(mn), l_inf, "ergodic (theta = 0)")
@@ -390,3 +390,14 @@ def highsnr_metrics(scenario: QosScenario,
     s_inf = sum(min(th, 2 * i - 1 + d) for i in range(1, mn + 1)) / th
     return HighSnrMetrics(s_inf, math.nan,
                           "reduced slope (theta_hat >= max - min + 1)")
+
+
+def __getattr__(name):
+    """`asymptotics.integrate`, loaded on first access (PEP 562). Nothing in
+    effcap reads it; it exists only because perfbench/tracing.py patches
+    `asymptotics.integrate.quad`, and goes with `special.py` once the tracer
+    stops doing so (ROADMAP item 3)."""
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

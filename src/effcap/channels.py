@@ -25,6 +25,9 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _psd_sqrt(a: np.ndarray, name: str) -> np.ndarray:
+    # a NaN passes every comparison below and eigh returns NaNs for it
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} must be finite")
     if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL * max(1.0, np.abs(a).max()):
         raise DomainError(f"{name} must be Hermitian")
     w, v = np.linalg.eigh(a)

@@ -75,6 +75,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _format_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -149,7 +153,7 @@ class RunConfig:
             if not (_is_number(self.kv[k]) and self.kv[k] > 0):
                 bad.append(k)
         for k in ("scenario.n_r", "scenario.n_t"):
-            if not (isinstance(self.kv[k], int) and self.kv[k] >= 1):
+            if not (_is_int(self.kv[k]) and self.kv[k] >= 1):
                 bad.append(k)
         if self.kv["strategy.name"] not in _STRATEGIES:
             bad.append("strategy.name")
@@ -166,17 +170,15 @@ class RunConfig:
                 n = self.kv["sweep.n_points"]
                 if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                     bad.append("sweep bounds (need finite start < stop)")
-                if not (isinstance(n, int) and n >= 1):
+                if not (_is_int(n) and n >= 1):
                     bad.append("sweep.n_points")
-        if not (isinstance(self.kv["mc.n_samples"], int)
+        if not (_is_int(self.kv["mc.n_samples"])
                 and self.kv["mc.n_samples"] >= 1000):
             bad.append("mc.n_samples")
-        if not (isinstance(self.kv["mc.seed"], int)
-                and self.kv["mc.seed"] >= 0):
+        if not (_is_int(self.kv["mc.seed"]) and self.kv["mc.seed"] >= 0):
             bad.append("mc.seed")
         if "sparse.m" in self.kv and not (
-                isinstance(self.kv["sparse.m"], int)
-                and self.kv["sparse.m"] >= 1):
+                _is_int(self.kv["sparse.m"]) and self.kv["sparse.m"] >= 1):
             bad.append("sparse.m (an integer >= 1)")
         if "sparse.p_over_n0" in self.kv and not (
                 _is_number(self.kv["sparse.p_over_n0"])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sps
 
 from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
@@ -45,7 +44,10 @@ def _scenario(theta_hat, n_r, n_t):
 def siso_mgf_exact(theta_hat, snr):
     """E{(1 + snr |h|^2)^-theta_hat} for Rayleigh h: e^x x E_theta_hat(x),
     x = 1/snr, E the generalized exponential integral. theta_hat must be an
-    integer >= 1 (scipy's expn) or in (0, 1) (through gammaincc)."""
+    integer >= 1 (scipy's expn) or in (0, 1) (through gammaincc). SciPy is
+    imported here, not at module level, so that `import effcap` does not
+    load it."""
+    from scipy import special as sps
     x = 1.0 / snr
     if theta_hat >= 1 and theta_hat == int(theta_hat):
         return math.exp(x) * x * float(sps.expn(int(theta_hat), x))

@@ -50,6 +50,16 @@ class TestSampling:
                                          dtype=complex),
                                 np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["r_r", "r_t"])
+    def test_kronecker_requires_finite(self, bad, side):
+        # a NaN passed the Hermitian and PSD checks, and eigh returned NaNs
+        r_bad = np.array([[1.0, bad], [bad, 1.0]], dtype=complex)
+        mats = {"r_r": np.eye(2, dtype=complex),
+                "r_t": np.eye(2, dtype=complex), side: r_bad}
+        with pytest.raises(DomainError, match=f"{side} must be finite"):
+            KroneckerCorrelated(**mats)
+
 
 class TestHermitianEig:
     def test_identity(self):

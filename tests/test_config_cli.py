@@ -247,13 +247,48 @@ class TestCli:
         ("sweep.snr_db_start", ("sweep", "--set", "sweep.snr_db_start=abc",
                                 "--set", "sweep.snr_db_stop=10",
                                 "--set", "sweep.n_points=3")),
+        # True is an int to isinstance; n_r = true used to run as 1
+        ("scenario.n_r", ("high-snr", "--set", "scenario.n_r=true")),
+        ("scenario.n_t", ("high-snr", "--set", "scenario.n_t=true")),
+        ("sweep.n_points", ("sweep", "--set", "sweep.snr_db_start=0",
+                            "--set", "sweep.snr_db_stop=10",
+                            "--set", "sweep.n_points=true")),
+        ("mc.n_samples", ("high-snr", "--set", "mc.n_samples=true")),
+        ("mc.seed", ("high-snr", "--set", "mc.seed=true")),
+        ("sparse.m", ("sparse-wideband", "--set", "sparse.m=true",
+                      "--set", "sparse.p_over_n0=1e4")),
     ])
-    def test_malformed_value_is_config_error(self, key, argv, capsys):
+    def test_malformed_value_is_config_error(self, key, argv, capsys,
+                                             tmp_path, monkeypatch):
         # exit 1 would read as a failed check; a malformed value is a
         # config error that names its key
+        monkeypatch.chdir(tmp_path)  # where a sweep let through would write
         assert run_cli(*argv, "--set", "scenario.theta_hat=1") == 2
         out = capsys.readouterr()
         assert key in out.err and out.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "low-snr"])
+    @pytest.mark.parametrize("side,value", [("rho_t", "nan"),
+                                            ("rho_r", "inf")])
+    def test_non_finite_correlation_is_config_error(self, command, side,
+                                                    value, tmp_path, capsys):
+        # refused when the model is built, before any draw; it used to run
+        # a whole pass and exit 3 with a NaN in the log-mean-exp
+        argv = [command, "--set", "scenario.theta_hat=1",
+                "--set", "model.variant=kronecker",
+                "--set", f"model.{side}={value}",
+                "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
+                "--samples", "2000"]
+        if command == "sweep":
+            argv += ["--set", "sweep.n_points=2",
+                     "--set", "sweep.snr_db_start=0",
+                     "--set", "sweep.snr_db_stop=10",
+                     "--out", str(tmp_path / "x.csv")]
+        assert run_cli(*argv) == 2
+        out = capsys.readouterr()
+        name = "r_t" if side == "rho_t" else "r_r"
+        assert f"{name} must be finite" in out.err and out.out == ""
+        assert not (tmp_path / "x.csv").exists()
 
     def test_high_snr(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

@@ -1,17 +1,16 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+package starts without SciPy: it is imported only inside the functions
+that call it."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "effcap"
-
-# names kept on purpose although the module itself never reads them:
-# perfbench/tracing.py patches asymptotics.integrate.quad and fails without
-# the import. __init__.py is skipped whole: its imports are the package
-# exports.
-ALLOWED = {("asymptotics", "integrate")}
 
 
 def _unused_imports(path):
@@ -26,12 +25,61 @@ def _unused_imports(path):
                 imported[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
-                  if name not in used
-                  and (path.stem, name) not in ALLOWED)
+                  if name not in used)
 
 
+# __init__.py is skipped whole: its imports are the package exports
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _run_fresh(code, cwd):
+    """Run code in a fresh interpreter that imports effcap from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                             else []))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # SciPy was most of the start-up time of every effcap process
+    out = _run_fresh(
+        "import sys, effcap, effcap.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))", tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce-fig", "fig1", "--samples", "2000", "--seed", "0",
+     "--out", "fig", "--quiet"),
+    ("sweep", "--set", "scenario.theta_hat=1", "--set", "sweep.n_points=3",
+     "--set", "sweep.snr_db_start=0", "--set", "sweep.snr_db_stop=10",
+     "--samples", "2000", "--out", "sweep.csv", "--quiet"),
+    ("queue-validate", "--set", "scenario.theta_hat=1.0",
+     "--blocks", "100000", "--samples", "20000", "--seed", "0", "--quiet"),
+    ("high-snr", "--set", "scenario.theta_hat=1"),
+], ids=lambda argv: argv[0])
+def test_commands_run_without_scipy(argv, tmp_path):
+    # None in sys.modules makes every `import scipy...` raise ImportError
+    out = _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from effcap import cli\n"
+        f"sys.exit(cli.main({list(argv)!r}))", tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+def test_asymptotics_integrate_is_loaded_on_demand():
+    from scipy import integrate
+
+    from effcap import asymptotics
+    assert asymptotics.integrate is integrate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        asymptotics.no_such_name
