@@ -57,6 +57,10 @@ class FixedMatrix:
 
     h: np.ndarray
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.h)):
+            raise DomainError("FixedMatrix h must be finite")
+
     @property
     def n_r(self) -> int:
         return self.h.shape[0]

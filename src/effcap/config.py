@@ -15,7 +15,9 @@ Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,35 +26,68 @@ from .engine import (BeamformingCsit, FixedCovariance, QosScenario,
                      StatisticalOptimized, UniformIdentity, WaterfillingCsit)
 from .errors import ConfigError
 
-# every key that some code reads; any other key is refused, so that a
-# misspelt one cannot leave its default running without a word
-_KEYS = (
-    "scenario.theta", "scenario.theta_hat", "scenario.t", "scenario.b",
-    "scenario.n_r", "scenario.n_t",
-    "model.variant", "model.h_real", "model.h_imag", "model.rho_r",
-    "model.rho_t",
-    "strategy.name", "strategy.k_diag",
-    "sweep.snr_db_start", "sweep.snr_db_stop", "sweep.n_points",
-    "mc.n_samples", "mc.seed",
-    "sparse.m", "sparse.p_over_n0",
-    "output.path",
-)
-_SECTIONS = tuple(dict.fromkeys(k.split(".", 1)[0] for k in _KEYS))
+_STRATEGIES = {"uniform": UniformIdentity, "waterfilling": WaterfillingCsit,
+               "beamforming": BeamformingCsit, "fixed": FixedCovariance,
+               "statistical": StatisticalOptimized}
 
-_STRATEGIES = ("uniform", "waterfilling", "beamforming", "fixed",
-               "statistical")
 
-_DEFAULTS = {
-    "scenario.t": 1e-3,
-    "scenario.b": 1e5,
-    "scenario.n_r": 1,
-    "scenario.n_t": 1,
-    "model.variant": "iid",
-    "strategy.name": "uniform",
-    "mc.n_samples": 200_000,
-    "mc.seed": 0,
-    "output.path": "out.csv",
+def _number(v) -> bool:
+    # NaN and inf pass: QosScenario, KroneckerCorrelated and the sweep
+    # bounds rule refuse them under their own names
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+def _finite_positive(v) -> bool:
+    return _number(v) and 0 < v < math.inf
+
+
+def _integer(least: int) -> Callable:
+    return lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                      and v >= least)
+
+
+def _one_of(*names) -> Callable:
+    return names.__contains__
+
+
+class Key(NamedTuple):
+    default: object  # None: no default
+    check: Callable | None  # None: a list checked by _float_list, or a path
+    note: str = ""  # added to the key's name when its value is refused
+
+
+# every key that some code reads, in the order the unknown-key refusal
+# lists them; any other key is refused, so that a misspelt one cannot
+# leave its default running without a word. The range checks are
+# comparisons that NaN fails.
+KEYS = {
+    "scenario.theta": Key(None, _number),
+    "scenario.theta_hat": Key(None, _number),
+    "scenario.t": Key(1e-3, _positive),  # the paper's block duration, s
+    "scenario.b": Key(1e5, _positive),  # the paper's bandwidth, Hz
+    "scenario.n_r": Key(1, _integer(1)),
+    "scenario.n_t": Key(1, _integer(1)),
+    "model.variant": Key("iid", _one_of("iid", "fixed", "kronecker")),
+    "model.h_real": Key(None, None),
+    "model.h_imag": Key(None, None),
+    "model.rho_r": Key(None, _number),
+    "model.rho_t": Key(None, _number),
+    "strategy.name": Key("uniform", _one_of(*_STRATEGIES)),
+    "strategy.k_diag": Key(None, None),
+    "sweep.snr_db_start": Key(None, _number),
+    "sweep.snr_db_stop": Key(None, _number),
+    "sweep.n_points": Key(None, _integer(1)),
+    "mc.n_samples": Key(200_000, _integer(1000)),
+    "mc.seed": Key(0, _integer(0)),
+    "sparse.m": Key(None, _integer(1), "an integer >= 1"),
+    "sparse.p_over_n0": Key(None, _finite_positive, "finite, > 0"),
+    "output.path": Key("out.csv", None),
 }
+_SECTIONS = tuple(dict.fromkeys(k.split(".", 1)[0] for k in KEYS))
 
 
 def _parse_scalar(raw: str):
@@ -60,38 +95,36 @@ def _parse_scalar(raw: str):
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
     return raw
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _format_scalar(v) -> str:
+    # str of a float is its repr, the shortest text that reads back equal
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
 def _check_key(key: str, where: str = "") -> None:
     """Refuse, naming it, a key that no code reads."""
-    if key not in _KEYS:
+    if key not in KEYS:
         raise ConfigError(f"{where}unknown config key {key!r} "
-                          f"(keys: {', '.join(_KEYS)})")
+                          f"(keys: {', '.join(KEYS)})")
+
+
+def _parse_item(item: str, where: str, malformed: str):
+    """One 'key = value' item as (key, value), its key checked."""
+    if "=" not in item:
+        raise ConfigError(malformed)
+    key, raw = item.split("=", 1)
+    key = key.strip()
+    _check_key(key, where)
+    return key, _parse_scalar(raw)
 
 
 def parse_kv_text(text: str) -> dict:
@@ -99,27 +132,17 @@ def parse_kv_text(text: str) -> dict:
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        _check_key(key, f"line {lineno}: ")
-        out[key] = _parse_scalar(raw)
+        if line:
+            key, value = _parse_item(line, f"line {lineno}: ",
+                                     f"line {lineno}: expected key = value")
+            out[key] = value
     return out
 
 
 def apply_overrides(kv: dict, overrides) -> dict:
-    out = dict(kv)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        _check_key(key, "override: ")
-        out[key] = _parse_scalar(raw)
-    return out
+    return {**kv, **dict(_parse_item(item, "override: ",
+                                     f"override {item!r} is not key=value")
+                         for item in overrides)}
 
 
 @dataclass(frozen=True)
@@ -131,59 +154,25 @@ class RunConfig:
     def __post_init__(self):
         for key in self.kv:
             _check_key(key)
-        merged = dict(_DEFAULTS)
-        merged.update(self.kv)
-        object.__setattr__(self, "kv", merged)
-        self._validate()
-
-    def _validate(self):
+        defaults = {k: spec.default for k, spec in KEYS.items()
+                    if spec.default is not None}
+        kv = {**defaults, **self.kv}
+        object.__setattr__(self, "kv", kv)
         bad = []
-        has_theta = "scenario.theta" in self.kv
-        has_hat = "scenario.theta_hat" in self.kv
-        if has_theta == has_hat:
+        if ("scenario.theta" in kv) == ("scenario.theta_hat" in kv):
             bad.append("scenario.theta / scenario.theta_hat "
                        "(exactly one required)")
-        # numbers that are read as floats; their ranges are the domain
-        # objects' to check
-        for k in ("scenario.theta", "scenario.theta_hat", "model.rho_r",
-                  "model.rho_t", "sweep.snr_db_start", "sweep.snr_db_stop"):
-            if k in self.kv and not _is_number(self.kv[k]):
-                bad.append(k)
-        for k in ("scenario.t", "scenario.b"):
-            if not (_is_number(self.kv[k]) and self.kv[k] > 0):
-                bad.append(k)
-        for k in ("scenario.n_r", "scenario.n_t"):
-            if not (_is_int(self.kv[k]) and self.kv[k] >= 1):
-                bad.append(k)
-        if self.kv["strategy.name"] not in _STRATEGIES:
-            bad.append("strategy.name")
-        if self.kv["model.variant"] not in ("iid", "fixed", "kronecker"):
-            bad.append("model.variant")
-        if any(k.startswith("sweep.") for k in self.kv):
-            for k in ("sweep.snr_db_start", "sweep.snr_db_stop",
-                      "sweep.n_points"):
-                if k not in self.kv:
-                    bad.append(k + " (missing)")
-            if not bad:
-                lo = self.kv["sweep.snr_db_start"]
-                hi = self.kv["sweep.snr_db_stop"]
-                n = self.kv["sweep.n_points"]
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                    bad.append("sweep bounds (need finite start < stop)")
-                if not (_is_int(n) and n >= 1):
-                    bad.append("sweep.n_points")
-        if not (_is_int(self.kv["mc.n_samples"])
-                and self.kv["mc.n_samples"] >= 1000):
-            bad.append("mc.n_samples")
-        if not (_is_int(self.kv["mc.seed"]) and self.kv["mc.seed"] >= 0):
-            bad.append("mc.seed")
-        if "sparse.m" in self.kv and not (
-                _is_int(self.kv["sparse.m"]) and self.kv["sparse.m"] >= 1):
-            bad.append("sparse.m (an integer >= 1)")
-        if "sparse.p_over_n0" in self.kv and not (
-                _is_number(self.kv["sparse.p_over_n0"])
-                and 0 < self.kv["sparse.p_over_n0"] < np.inf):
-            bad.append("sparse.p_over_n0 (finite, > 0)")
+        for key, (_, check, note) in KEYS.items():
+            if key in kv and check is not None and not check(kv[key]):
+                bad.append(f"{key} ({note})" if note else key)
+        sweep = [k for k in KEYS if k.startswith("sweep.")]
+        if any(k in kv for k in sweep):
+            bad += [k + " (missing)" for k in sweep if k not in kv]
+            lo = kv.get("sweep.snr_db_start")
+            hi = kv.get("sweep.snr_db_stop")
+            if _number(lo) and _number(hi) and \
+                    not -math.inf < lo < hi < math.inf:
+                bad.append("sweep bounds (need finite start < stop)")
         if bad:
             raise ConfigError("invalid config fields: " + "; ".join(bad))
 
@@ -205,8 +194,8 @@ class RunConfig:
             return IidComplexGaussian(n_r, n_t)
         if variant == "fixed":
             re = self._float_list("model.h_real", n_r * n_t)
-            im = self._float_list("model.h_imag", n_r * n_t,
-                                  default=[0.0] * (n_r * n_t))
+            im = (self._float_list("model.h_imag", n_r * n_t)
+                  if "model.h_imag" in kv else 0.0)
             h = (np.array(re) + 1j * np.array(im)).reshape(n_r, n_t)
             return FixedMatrix(h)
         # kronecker: exponential correlation rho^{|i-j|} on each side
@@ -219,23 +208,14 @@ class RunConfig:
         return KroneckerCorrelated(r_r.astype(complex), r_t.astype(complex))
 
     def strategy(self):
-        name = self.kv["strategy.name"]
-        if name == "uniform":
-            return UniformIdentity()
-        if name == "waterfilling":
-            return WaterfillingCsit()
-        if name == "beamforming":
-            return BeamformingCsit()
-        if name == "statistical":
-            return StatisticalOptimized()
-        n_t = self.kv["scenario.n_t"]
-        diag = self._float_list("strategy.k_diag", n_t)
-        return FixedCovariance(np.diag(diag).astype(complex))
+        cls = _STRATEGIES[self.kv["strategy.name"]]
+        if cls is not FixedCovariance:
+            return cls()
+        diag = self._float_list("strategy.k_diag", self.kv["scenario.n_t"])
+        return cls(np.diag(diag).astype(complex))
 
-    def _float_list(self, key: str, n: int, default=None):
+    def _float_list(self, key: str, n: int):
         if key not in self.kv:
-            if default is not None:
-                return default
             raise ConfigError(f"{key} required (comma-separated, {n} values)")
         raw = str(self.kv[key])
         try:
@@ -245,6 +225,9 @@ class RunConfig:
                               f"got {raw!r}") from None
         if len(vals) != n:
             raise ConfigError(f"{key} must have {n} values, got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            # a NaN entry would run a whole Monte Carlo pass before failing
+            raise ConfigError(f"{key} entries must be finite, got {raw!r}")
         return vals
 
     def sweep_grid_db(self) -> np.ndarray:

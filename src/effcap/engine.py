@@ -94,6 +94,9 @@ class FixedCovariance:
 
     def __post_init__(self):
         k = np.asarray(self.k)
+        # a NaN passes every comparison below
+        if not np.all(np.isfinite(k)):
+            raise DomainError("FixedCovariance K must be finite")
         if np.max(np.abs(k - k.conj().T)) > 1e-10:
             raise DomainError("FixedCovariance K must be Hermitian")
         w = np.linalg.eigvalsh(k)

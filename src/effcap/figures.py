@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import IidComplexGaussian
-from .config import RunConfig
+from .config import KEYS, RunConfig
 from .engine import QosScenario, UniformIdentity, rate_estimator
 from .errors import ConfigError
 
@@ -27,8 +27,7 @@ _FIG3_THETA_HAT = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 _FIG4_NT = (2, 3, 4, 8, 15)
 _FIG56_THETA = (0.0, 0.1, 0.5, 1.0, 2.0)
 
-_T = 1e-3  # block duration, seconds
-_B = 1e5  # bandwidth, Hz
+_T, _B = KEYS["scenario.t"].default, KEYS["scenario.b"].default
 
 
 def _fmt(v) -> str:

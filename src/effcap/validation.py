@@ -15,13 +15,13 @@ import numpy as np
 
 from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
+from .config import KEYS
 from .engine import (QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, bit_energy_points, rate_estimator)
 from .errors import DomainError
 from .queuesim import validate_theta
 
-_T = 1e-3
-_B = 1e5
+_T, _B = KEYS["scenario.t"].default, KEYS["scenario.b"].default
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -25,6 +25,15 @@ class TestSampling:
         for _ in range(3):
             assert np.array_equal(model.sample_batch(1, rng)[0], h)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(1.0, np.nan)])
+    def test_fixed_matrix_requires_finite(self, bad):
+        # a NaN entry ran a whole Monte Carlo pass and then failed in the
+        # log-mean-exp, without naming the matrix
+        h = np.array([[1.0, bad], [0.5, 1.0]], dtype=complex)
+        with pytest.raises(DomainError, match="FixedMatrix h must be finite"):
+            FixedMatrix(h)
+
     def test_iid_unit_entry_variance(self):
         model = IidComplexGaussian(2, 2)
         total, n = 0.0, 0

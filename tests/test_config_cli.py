@@ -143,6 +143,12 @@ class TestDomainObjects:
             parse_config("scenario.theta_hat = 1.0\n").sweep_grid_db()
 
 
+SWEEP3 = ("--samples", "2000", "--set", "sweep.snr_db_start=0",
+          "--set", "sweep.snr_db_stop=10", "--set", "sweep.n_points=3")
+FIXED_H2 = ("--samples", "2000", "--set", "model.variant=fixed",
+            "--set", "scenario.n_t=2")
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -257,6 +263,22 @@ class TestCli:
         ("mc.seed", ("high-snr", "--set", "mc.seed=true")),
         ("sparse.m", ("sparse-wideband", "--set", "sparse.m=true",
                       "--set", "sparse.p_over_n0=1e4")),
+        # non-finite list entries used to run a whole pass and exit 3
+        ("model.h_real", ("sweep",) + SWEEP3 + FIXED_H2 + (
+            "--set", "model.h_real=nan,1")),
+        ("model.h_imag", ("sweep",) + SWEEP3 + FIXED_H2 + (
+            "--set", "model.h_real=1,1", "--set", "model.h_imag=0,inf")),
+        ("strategy.k_diag", ("sweep",) + SWEEP3 + (
+            "--set", "strategy.name=fixed", "--set", "scenario.n_t=2",
+            "--set", "strategy.k_diag=nan,0.5")),
+        ("model.h_real", ("low-snr",) + FIXED_H2 + (
+            "--set", "model.h_real=inf,1")),
+        ("model.h_imag", ("low-snr",) + FIXED_H2 + (
+            "--set", "model.h_real=1,1", "--set", "model.h_imag=nan,0")),
+        ("strategy.k_diag", ("low-snr", "--samples", "2000",
+                             "--set", "strategy.name=fixed",
+                             "--set", "scenario.n_t=2",
+                             "--set", "strategy.k_diag=0.5,-inf")),
     ])
     def test_malformed_value_is_config_error(self, key, argv, capsys,
                                              tmp_path, monkeypatch):
@@ -266,6 +288,7 @@ class TestCli:
         assert run_cli(*argv, "--set", "scenario.theta_hat=1") == 2
         out = capsys.readouterr()
         assert key in out.err and out.out == ""
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["sweep", "low-snr"])
     @pytest.mark.parametrize("side,value", [("rho_t", "nan"),

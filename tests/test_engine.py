@@ -205,6 +205,17 @@ class TestShapeRefused:
                                         IidComplexGaussian(1, 1))
 
 
+class TestFixedCovarianceRefused:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite(self, bad, where):
+        # a NaN passes the Hermitian, PSD and trace comparisons
+        k = np.diag([0.5, 0.5]).astype(complex)
+        k[where] = k[where[::-1]] = bad
+        with pytest.raises(DomainError, match="K must be finite"):
+            FixedCovariance(k)
+
+
 class TestErgodicRate:
     def test_deterministic(self):
         h = np.array([[2.0 + 0j]])
