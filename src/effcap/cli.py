@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point, and the one module of effcap that prints.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric
 error.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import asymptotics as asy
 from .channels import spectral_moments_mc
@@ -17,26 +18,12 @@ from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import _write_csv, reproduce_figure, run_sweep
 from .queuesim import validate_and_trace, write_trace_csv
-from .validation import run_validation
+from .validation import SUITES, run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _add_common(p, out: bool = True, mc: bool = True):
-    """The flags of every subcommand; --out and the Monte Carlo --seed and
-    --samples only where the subcommand reads them."""
-    p.add_argument("--config", help="path to a key=value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="config override (dotted key, repeatable)")
-    if out:
-        p.add_argument("--out", help="output path")
-    if mc:
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--samples", type=int, help="MC samples per point")
-    p.add_argument("--quiet", action="store_true")
 
 
 def _load_config(args, needs_scenario: bool = True) -> RunConfig:
@@ -61,6 +48,16 @@ def _say(args, msg):
         print(msg)
 
 
+def _report(args, fields, out=None):
+    """Print each (key, value) field as `key = value`, floats as %.12g,
+    and write the same fields to out as a one-row CSV."""
+    for key, val in fields:
+        _say(args, f"{key} = {val:.12g}" if isinstance(val, float) else
+             f"{key} = {val}")
+    if out:
+        _write_csv(out, [key for key, _ in fields], [[v for _, v in fields]])
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     path = run_sweep(cfg)
@@ -80,50 +77,40 @@ def cmd_bit_energy(args) -> int:
     return EXIT_OK
 
 
+# low-snr's (moments estimator, derivative formula) per strategy class
+_LOW_SNR = {
+    UniformIdentity: (spectral_moments_mc, asy.derivs_uniform),
+    WaterfillingCsit: (spectral_moments_mc, asy.derivs_csit),
+    BeamformingCsit: (spectral_moments_mc, asy.derivs_csit),
+    StatisticalOptimized: (asy.statistical_moments_mc,
+                           asy.derivs_statistical),
+}
+
+
 def cmd_low_snr(args) -> int:
     cfg = _load_config(args)
     sc = cfg.scenario()
     model = cfg.model()
     strategy = cfg.strategy()
-    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
-        mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
-        d = asy.derivs_csit(mom, sc)
-    elif isinstance(strategy, StatisticalOptimized):
-        mom = asy.statistical_moments_mc(model, cfg.n_samples, cfg.seed)
-        d = asy.derivs_statistical(mom, sc)
-    elif isinstance(strategy, UniformIdentity):
-        mom = spectral_moments_mc(model, cfg.n_samples, cfg.seed)
-        d = asy.derivs_uniform(mom, sc)
-    else:
+    if type(strategy) not in _LOW_SNR:
         raise DomainError(f"low-snr has no derivatives for "
                           f"{type(strategy).__name__} (strategy.name = "
                           f"{cfg.kv['strategy.name']})")
+    moments, derivs = _LOW_SNR[type(strategy)]
+    d = derivs(moments(model, cfg.n_samples, cfg.seed), sc)
     em = asy.energy_metrics(d)
-    for key, val in (("regime", d.regime),
-                     ("first_deriv", d.first_deriv),
-                     ("second_deriv", d.second_deriv),
-                     ("eb_n0_min_db", em.eb_min_db),
-                     ("wideband_slope_s0", em.wideband_slope_s0)):
-        _say(args, f"{key} = {val:.12g}" if isinstance(val, float) else
-             f"{key} = {val}")
-    if args.out:
-        _write_csv(args.out,
-                   ["regime", "first_deriv", "second_deriv", "eb_n0_min_db",
-                    "wideband_slope_s0"],
-                   [(d.regime, d.first_deriv, d.second_deriv, em.eb_min_db,
-                     em.wideband_slope_s0)])
+    _report(args, [("regime", d.regime), ("first_deriv", d.first_deriv),
+                   ("second_deriv", d.second_deriv),
+                   ("eb_n0_min_db", em.eb_min_db),
+                   ("wideband_slope_s0", em.wideband_slope_s0)], args.out)
     return EXIT_OK
 
 
 def cmd_high_snr(args) -> int:
     cfg = _load_config(args)
     m = asy.highsnr_metrics(cfg.scenario(), cfg.model())
-    _say(args, f"s_inf = {m.s_inf:.12g}")
-    _say(args, f"l_inf = {m.l_inf:.12g}")
-    _say(args, f"regime = {m.regime_note}")
-    if args.out:
-        _write_csv(args.out, ["s_inf", "l_inf", "regime"],
-                   [(m.s_inf, m.l_inf, m.regime_note)])
+    _report(args, [("s_inf", m.s_inf), ("l_inf", m.l_inf),
+                   ("regime", m.regime_note)], args.out)
     return EXIT_OK
 
 
@@ -141,13 +128,9 @@ def cmd_sparse_wideband(args) -> int:
                                              cfg.n_samples, cfg.seed)
     eb_s, eb_s_db = asy.sparse_ebmin_sublinear(model, strategy,
                                                cfg.n_samples, cfg.seed)
-    _say(args, f"ebmin_bounded_db = {eb_b_db:.12g}")
-    _say(args, f"ebmin_sublinear_db = {eb_s_db:.12g}")
-    if args.out:
-        _write_csv(args.out,
-                   ["ebmin_bounded", "ebmin_bounded_db", "ebmin_sublinear",
-                    "ebmin_sublinear_db"],
-                   [(eb_b, eb_b_db, eb_s, eb_s_db)])
+    _report(args, [("ebmin_bounded", eb_b), ("ebmin_bounded_db", eb_b_db),
+                   ("ebmin_sublinear", eb_s),
+                   ("ebmin_sublinear_db", eb_s_db)], args.out)
     return EXIT_OK
 
 
@@ -157,14 +140,14 @@ def cmd_queue_validate(args) -> int:
     res, trace = validate_and_trace(cfg.scenario(), cfg.model(),
                                     cfg.strategy(), snr, args.blocks,
                                     cfg.seed, n_samples=cfg.n_samples)
-    _say(args, f"theta_target = {res.theta_target:.12g}")
-    _say(args, f"theta_est = {res.theta_est:.12g}")
-    _say(args, f"tail_r_squared = {res.tail_r_squared:.12g}")
-    _say(args, f"tail_n_points = {res.tail_n_points}")
-    _say(args, f"vacuous = {res.vacuous}")
-    _say(args, f"passed = {res.passed}")
-    _say(args, f"arrival_per_block = {res.arrival_per_block:.17g}")
-    _say(args, f"trace_seed = {cfg.seed + 1}")
+    # the rate in full, so that it and the seed rebuild the trace
+    _report(args, [("theta_target", res.theta_target),
+                   ("theta_est", res.theta_est),
+                   ("tail_r_squared", res.tail_r_squared),
+                   ("tail_n_points", res.tail_n_points),
+                   ("vacuous", res.vacuous), ("passed", res.passed),
+                   ("arrival_per_block", f"{res.arrival_per_block:.17g}"),
+                   ("trace_seed", cfg.seed + 1)])
     if args.trace_out:
         write_trace_csv(trace, args.trace_out)
         _say(args, f"wrote {args.trace_out}")
@@ -182,9 +165,38 @@ def cmd_reproduce_fig(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args, needs_scenario=False)
-    ok, _ = run_validation(args.suite, n_samples=cfg.n_samples,
-                           seed=cfg.seed, quiet=args.quiet)
+    ok, checks = run_validation(args.suite, n_samples=cfg.n_samples,
+                                seed=cfg.seed)
+    for c in checks:
+        _say(args, f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+    _say(args, f"{'OK' if ok else 'FAILED'} "
+               f"({sum(c.passed for c in checks)}/{len(checks)} checks)")
     return EXIT_OK if ok else EXIT_VALIDATION
+
+
+class Command(NamedTuple):
+    fn: Callable
+    help: str
+    out: bool = True  # takes --out
+    mc: bool = True  # takes the Monte Carlo --seed and --samples
+
+
+COMMANDS = {
+    "sweep": Command(cmd_sweep, "SNR sweep CSV per the config grid"),
+    "bit-energy": Command(cmd_bit_energy, "E_b/N0 vs rate curve"),
+    "low-snr": Command(cmd_low_snr,
+                       "zero-SNR derivatives and energy metrics"),
+    # the slope and offset are exact: nothing is drawn
+    "high-snr": Command(cmd_high_snr, "high-SNR slope and power offset",
+                        mc=False),
+    "sparse-wideband": Command(cmd_sparse_wideband,
+                               "sparse-multipath minimum bit energies"),
+    "queue-validate": Command(cmd_queue_validate,
+                              "queue-tail exponent check", out=False),
+    "reproduce-fig": Command(cmd_reproduce_fig, "emit a reference figure "
+                                                "dataset (fig1..fig6)"),
+    "validate": Command(cmd_validate, "run a self-check suite", out=False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,48 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective capacity of MIMO block-fading links under "
                     "statistical queueing constraints.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="SNR sweep CSV per the config grid")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("bit-energy", help="E_b/N0 vs rate curve")
-    _add_common(p)
-    p.set_defaults(fn=cmd_bit_energy)
-
-    p = sub.add_parser("low-snr", help="zero-SNR derivatives and "
-                                       "energy metrics")
-    _add_common(p)
-    p.set_defaults(fn=cmd_low_snr)
-
-    # the slope and offset are exact: nothing is drawn
-    p = sub.add_parser("high-snr", help="high-SNR slope and power offset")
-    _add_common(p, mc=False)
-    p.set_defaults(fn=cmd_high_snr)
-
-    p = sub.add_parser("sparse-wideband", help="sparse-multipath minimum "
-                                               "bit energies")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sparse_wideband)
-
-    p = sub.add_parser("queue-validate", help="queue-tail exponent check")
-    _add_common(p, out=False)
+    for name, (fn, help_text, out, mc) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key=value config file")
+        p.add_argument("--set", action="append", default=[],
+                       metavar="KEY=VALUE",
+                       help="config override (dotted key, repeatable)")
+        if out:
+            p.add_argument("--out", help="output path")
+        if mc:
+            p.add_argument("--seed", type=int, help="RNG seed")
+            p.add_argument("--samples", type=int, help="MC samples per point")
+        p.add_argument("--quiet", action="store_true")
+        p.set_defaults(fn=fn)
+    p = sub.choices["queue-validate"]
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--blocks", type=int, default=1_000_000)
     p.add_argument("--trace-out", help="also export the queue trace CSV")
-    p.set_defaults(fn=cmd_queue_validate)
-
-    p = sub.add_parser("reproduce-fig", help="emit a reference figure "
-                                             "dataset (fig1..fig6)")
-    p.add_argument("name")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reproduce_fig)
-
-    p = sub.add_parser("validate", help="run a self-check suite")
-    p.add_argument("suite",
-                   choices=["lowsnr", "highsnr", "wideband", "queue", "all"])
-    _add_common(p, out=False)
-    p.set_defaults(fn=cmd_validate)
+    sub.choices["reproduce-fig"].add_argument("name")
+    sub.choices["validate"].add_argument("suite", choices=[*SUITES, "all"])
     return ap
 
 
@@ -242,10 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FitError) as exc:

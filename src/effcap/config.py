@@ -16,6 +16,7 @@ Example:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -26,6 +27,7 @@ from .engine import (BeamformingCsit, FixedCovariance, QosScenario,
                      StatisticalOptimized, UniformIdentity, WaterfillingCsit)
 from .errors import ConfigError
 
+_FLOAT_MAX = sys.float_info.max
 _STRATEGIES = {"uniform": UniformIdentity, "waterfilling": WaterfillingCsit,
                "beamforming": BeamformingCsit, "fixed": FixedCovariance,
                "statistical": StatisticalOptimized}
@@ -33,8 +35,9 @@ _STRATEGIES = {"uniform": UniformIdentity, "waterfilling": WaterfillingCsit,
 
 def _number(v) -> bool:
     # NaN and inf pass: QosScenario, KroneckerCorrelated and the sweep
-    # bounds rule refuse them under their own names
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # bounds rule refuse them under their own names. An integer beyond the
+    # largest float does not: converting it raises OverflowError
+    return isinstance(v, float) or _integer(-_FLOAT_MAX, _FLOAT_MAX)(v)
 
 
 def _positive(v) -> bool:
@@ -45,9 +48,9 @@ def _finite_positive(v) -> bool:
     return _number(v) and 0 < v < math.inf
 
 
-def _integer(least: int) -> Callable:
+def _integer(least, most=math.inf) -> Callable:
     return lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                      and v >= least)
+                      and least <= v <= most)
 
 
 def _one_of(*names) -> Callable:
@@ -83,7 +86,7 @@ KEYS = {
     "sweep.n_points": Key(None, _integer(1)),
     "mc.n_samples": Key(200_000, _integer(1000)),
     "mc.seed": Key(0, _integer(0)),
-    "sparse.m": Key(None, _integer(1), "an integer >= 1"),
+    "sparse.m": Key(None, _integer(1, _FLOAT_MAX), "an integer >= 1"),
     "sparse.p_over_n0": Key(None, _finite_positive, "finite, > 0"),
     "output.path": Key("out.csv", None),
 }

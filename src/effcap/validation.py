@@ -1,9 +1,9 @@
 """Self-check suites wiring the analytic formulas against Monte Carlo.
 
-Each suite returns a list of named checks; the CLI turns any failure into
-a nonzero exit status. Sample counts are sized for minutes-not-hours
-turnaround, so tolerances follow the acceptance numbers rather than
-machine precision.
+Each suite returns a list of named checks and prints nothing; the CLI
+prints them and turns any failure into a nonzero exit status. Sample
+counts are sized for minutes-not-hours turnaround, so tolerances follow
+the acceptance numbers rather than machine precision.
 """
 
 from __future__ import annotations
@@ -60,6 +60,21 @@ def siso_mgf_exact(theta_hat, snr):
 
 # ---------------------------------------------------------------------------
 
+def _fd_checks(label, estimate, d, sc, snr0, th):
+    """Finite differences of estimate's rate against the closed-form
+    derivatives d: first and second deriv checks, in that order."""
+    rp, rm = estimate(sc, snr0).value, estimate(sc, snr0 / 2).value
+    fd1 = rp / snr0  # rate(0) = 0 exactly
+    # second difference on nodes 0, h, 2h with h = snr0/2
+    fd2 = (rp - 2.0 * rm) / (snr0 / 2) ** 2
+    return [_check(f"{label} first deriv fd theta_hat={th}",
+                   abs(fd1 - d.first_deriv) <= 0.02 * abs(d.first_deriv),
+                   f"fd {fd1:.5g} vs closed {d.first_deriv:.5g}"),
+            _check(f"{label} second deriv fd theta_hat={th}",
+                   abs(fd2 - d.second_deriv) <= 0.10 * abs(d.second_deriv),
+                   f"fd {fd2:.5g} vs closed {d.second_deriv:.5g}")]
+
+
 def lowsnr_suite(n_samples=200_000, seed=0):
     checks = []
     # identity checks are 3-sigma tests; run them at the full 1e6 draws so
@@ -92,37 +107,15 @@ def lowsnr_suite(n_samples=200_000, seed=0):
     for th in (0.5, 2.0):
         sc = _scenario(th, 2, 2)
         d = asy.derivs_uniform(mom, sc)
-        rp, rm = uniform(sc, snr0).value, uniform(sc, snr0 / 2).value
-        fd1 = rp / snr0  # rate(0) = 0 exactly
-        # second difference on nodes 0, h, 2h with h = snr0/2
-        fd2 = (rp - 2.0 * rm) / (snr0 / 2) ** 2
-        checks.append(_check(
-            f"uniform first deriv fd theta_hat={th}",
-            abs(fd1 - d.first_deriv) <= 0.02 * abs(d.first_deriv),
-            f"fd {fd1:.5g} vs closed {d.first_deriv:.5g}"))
-        checks.append(_check(
-            f"uniform second deriv fd theta_hat={th}",
-            abs(fd2 - d.second_deriv) <= 0.10 * abs(d.second_deriv),
-            f"fd {fd2:.5g} vs closed {d.second_deriv:.5g}"))
+        checks += _fd_checks("uniform", uniform, d, sc, snr0, th)
         dstat = asy.derivs_statistical(stat_mom, sc)
         checks.append(_check(
             f"statistical equals uniform theta_hat={th}",
             abs(dstat.second_deriv - d.second_deriv)
             <= 0.01 * abs(d.second_deriv),
             f"stat {dstat.second_deriv:.5g} vs unif {d.second_deriv:.5g}"))
-
-        dc = asy.derivs_csit(mom, sc)
-        rcp, rcm = csit(sc, snr0).value, csit(sc, snr0 / 2).value
-        fd1c = rcp / snr0
-        fd2c = (rcp - 2.0 * rcm) / (snr0 / 2) ** 2
-        checks.append(_check(
-            f"csit first deriv fd theta_hat={th}",
-            abs(fd1c - dc.first_deriv) <= 0.02 * abs(dc.first_deriv),
-            f"fd {fd1c:.5g} vs closed {dc.first_deriv:.5g}"))
-        checks.append(_check(
-            f"csit second deriv fd theta_hat={th}",
-            abs(fd2c - dc.second_deriv) <= 0.10 * abs(dc.second_deriv),
-            f"fd {fd2c:.5g} vs closed {dc.second_deriv:.5g}"))
+        checks += _fd_checks("csit", csit, asy.derivs_csit(mom, sc), sc,
+                             snr0, th)
 
     # wideband slope: closed form vs a secant from the bit-energy curve
     s0_values = []
@@ -166,18 +159,12 @@ def highsnr_suite(n_samples=200_000, seed=0):
                 f"vs 3se {tol:.2g}"))
 
     snrs = 10.0 ** (np.array([30.0, 35.0, 40.0, 45.0, 50.0]) / 10.0)
-    sc25 = _scenario(2.0, 2, 5)
-    slope25 = asy.highsnr_slope_empirical(
-        [(s, asy.hankel_effective_rate(sc25, s)) for s in snrs])
-    checks.append(_check("slope 2x5 theta_hat=2",
-                         abs(slope25 - 2.0) <= 0.05,
-                         f"slope {slope25:.4g}"))
-    sc11 = _scenario(2.0, 1, 1)
-    slope11 = asy.highsnr_slope_empirical(
-        [(s, asy.hankel_effective_rate(sc11, s)) for s in snrs])
-    checks.append(_check("slope siso theta_hat=2",
-                         abs(slope11 - 0.5) <= 0.05,
-                         f"slope {slope11:.4g}"))
+    for n_r, n_t, label, want in ((2, 5, "2x5", 2.0), (1, 1, "siso", 0.5)):
+        sc = _scenario(2.0, n_r, n_t)
+        slope = asy.highsnr_slope_empirical(
+            [(s, asy.hankel_effective_rate(sc, s)) for s in snrs])
+        checks.append(_check(f"slope {label} theta_hat=2",
+                             abs(slope - want) <= 0.05, f"slope {slope:.4g}"))
 
     for th in (0.7, 1.0):
         closed = siso_mgf_exact(th, 10.0)
@@ -225,13 +212,13 @@ def wideband_suite(n_samples=200_000, seed=0):
     return checks
 
 
-def queue_suite(n_samples=200_000, seed=0, n_blocks=1_000_000):
+def queue_suite(n_samples=200_000, seed=0):
     checks = []
     sc = _scenario(1.0, 1, 1)
     model = IidComplexGaussian(1, 1)
     ests = []
     for scale in (0.9, 1.0, 1.1):
-        res = validate_theta(sc, model, UniformIdentity(), 10.0, n_blocks,
+        res = validate_theta(sc, model, UniformIdentity(), 10.0, 1_000_000,
                              seed, arrival_scale=scale, n_samples=n_samples)
         ests.append(res.theta_est)
         if scale == 1.0:
@@ -254,7 +241,7 @@ def queue_suite(n_samples=200_000, seed=0, n_blocks=1_000_000):
     return checks
 
 
-_SUITES = {
+SUITES = {
     "lowsnr": lowsnr_suite,
     "highsnr": highsnr_suite,
     "wideband": wideband_suite,
@@ -262,23 +249,17 @@ _SUITES = {
 }
 
 
-def run_validation(suite: str, n_samples=200_000, seed=0, quiet=False):
+def run_validation(suite: str, n_samples=200_000, seed=0):
     """Run one (or all) of the check suites; returns (all_passed, checks)."""
     if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
+        names = list(SUITES)
+    elif suite in SUITES:
         names = [suite]
     else:
         raise DomainError(
             f"unknown suite {suite!r}; use one of "
-            f"{', '.join(list(_SUITES) + ['all'])}")
+            f"{', '.join(list(SUITES) + ['all'])}")
     checks = []
     for name in names:
-        checks.extend(_SUITES[name](n_samples=n_samples, seed=seed))
-    ok = all(c.passed for c in checks)
-    if not quiet:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-        print(f"{'OK' if ok else 'FAILED'} "
-              f"({sum(c.passed for c in checks)}/{len(checks)} checks)")
-    return ok, checks
+        checks.extend(SUITES[name](n_samples=n_samples, seed=seed))
+    return all(c.passed for c in checks), checks

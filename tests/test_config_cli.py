@@ -1,3 +1,4 @@
+import csv
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from effcap.config import (RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import UniformIdentity, WaterfillingCsit
 from effcap.errors import ConfigError
+from effcap.validation import run_validation
 
 BASE = """
 scenario.theta_hat = 1.0
@@ -147,6 +149,25 @@ SWEEP3 = ("--samples", "2000", "--set", "sweep.snr_db_start=0",
           "--set", "sweep.snr_db_stop=10", "--set", "sweep.n_points=3")
 FIXED_H2 = ("--samples", "2000", "--set", "model.variant=fixed",
             "--set", "scenario.n_t=2")
+HUGE = "9" * 400  # an integer beyond the largest float
+SPARSE = ("--set", "sparse.m=5", "--set", "sparse.p_over_n0=1e4")
+
+
+# one small run of each subcommand, in the order of cli.COMMANDS
+QUIET_ARGV = [
+    ("sweep", "--set", "scenario.theta_hat=1", "--out", "out.csv") + SWEEP3,
+    ("bit-energy", "--set", "scenario.theta_hat=1",
+     "--out", "out.csv") + SWEEP3,
+    ("low-snr", "--set", "scenario.theta_hat=1", "--samples", "2000",
+     "--out", "out.csv"),
+    ("high-snr", "--set", "scenario.theta_hat=1", "--out", "out.csv"),
+    ("sparse-wideband", "--set", "scenario.theta_hat=1", "--samples", "2000",
+     "--out", "out.csv") + SPARSE,
+    ("queue-validate", "--set", "scenario.theta_hat=1", "--samples", "20000",
+     "--blocks", "100000", "--trace-out", "trace.csv"),
+    ("reproduce-fig", "fig1", "--samples", "2000", "--out", "fig"),
+    ("validate", "wideband", "--samples", "20000"),
+]
 
 
 def run_cli(*argv):
@@ -279,13 +300,29 @@ class TestCli:
                              "--set", "strategy.name=fixed",
                              "--set", "scenario.n_t=2",
                              "--set", "strategy.k_diag=0.5,-inf")),
+        # integers too large for a float used to crash float() or NumPy
+        # with exit 1 and a traceback
+        ("scenario.theta", ("high-snr", "--set", f"scenario.theta={HUGE}")),
+        ("scenario.t", ("high-snr", "--set", f"scenario.t={HUGE}")),
+        ("model.rho_r", ("high-snr", "--set", "model.variant=kronecker",
+                         "--set", f"model.rho_r={HUGE}")),
+        ("sweep.snr_db_start", ("sweep",
+                                "--set", f"sweep.snr_db_start=-{HUGE}",
+                                "--set", "sweep.snr_db_stop=10",
+                                "--set", "sweep.n_points=3")),
+        ("sparse.p_over_n0", ("sparse-wideband", "--set", "sparse.m=5",
+                              "--set", f"sparse.p_over_n0={HUGE}")),
+        ("sparse.m", ("sparse-wideband", "--set", f"sparse.m={HUGE}",
+                      "--set", "sparse.p_over_n0=1e4")),
     ])
     def test_malformed_value_is_config_error(self, key, argv, capsys,
                                              tmp_path, monkeypatch):
         # exit 1 would read as a failed check; a malformed value is a
         # config error that names its key
         monkeypatch.chdir(tmp_path)  # where a sweep let through would write
-        assert run_cli(*argv, "--set", "scenario.theta_hat=1") == 2
+        if key != "scenario.theta":  # theta and theta_hat exclude each other
+            argv += ("--set", "scenario.theta_hat=1")
+        assert run_cli(*argv) == 2
         out = capsys.readouterr()
         assert key in out.err and out.out == ""
         assert not list(tmp_path.glob("*.csv"))
@@ -425,9 +462,55 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_huge_seed_still_runs(self, capsys):
+        assert run_cli("low-snr", "--set", "scenario.theta_hat=1",
+                       "--samples", "2000", "--seed", HUGE) == 0
+        assert "eb_n0_min_db" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("low-snr", "--set", "strategy.name=statistical",
+         "--samples", "2000"),
+        ("high-snr",),
+        ("sparse-wideband", "--samples", "2000") + SPARSE,
+    ])
+    def test_printed_fields_are_the_csv(self, argv, tmp_path, capsys):
+        # every scalar subcommand prints exactly what its --out CSV holds
+        out = tmp_path / "r.csv"
+        assert run_cli(*argv, "--set", "scenario.theta_hat=1",
+                       "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
+                       "--out", str(out)) == 0
+        printed = [line.split(" = ", 1)
+                   for line in capsys.readouterr().out.splitlines()]
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == [k for k, _ in printed]
+        assert row == [v for _, v in printed]
+
+    def test_quiet_cases_cover_every_command(self):
+        assert [argv[0] for argv in QUIET_ARGV] == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", QUIET_ARGV)
+    def test_quiet_prints_nothing(self, argv, tmp_path, monkeypatch,
+                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--quiet") == 0
+        assert capsys.readouterr().out == ""
+
     def test_validate_suite(self):
         assert run_cli("validate", "wideband", "--samples", "20000",
                        "--quiet") == 0
+
+    def test_run_validation_prints_nothing(self, capsys):
+        ok, checks = run_validation("wideband", 20000, 0)
+        assert ok and checks
+        assert capsys.readouterr().out == ""
+
+    def test_validate_prints_each_check(self, capsys):
+        assert run_cli("validate", "wideband", "--samples", "20000") == 0
+        lines = capsys.readouterr().out.splitlines()
+        _, checks = run_validation("wideband", 20000, 0)
+        assert lines == [f"PASS {c.name}: {c.detail}" for c in checks] + [
+            f"OK ({len(checks)}/{len(checks)} checks)"]
 
     def test_reproduce_fig(self, tmp_path):
         assert run_cli("reproduce-fig", "fig1", "--out", str(tmp_path),
