@@ -18,10 +18,22 @@ CHUNK = 1 << 14
 _HERMITICITY_TOL = 1e-10
 
 
+# the factor NumPy's complex division by sqrt(2) multiplies each part by
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    # unit total variance per entry: real/imag parts have variance 1/2
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
+    """Entries of unit total variance: real/imag parts have variance 1/2.
+
+    Bitwise (standard_normal(shape) + 1j * standard_normal(shape)) /
+    sqrt(2): one draw of both parts is the same stream as the two draws,
+    and the division scales each part by fl(1/sqrt(2)).
+    """
+    parts = rng.standard_normal((2,) + tuple(shape))
+    parts *= _INV_SQRT2
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def _psd_sqrt(a: np.ndarray, name: str) -> np.ndarray:

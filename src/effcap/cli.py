@@ -26,20 +26,32 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+# the only keys of reproduce-fig and validate, whose figure and validation
+# grids carry their own scenarios, models and strategies
+_GRID_KEYS = ("mc.seed", "mc.n_samples")
+
+
 def _load_config(args, needs_scenario: bool = True) -> RunConfig:
+    """The run config of --config, then --set, then the flags. It also sets
+    args.out to output.path when any of them names one, so that --out,
+    --set and --config reach a one-row report alike."""
     kv = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             kv = parse_kv_text(fh.read())
     kv = apply_overrides(kv, args.set)
+    if not needs_scenario:
+        unread = [k for k in kv if k not in _GRID_KEYS]
+        if unread:
+            raise ConfigError(f"{args.command} reads only "
+                              f"{' and '.join(_GRID_KEYS)}; refused "
+                              f"{', '.join(unread)}")
+        kv["scenario.theta_hat"] = 0.0
     for flag, key in (("seed", "mc.seed"), ("samples", "mc.n_samples"),
                       ("out", "output.path")):
         if getattr(args, flag, None) is not None:
             kv[key] = getattr(args, flag)
-    if not needs_scenario and "scenario.theta" not in kv \
-            and "scenario.theta_hat" not in kv:
-        # figure/validation grids carry their own scenarios
-        kv["scenario.theta_hat"] = 0.0
+    args.out = kv.get("output.path")
     return RunConfig(kv)
 
 

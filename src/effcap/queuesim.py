@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel
+from .channels import CHUNK, ChannelModel
 from .engine import (CovarianceStrategy, FixedCovariance, QosScenario,
                      StatisticalOptimized, check_shape, chunk_rates,
                      effective_rate_mc, optimize_covariance_statistical,
@@ -67,10 +67,19 @@ def lindley_path(arrival: float, services: np.ndarray) -> np.ndarray:
 
     Uses the reflection identity Q[n] = S[n] - min(0, min_{k<=n} S[k]) with
     S the cumulative sum of (arrival - service), which is the Lindley
-    recursion unrolled.
+    recursion unrolled. S is built in the output array, and the running
+    minimum is taken and subtracted one CHUNK of blocks at a time, carried
+    from block to block; a minimum is exact, so the blocks move no bit.
     """
-    s = np.cumsum(arrival - services)
-    return s - np.minimum.accumulate(np.minimum(s, 0.0))
+    q = np.subtract(arrival, services)
+    np.cumsum(q, out=q)
+    low = 0.0
+    for start in range(0, len(q), CHUNK):
+        block = q[start:start + CHUNK]
+        floor = np.minimum.accumulate(np.minimum(block, low))
+        low = floor[-1]
+        block -= floor
+    return q
 
 
 def simulate_queue(scenario: QosScenario, model: ChannelModel,
@@ -85,10 +94,13 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
         raise DomainError("arrival_per_block must be >= 0")
     check_shape(scenario, model)
     bits_per_block = scenario.t * scenario.b
-    services = np.concatenate([
-        bits_per_block * chunk_rates(ev, strategy, snr, scenario.n_r,
-                                     model.n_t)
-        for ev in strategy_spectra(model, strategy, n_blocks, seed)])
+    services = np.empty(n_blocks)
+    start = 0
+    for ev in strategy_spectra(model, strategy, n_blocks, seed):
+        rates = chunk_rates(ev, strategy, snr, scenario.n_r, model.n_t)
+        np.multiply(bits_per_block, rates,
+                    out=services[start:start + len(rates)])
+        start += len(rates)
     q = lindley_path(arrival_per_block, services)
     return QueueTrace(queue_lengths=q, services=services,
                       arrival_per_block=arrival_per_block, n_blocks=n_blocks,

@@ -12,7 +12,8 @@ two references: the LU form, a batched `slogdet` and a batched `solve` on
 rotated grams, and the same sums per draw in 40-digit mpmath, which stands
 in at high SNR, where the LU form loses digits. The Kronecker draw is the
 three-operand einsum whose bits the sampler's explicit accumulation must
-reproduce for real correlations. The queue trace writer is the
+reproduce for real correlations; its G comes from the two-draw complex
+Gaussian formula, the sampler's reference. The queue trace writer is the
 one-`csv.writer`-row-per-block version whose bytes the blocked library
 writer must reproduce. The zero-rate bit-energy intercept reads the
 minimum E_b/N0 off a figure curve for the acceptance checks.
@@ -26,7 +27,7 @@ from scipy import integrate
 from scipy import special as sps
 
 from effcap.asymptotics import _hankel_integrand_entry
-from effcap.channels import KroneckerCorrelated, _complex_gaussian
+from effcap.channels import KroneckerCorrelated
 from effcap.engine import LN2, EffCapEstimate, QosScenario, _LogMeanExp
 from effcap.errors import ConfigError, DomainError, NumericError
 
@@ -281,11 +282,18 @@ def write_trace_csv(trace, path: str) -> None:
             w.writerow([i, "%.12g" % q])
 
 
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circular complex Gaussians as the literal formula: two
+    draws, one per part, divided by sqrt(2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        / np.sqrt(2.0)
+
+
 def kronecker_sample(model: KroneckerCorrelated, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """n draws R_r^{1/2} G R_t^{1/2} mixed by one unoptimized einsum, from
     the same G that `model.sample_batch(n, rng)` draws."""
-    g = _complex_gaussian(rng, (n, model.n_r, model.n_t))
+    g = complex_gaussian(rng, (n, model.n_r, model.n_t))
     return np.einsum("ij,njk,kl->nil", model._sq_r, g, model._sq_t)
 
 

@@ -3,12 +3,12 @@ import pytest
 
 from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              IidComplexGaussian, KroneckerCorrelated,
-                             chunk_rng, hermitian_eig,
+                             _complex_gaussian, chunk_rng, hermitian_eig,
                              iter_sample_chunks, max_eig_subspace, mean_gram,
                              mean_gram_and_chunks, mean_gram_mc,
                              spectral_moments_mc)
 from effcap.errors import DomainError
-from oracles import kronecker_sample
+from oracles import complex_gaussian, kronecker_sample
 
 # E{lambda_max} and E{lambda_max^2} for the 2x2 i.i.d. complex case, from
 # the joint eigenvalue density (l1-l2)^2 exp(-l1-l2): computed analytically
@@ -33,6 +33,16 @@ class TestSampling:
         h = np.array([[1.0, bad], [0.5, 1.0]], dtype=complex)
         with pytest.raises(DomainError, match="FixedMatrix h must be finite"):
             FixedMatrix(h)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 5), (1, 1, 1), (7, 2, 5),
+                                       (CHUNK, 1, 1), (CHUNK, 4, 4)])
+    def test_complex_gaussian_matches_formula_bitwise(self, shape):
+        # one draw of both parts, scaled in place, against the two draws
+        # and the complex division by sqrt(2)
+        got = _complex_gaussian(np.random.default_rng(11), shape)
+        want = complex_gaussian(np.random.default_rng(11), shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_iid_unit_entry_variance(self):
         model = IidComplexGaussian(2, 2)

@@ -486,6 +486,75 @@ class TestCli:
         assert header == [k for k, _ in printed]
         assert row == [v for _, v in printed]
 
+    @pytest.mark.parametrize("argv", [
+        ("low-snr", "--samples", "2000"),
+        ("high-snr",),
+        ("sparse-wideband", "--samples", "2000") + SPARSE,
+    ])
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_report_written_to_output_path(self, argv, via, tmp_path,
+                                           monkeypatch, capsys):
+        # output.path names the one-row CSV however it is set, as --out does
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o.csv"
+        if via == "set":
+            given = ("--set", f"output.path={out}")
+        else:
+            given = ("--config", self.write_cfg(
+                tmp_path, f"output.path = {out}\n"))
+        assert run_cli(*argv, "--set", "scenario.theta_hat=1", *given) == 0
+        printed = [line.split(" = ", 1)
+                   for line in capsys.readouterr().out.splitlines()]
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == [k for k, _ in printed]
+        assert row == [v for _, v in printed]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["o.csv"] + (["run.cfg"] if via == "config" else []))
+
+    @pytest.mark.parametrize("argv", [
+        ("low-snr", "--samples", "2000"),
+        ("high-snr",),
+        ("sparse-wideband", "--samples", "2000") + SPARSE,
+    ])
+    def test_report_without_output_path_writes_nothing(self, argv, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--set", "scenario.theta_hat=1",
+                       "--quiet") == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "wideband", "--samples", "20000", "--seed", "0"),
+        ("reproduce-fig", "fig1", "--samples", "2000"),
+    ])
+    @pytest.mark.parametrize("key", ["scenario.n_r=4", "scenario.n_t=3",
+                                     "strategy.name=waterfilling",
+                                     "model.variant=kronecker",
+                                     "output.path=o.csv"])
+    def test_grid_commands_refuse_keys_they_do_not_read(
+            self, argv, key, tmp_path, monkeypatch, capsys):
+        # the figure and validation grids fix their own scenarios, so any
+        # key but mc.seed and mc.n_samples would be ignored without a word
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--set", key, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert key.split("=")[0] in err and "reads only" in err
+        cfg = self.write_cfg(tmp_path, key.replace("=", " = ") + "\n")
+        assert run_cli(*argv, "--config", cfg, "--quiet") == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    def test_grid_commands_take_mc_keys(self, tmp_path, capsys):
+        assert run_cli("validate", "wideband", "--set", "mc.n_samples=20000",
+                       "--set", "mc.seed=0") == 0
+        by_set = capsys.readouterr().out
+        assert run_cli("validate", "wideband", "--samples", "20000",
+                       "--seed", "0") == 0
+        assert by_set == capsys.readouterr().out
+        assert run_cli("reproduce-fig", "fig1", "--out", str(tmp_path),
+                       "--set", "mc.n_samples=2000", "--quiet") == 0
+        assert list(tmp_path.glob("*.csv"))
+
     def test_quiet_cases_cover_every_command(self):
         assert [argv[0] for argv in QUIET_ARGV] == list(cli.COMMANDS)
 

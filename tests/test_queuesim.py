@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from effcap import engine, queuesim
-from effcap.channels import FixedMatrix, IidComplexGaussian, KroneckerCorrelated
+from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
+                             KroneckerCorrelated)
 from effcap.engine import QosScenario, StatisticalOptimized, UniformIdentity
 from effcap.errors import DomainError, FitError
 from effcap.queuesim import (_CSV_GROUP_ROWS, QueueTrace,
@@ -29,6 +31,13 @@ def loop_lindley(arrival, services):
     return q
 
 
+def reflected_lindley(arrival, services):
+    """The reflection identity in whole-array form, the bits that
+    lindley_path must reproduce."""
+    s = np.cumsum(arrival - services)
+    return s - np.minimum.accumulate(np.minimum(s, 0.0))
+
+
 def make_trace(queue, warmup=0, services=None, arrival=1.0):
     queue = np.asarray(queue, dtype=float)
     if services is None:
@@ -46,6 +55,31 @@ class TestLindleyPath:
         want = loop_lindley(0.9, services)
         assert np.max(np.abs(got - want)) < 1e-9
         assert np.all(got >= 0.0)
+
+    # 3 CHUNKs plus a partial one, so the running minimum is carried
+    # across three block boundaries
+    @pytest.mark.parametrize("where", ["first", "last", "never"])
+    def test_blocked_minimum_matches_whole_array_bitwise(self, where):
+        n = 3 * CHUNK + 123
+        rng = np.random.default_rng(4)
+        services = rng.exponential(1.0, size=n)
+        arrival = 1.0
+        if where == "first":
+            # drains half a block, then refills for good
+            services[:CHUNK // 2] += 2.0
+            services[CHUNK // 2:] *= 0.5
+        elif where == "last":
+            services *= 0.5
+            services[-100:] += 3 * CHUNK  # the minimum falls in the tail
+        else:
+            arrival = 0.5 * services.min()  # S only falls: Q stays 0
+        got = lindley_path(arrival, services)
+        want = reflected_lindley(arrival, services)
+        s = np.cumsum(arrival - services)
+        at = int(np.argmin(s))
+        assert {"first": at < CHUNK, "last": at >= 3 * CHUNK,
+                "never": s.max() < 0}[where]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_service_dominates_arrival(self):
         assert np.all(lindley_path(1.0, np.full(100, 2.0)) == 0.0)
@@ -82,6 +116,37 @@ class TestSimulateQueue:
                            150_000, 3)
         assert np.array_equal(a.queue_lengths, b.queue_lengths)
         assert np.array_equal(a.services, b.services)
+
+    @pytest.mark.parametrize("model", [IidComplexGaussian(1, 1),
+                                       IidComplexGaussian(2, 2)])
+    def test_services_match_concatenated_chunks_bitwise(self, model):
+        sc = scen(1.0, model.n_r, model.n_t)
+        n = 7 * CHUNK + 5
+        trace = simulate_queue(sc, model, UniformIdentity(), 10.0, 100.0,
+                               n, 2)
+        want = np.concatenate([
+            T * B * engine.chunk_rates(ev, UniformIdentity(), 10.0,
+                                       model.n_r, model.n_t)
+            for ev in engine.strategy_spectra(model, UniformIdentity(), n,
+                                              2)])
+        assert np.array_equal(trace.services.view(np.uint64),
+                              want.view(np.uint64))
+
+    def test_peak_memory_per_block(self):
+        # services and queue are 2 x 8 bytes per block; the rest is one
+        # chunk. Whole-array temporaries in the Lindley pass and a list of
+        # service chunks joined by np.concatenate peaked at 4 x 8.
+        n = 1_000_000
+        args = (scen(1.0), IidComplexGaussian(1, 1), UniformIdentity(),
+                10.0, 300.0)
+        simulate_queue(*args, 100_000, 0)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            simulate_queue(*args, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
     def test_block_count_validated(self):
         with pytest.raises(DomainError):
