@@ -33,10 +33,12 @@ THETA_TOLERANCE = 0.15
 
 @dataclass(frozen=True)
 class QueueTrace:
-    """Sample path of the buffer occupancy, one entry per block boundary."""
+    """Sample path of the buffer occupancy, one entry per block boundary,
+    with the smallest and largest service of the run."""
 
     queue_lengths: np.ndarray  # bits
-    services: np.ndarray  # bits per block
+    service_min: float  # bits per block
+    service_max: float  # bits per block
     arrival_per_block: float
     n_blocks: int
     warmup_blocks: int
@@ -44,14 +46,6 @@ class QueueTrace:
     @property
     def stationary(self) -> np.ndarray:
         return self.queue_lengths[self.warmup_blocks:]
-
-    @property
-    def service_mean(self) -> float:
-        return float(self.services.mean())
-
-    @property
-    def service_variance(self) -> float:
-        return float(self.services.var())
 
 
 @dataclass(frozen=True)
@@ -62,23 +56,39 @@ class TailFit:
     n_points: int
 
 
+def _lindley_chunk(d: np.ndarray, s: float, low: float):
+    """Turn d, one chunk of (arrival - service), into queue lengths in place.
+
+    s is the running sum S and low the running minimum of min(S, 0) carried
+    from the blocks before the chunk; the chunk's last ones are returned.
+    Adding s to the first entry before the in-place cumsum gives each S the
+    bits of one whole-array cumsum, which also adds in order; a minimum is
+    exact, so the chunks move no bit.
+    """
+    d[0] += s
+    np.cumsum(d, out=d)
+    s = d[-1]
+    floor = np.minimum(d, low)
+    np.minimum.accumulate(floor, out=floor)
+    d -= floor
+    return s, floor[-1]
+
+
 def lindley_path(arrival: float, services: np.ndarray) -> np.ndarray:
     """Queue lengths after each block, starting from an empty buffer.
 
     Uses the reflection identity Q[n] = S[n] - min(0, min_{k<=n} S[k]) with
     S the cumulative sum of (arrival - service), which is the Lindley
-    recursion unrolled. S is built in the output array, and the running
-    minimum is taken and subtracted one CHUNK of blocks at a time, carried
-    from block to block; a minimum is exact, so the blocks move no bit.
+    recursion unrolled. The output array holds (arrival - service) and is
+    turned into the queue one CHUNK of blocks at a time (`_lindley_chunk`,
+    the step `simulate_queue` also runs); the result is bitwise that of the
+    whole-array formula.
     """
     q = np.subtract(arrival, services)
-    np.cumsum(q, out=q)
-    low = 0.0
+    # -0.0 is the additive identity, so the first block keeps its bits
+    s, low = -0.0, 0.0
     for start in range(0, len(q), CHUNK):
-        block = q[start:start + CHUNK]
-        floor = np.minimum.accumulate(np.minimum(block, low))
-        low = floor[-1]
-        block -= floor
+        s, low = _lindley_chunk(q[start:start + CHUNK], s, low)
     return q
 
 
@@ -87,33 +97,91 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
                    arrival_per_block: float, n_blocks: int,
                    seed: int) -> QueueTrace:
     """Run the Lindley recursion over n_blocks i.i.d. fading blocks;
-    StatisticalOptimized is refused, resolve it to a FixedCovariance."""
+    StatisticalOptimized is refused, resolve it to a FixedCovariance.
+
+    Each chunk's services are written into the queue array's slice and
+    turned there into queue lengths, so the queue is the one whole-trace
+    array; it is bitwise lindley_path over the joined services.
+    """
     if n_blocks < _MIN_BLOCKS:
         raise DomainError(f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
     if arrival_per_block < 0:
         raise DomainError("arrival_per_block must be >= 0")
     check_shape(scenario, model)
     bits_per_block = scenario.t * scenario.b
-    services = np.empty(n_blocks)
+    q = np.empty(n_blocks)
+    s, low = -0.0, 0.0
+    s_min, s_max = math.inf, -math.inf
     start = 0
     for ev in strategy_spectra(model, strategy, n_blocks, seed):
         rates = chunk_rates(ev, strategy, snr, scenario.n_r, model.n_t)
-        np.multiply(bits_per_block, rates,
-                    out=services[start:start + len(rates)])
-        start += len(rates)
-    q = lindley_path(arrival_per_block, services)
-    return QueueTrace(queue_lengths=q, services=services,
+        d = q[start:start + len(rates)]
+        np.multiply(bits_per_block, rates, out=d)
+        s_min, s_max = min(s_min, d.min()), max(s_max, d.max())
+        np.subtract(arrival_per_block, d, out=d)
+        s, low = _lindley_chunk(d, s, low)
+        start += len(d)
+    return QueueTrace(queue_lengths=q, service_min=float(s_min),
+                      service_max=float(s_max),
                       arrival_per_block=arrival_per_block, n_blocks=n_blocks,
                       warmup_blocks=int(n_blocks * _WARMUP_FRACTION))
 
 
+def _tail_quantiles(q: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """np.quantile(q, levels) for ascending levels, bitwise, from the top of
+    q only.
+
+    The 'linear' rule reads ranks floor((n-1)*levels[0]) to n-1, k values.
+    A buffer of at most 2k + CHUNK keeps the k largest seen so far: each
+    CHUNK adds its values above the k-th largest at the last cut, and the
+    buffer is cut back to its k largest when it reaches 2k. A dropped value
+    is no larger than k values the buffer holds, so the k largest values of
+    q survive. Then NumPy's interpolation: v = (n-1)*level, gamma =
+    v - floor(v), a + (b-a)*gamma, or b - (b-a)*(1-gamma) where gamma >=
+    0.5. q must be finite: NaN would be dropped, not propagated.
+    """
+    n = len(q)
+    v = (n - 1) * levels
+    prev = np.floor(v)
+    lo = int(prev[0])
+    k = n - lo
+    buf = np.empty(min(n, 2 * k + CHUNK))
+    m, cut = 0, -math.inf
+    for start in range(0, n, CHUNK):
+        block = q[start:start + CHUNK]
+        keep = block[block > cut]
+        buf[m:m + len(keep)] = keep
+        m += len(keep)
+        if m >= 2 * k:
+            buf[:m].partition(m - k)
+            cut = buf[m - k]
+            buf[:k] = buf[m - k:m]
+            m = k
+    top = buf[:m]
+    top.partition(m - k)
+    top = top[m - k:]
+    top.sort()
+    i = prev.astype(np.intp) - lo
+    a, b = top[i], top[np.minimum(i + 1, k - 1)]
+    gamma = v - prev
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
-    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window."""
+    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window.
+
+    Its quantiles are bitwise np.quantile's, from a buffer of the top values
+    (`_tail_quantiles`); a non-finite trace is refused with FitError.
+    """
     q = trace.stationary
     if len(q) == 0:
         raise FitError("stationary segment is empty")
+    # min and max propagate NaN
+    if not np.isfinite([q.min(), q.max()]).all():
+        raise FitError("queue trace is not finite")
     levels = np.linspace(*TAIL_QUANTILES, 60)
-    qs = np.quantile(q, levels)
+    qs = _tail_quantiles(q, levels)
     # collapse duplicate quantile values (flat CDF regions carry no slope
     # information and would just be repeated points)
     qs_round = np.round(qs, 12)
@@ -175,10 +243,9 @@ def validate_and_trace(scenario: QosScenario, model: ChannelModel,
                            n_blocks, seed + 1)
     q = trace.stationary
     # deterministic service above the arrival rate: the tail law holds
-    # trivially (the queue never grows), nothing to fit; the variance pass
-    # over the services runs only for a queue that never grew
-    if float(q.max(initial=0.0)) == 0.0 and trace.service_variance \
-            < 1e-20 * max(1.0, trace.service_mean ** 2):
+    # trivially (the queue never grows), nothing to fit
+    if float(q.max(initial=0.0)) == 0.0 and trace.service_max \
+            - trace.service_min <= 1e-10 * max(1.0, trace.service_max):
         return ThetaValidation(scenario.theta, math.nan, True, True, arrival,
                                math.nan, 0), trace
     fit = estimate_tail_exponent(trace)

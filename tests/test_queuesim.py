@@ -7,7 +7,8 @@ import pytest
 from effcap import engine, queuesim
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated)
-from effcap.engine import QosScenario, StatisticalOptimized, UniformIdentity
+from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
+                           UniformIdentity)
 from effcap.errors import DomainError, FitError
 from effcap.queuesim import (_CSV_GROUP_ROWS, QueueTrace,
                              estimate_tail_exponent, lindley_path,
@@ -38,13 +39,18 @@ def reflected_lindley(arrival, services):
     return s - np.minimum.accumulate(np.minimum(s, 0.0))
 
 
-def make_trace(queue, warmup=0, services=None, arrival=1.0):
+def make_trace(queue, warmup=0, arrival=1.0):
     queue = np.asarray(queue, dtype=float)
-    if services is None:
-        services = np.ones_like(queue)
-    return QueueTrace(queue_lengths=queue, services=services,
+    return QueueTrace(queue_lengths=queue, service_min=1.0, service_max=1.0,
                       arrival_per_block=arrival, n_blocks=len(queue),
                       warmup_blocks=warmup)
+
+
+def joined_services(model, strategy, n_blocks, seed, snr=10.0):
+    """The services simulate_queue draws, as one array of T*B*chunk_rates."""
+    return np.concatenate([
+        T * B * engine.chunk_rates(ev, strategy, snr, model.n_r, model.n_t)
+        for ev in engine.strategy_spectra(model, strategy, n_blocks, seed)])
 
 
 class TestLindleyPath:
@@ -100,11 +106,12 @@ class TestSimulateQueue:
         model = IidComplexGaussian(1, 1)
         trace = simulate_queue(sc, model, UniformIdentity(), 10.0,
                                0.95 * T * B * 2.0, 200_000, 0)
+        services = joined_services(model, UniformIdentity(), 200_000, 0)
         # arrival below E{service} (about 290 bits/block at snr 10):
         # the queue keeps returning to zero
-        assert trace.service_mean > trace.arrival_per_block
+        assert services.mean() > trace.arrival_per_block
         assert float((trace.stationary == 0.0).mean()) > 0.01
-        want = loop_lindley(trace.arrival_per_block, trace.services)
+        want = loop_lindley(trace.arrival_per_block, services)
         assert np.max(np.abs(trace.queue_lengths - want)) < 1e-6
 
     def test_replay_is_deterministic(self):
@@ -115,27 +122,35 @@ class TestSimulateQueue:
         b = simulate_queue(sc, model, UniformIdentity(), 10.0, 100.0,
                            150_000, 3)
         assert np.array_equal(a.queue_lengths, b.queue_lengths)
-        assert np.array_equal(a.services, b.services)
+        assert (a.service_min, a.service_max) \
+            == (b.service_min, b.service_max)
 
+    # the Lindley pass run chunk by chunk inside the service loop gives the
+    # bits of lindley_path over the joined services, for the small-gram
+    # spectra and for a fixed K's eigvalsh(H K H^dagger)
     @pytest.mark.parametrize("model", [IidComplexGaussian(1, 1),
                                        IidComplexGaussian(2, 2)])
     def test_services_match_concatenated_chunks_bitwise(self, model):
         sc = scen(1.0, model.n_r, model.n_t)
         n = 7 * CHUNK + 5
-        trace = simulate_queue(sc, model, UniformIdentity(), 10.0, 100.0,
-                               n, 2)
-        want = np.concatenate([
-            T * B * engine.chunk_rates(ev, UniformIdentity(), 10.0,
-                                       model.n_r, model.n_t)
-            for ev in engine.strategy_spectra(model, UniformIdentity(), n,
-                                              2)])
-        assert np.array_equal(trace.services.view(np.uint64),
-                              want.view(np.uint64))
+        k = np.diag(np.linspace(2.0, 1.0, model.n_t))
+        for strategy in (UniformIdentity(), FixedCovariance(k / k.trace())):
+            services = joined_services(model, strategy, n, 2)
+            # below the mean service, so the queue both grows and empties
+            arrival = 0.9 * services.mean()
+            trace = simulate_queue(sc, model, strategy, 10.0, arrival, n, 2)
+            want = lindley_path(arrival, services)
+            assert np.array_equal(trace.queue_lengths.view(np.uint64),
+                                  want.view(np.uint64))
+            assert 0.01 < float((trace.queue_lengths > 0).mean()) < 0.99
+            assert (trace.service_min, trace.service_max) \
+                == (services.min(), services.max())
 
     def test_peak_memory_per_block(self):
-        # services and queue are 2 x 8 bytes per block; the rest is one
-        # chunk. Whole-array temporaries in the Lindley pass and a list of
-        # service chunks joined by np.concatenate peaked at 4 x 8.
+        # the queue is the one array, 8 bytes per block; the rest is one
+        # chunk. Keeping the services beside the queue peaked at 2.05 x 8,
+        # and whole-array temporaries in the Lindley pass with a list of
+        # service chunks joined by np.concatenate at 4 x 8.
         n = 1_000_000
         args = (scen(1.0), IidComplexGaussian(1, 1), UniformIdentity(),
                 10.0, 300.0)
@@ -146,7 +161,7 @@ class TestSimulateQueue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n
+        assert peak <= 1.25 * 8 * n
 
     def test_block_count_validated(self):
         with pytest.raises(DomainError):
@@ -186,6 +201,34 @@ class TestEstimateTailExponent:
         fit = estimate_tail_exponent(trace)
         assert abs(fit.theta_est - 1.0) < 0.05
 
+    # the quantile buffer's > cut filter would drop a NaN that np.quantile
+    # propagates, and an infinite queue length is no sample path either
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_raises(self, bad):
+        rng = np.random.default_rng(8)
+        queue = rng.exponential(1.0, size=50_000)
+        queue[30_000] = bad
+        with pytest.raises(FitError, match="not finite"):
+            estimate_tail_exponent(make_trace(queue, warmup=5_000))
+
+    def test_peak_memory_per_block(self):
+        # above the trace, the fit holds at most 2k + CHUNK values, with k
+        # the top 10% of the stationary trace; the np.quantile copy of the
+        # stationary 90% peaked at 0.9 x 8 bytes per block
+        n = 1_000_000
+        rng = np.random.default_rng(9)
+        queue = rng.exponential(1.0, size=n)
+        queue[rng.random(n) < 0.5] = 0.0
+        trace = make_trace(queue, warmup=n // 10)
+        estimate_tail_exponent(make_trace(queue[:100_000]))  # warm caches
+        tracemalloc.start()
+        try:
+            estimate_tail_exponent(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n
+
 
 class TestValidateTheta:
     def test_siso_rayleigh_passes(self):
@@ -220,17 +263,21 @@ class TestValidateTheta:
         assert math.isnan(res.tail_r_squared)
         assert res.tail_n_points == 0
 
-    def test_service_variance_only_for_a_queue_that_never_grew(
-            self, monkeypatch):
-        # the queue grows here, so the pass over the services is skipped
-        def boom(self):
-            raise AssertionError("service_variance read")
-
-        monkeypatch.setattr(QueueTrace, "service_variance", property(boom))
-        res = validate_theta(scen(1.0), IidComplexGaussian(1, 1),
-                             UniformIdentity(), 10.0, 100_000, 0,
-                             n_samples=20_000)
+    def test_service_spread_only_for_a_queue_that_never_grew(self):
+        # deterministic service below the arrival: the queue grows, so the
+        # run is fitted, not vacuous
+        fixed = FixedMatrix(np.array([[2.0 + 0j]]))
+        res, trace = validate_and_trace(scen(1.0), fixed, UniformIdentity(),
+                                        1.0, 200_000, 0, arrival_scale=1.1)
+        assert trace.service_max == trace.service_min
         assert not res.vacuous
+        assert res.tail_n_points >= 20
+        # no arrivals and random service: the queue never grew, but the
+        # service spread, so the run is not vacuous and has no tail to fit
+        with pytest.raises(FitError):
+            validate_theta(scen(1.0), IidComplexGaussian(1, 1),
+                           UniformIdentity(), 10.0, 100_000, 0,
+                           arrival_scale=0.0, n_samples=20_000)
 
     def test_theta_zero_rejected(self):
         with pytest.raises(DomainError):
