@@ -1,7 +1,7 @@
 """Command-line entry point, and the one module of effcap that prints.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric
-error.
+Exit codes: 0 success, 1 validation failure, 2 config error (a config or
+output path that cannot be read or written included), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -243,7 +243,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
+        # an OSError is a config or output path that cannot be read or
+        # written, and its message names the path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FitError) as exc:

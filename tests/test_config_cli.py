@@ -590,8 +590,28 @@ class TestCli:
             assert p.read_text().splitlines()[0].startswith("snr_db")
 
     def test_reproduce_fig_unknown_name(self, tmp_path):
-        assert run_cli("reproduce-fig", "fig99", "--out", str(tmp_path),
-                       "--quiet") == 2
+        # the name is refused before the output directory is made
+        assert run_cli("reproduce-fig", "fig99", "--out",
+                       str(tmp_path / "new"), "--quiet") == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--config", "{tmp}/missing.cfg"),
+        ("queue-validate", "--set", "scenario.theta_hat=1.0", "--blocks",
+         "100000", "--samples", "2000", "--trace-out",
+         "{tmp}/nodir/trace.csv"),
+        ("reproduce-fig", "fig1", "--samples", "2000", "--out",
+         "{tmp}/taken"),
+    ], ids=["missing-config", "trace-out-dir", "out-is-a-file"])
+    def test_unusable_path_is_a_config_error(self, argv, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run_cli(*argv, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and argv[-1] in err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == ""
 
 
 def test_version_matches_pyproject():

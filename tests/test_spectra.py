@@ -16,6 +16,7 @@ from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp, bit_energy_curve,
                            chunk_rates, effective_rate_mc, ergodic_rate_mc,
                            rate_estimator)
+from effcap.errors import ConfigError
 from effcap.figures import reproduce_figure, sweep_rows
 
 T, B = 1e-3, 1e5
@@ -135,7 +136,8 @@ def antenna_row(theta_hat, n_r, n_t, db):
             sc.theta_hat, n_r, n_t, N, SEED)
 
 
-@pytest.mark.parametrize("name,n_r,n_t", [("fig1", 1, 1), ("fig3", 2, 5)])
+@pytest.mark.parametrize("name,n_r,n_t", [("fig1", 1, 1), ("fig2", 1, 1),
+                                          ("fig3", 2, 5)])
 def test_antenna_figure_rows_equal_per_point_estimates(name, n_r, n_t,
                                                        tmp_path):
     thetas, grid = (0.0, 0.5, 5.0), [-10.0, 0.0, 10.0]
@@ -144,6 +146,22 @@ def test_antenna_figure_rows_equal_per_point_estimates(name, n_r, n_t,
     assert len(curves) == len(thetas)
     for curve, th in zip(curves, thetas):
         assert curve.rows == [antenna_row(th, n_r, n_t, db) for db in grid]
+
+
+def test_fig4_rows_equal_per_point_estimates(tmp_path):
+    # fig4's curve values are n_T, at theta_hat = 1 on n_R = 2
+    grid = [-10.0, 0.0, 10.0]
+    curves = reproduce_figure("fig4", out_dir=str(tmp_path), n_samples=N,
+                              seed=SEED, theta_values=(2, 3), snr_db=grid)
+    assert [c.label for c in curves] == ["nT2", "nT3"]
+    for curve, n_t in zip(curves, (2, 3)):
+        assert curve.rows == [antenna_row(1.0, 2, n_t, db) for db in grid]
+
+
+def test_unknown_figure_creates_nothing(tmp_path):
+    with pytest.raises(ConfigError, match="fig99"):
+        reproduce_figure("fig99", out_dir=str(tmp_path / "new"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fig6_rows_equal_per_point_estimates(tmp_path):
