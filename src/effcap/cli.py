@@ -16,8 +16,8 @@ from .config import RunConfig, apply_overrides, parse_kv_text
 from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, bit_energy_curve)
 from .errors import ConfigError, DomainError, FitError, NumericError
-from .figures import _write_csv, reproduce_figure, run_sweep
-from .queuesim import validate_and_trace, write_trace_csv
+from .figures import _claim, _write_csv, reproduce_figure, run_sweep
+from .queuesim import validate_theta
 from .validation import SUITES, run_validation
 
 EXIT_OK = 0
@@ -72,7 +72,9 @@ def _report(args, fields, out=None):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    path = run_sweep(cfg)
+    path = cfg.kv["output.path"]
+    with _claim(path) as tmp:
+        run_sweep(cfg, tmp)
     _say(args, f"wrote {path}")
     return EXIT_OK
 
@@ -80,11 +82,12 @@ def cmd_sweep(args) -> int:
 def cmd_bit_energy(args) -> int:
     cfg = _load_config(args)
     grid = 10.0 ** (cfg.sweep_grid_db() / 10.0)
-    rows = bit_energy_curve(cfg.scenario(), cfg.model(), cfg.strategy(),
-                            grid, cfg.n_samples, cfg.seed,
-                            normalized_per_rx=False)
     path = cfg.kv["output.path"]
-    _write_csv(path, ["eb_n0_db", "rate_bits_s_hz"], rows)
+    with _claim(path) as tmp:
+        rows = bit_energy_curve(cfg.scenario(), cfg.model(), cfg.strategy(),
+                                grid, cfg.n_samples, cfg.seed,
+                                normalized_per_rx=False)
+        _write_csv(tmp, ["eb_n0_db", "rate_bits_s_hz"], rows)
     _say(args, f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
 
@@ -109,20 +112,26 @@ def cmd_low_snr(args) -> int:
                           f"{type(strategy).__name__} (strategy.name = "
                           f"{cfg.kv['strategy.name']})")
     moments, derivs = _LOW_SNR[type(strategy)]
-    d = derivs(moments(model, cfg.n_samples, cfg.seed), sc)
-    em = asy.energy_metrics(d)
-    _report(args, [("regime", d.regime), ("first_deriv", d.first_deriv),
-                   ("second_deriv", d.second_deriv),
-                   ("eb_n0_min_db", em.eb_min_db),
-                   ("wideband_slope_s0", em.wideband_slope_s0)], args.out)
+    with _claim(args.out) as out:
+        d = derivs(moments(model, cfg.n_samples, cfg.seed), sc)
+        em = asy.energy_metrics(d)
+        _report(args, [("regime", d.regime), ("first_deriv", d.first_deriv),
+                       ("second_deriv", d.second_deriv),
+                       ("eb_n0_min_db", em.eb_min_db),
+                       ("wideband_slope_s0", em.wideband_slope_s0)], out)
     return EXIT_OK
 
 
 def cmd_high_snr(args) -> int:
     cfg = _load_config(args)
-    m = asy.highsnr_metrics(cfg.scenario(), cfg.model())
-    _report(args, [("s_inf", m.s_inf), ("l_inf", m.l_inf),
-                   ("regime", m.regime_note)], args.out)
+    # the slope and offset are the uniform input's
+    if cfg.kv["strategy.name"] != "uniform":
+        raise ConfigError(f"high-snr has metrics only for strategy.name = "
+                          f"uniform; refused {cfg.kv['strategy.name']}")
+    with _claim(args.out) as out:
+        m = asy.highsnr_metrics(cfg.scenario(), cfg.model())
+        _report(args, [("s_inf", m.s_inf), ("l_inf", m.l_inf),
+                       ("regime", m.regime_note)], out)
     return EXIT_OK
 
 
@@ -136,22 +145,23 @@ def cmd_sparse_wideband(args) -> int:
     sc = cfg.scenario()
     model = cfg.model()
     strategy = cfg.strategy()
-    eb_b, eb_b_db = asy.sparse_ebmin_bounded(swc, sc, model, strategy,
-                                             cfg.n_samples, cfg.seed)
-    eb_s, eb_s_db = asy.sparse_ebmin_sublinear(model, strategy,
-                                               cfg.n_samples, cfg.seed)
-    _report(args, [("ebmin_bounded", eb_b), ("ebmin_bounded_db", eb_b_db),
-                   ("ebmin_sublinear", eb_s),
-                   ("ebmin_sublinear_db", eb_s_db)], args.out)
+    with _claim(args.out) as out:
+        eb_b, eb_b_db = asy.sparse_ebmin_bounded(swc, sc, model, strategy,
+                                                 cfg.n_samples, cfg.seed)
+        eb_s, eb_s_db = asy.sparse_ebmin_sublinear(model, strategy,
+                                                   cfg.n_samples, cfg.seed)
+        _report(args, [("ebmin_bounded", eb_b), ("ebmin_bounded_db", eb_b_db),
+                       ("ebmin_sublinear", eb_s),
+                       ("ebmin_sublinear_db", eb_s_db)], out)
     return EXIT_OK
 
 
 def cmd_queue_validate(args) -> int:
     cfg = _load_config(args)
     snr = 10.0 ** (args.snr_db / 10.0)
-    res, trace = validate_and_trace(cfg.scenario(), cfg.model(),
-                                    cfg.strategy(), snr, args.blocks,
-                                    cfg.seed, n_samples=cfg.n_samples)
+    res = validate_theta(cfg.scenario(), cfg.model(), cfg.strategy(), snr,
+                         args.blocks, cfg.seed, n_samples=cfg.n_samples,
+                         trace_path=args.trace_out)
     # the rate in full, so that it and the seed rebuild the trace
     _report(args, [("theta_target", res.theta_target),
                    ("theta_est", res.theta_est),
@@ -161,7 +171,6 @@ def cmd_queue_validate(args) -> int:
                    ("arrival_per_block", f"{res.arrival_per_block:.17g}"),
                    ("trace_seed", cfg.seed + 1)])
     if args.trace_out:
-        write_trace_csv(trace, args.trace_out)
         _say(args, f"wrote {args.trace_out}")
     return EXIT_OK if res.passed else EXIT_VALIDATION
 

@@ -6,7 +6,9 @@ stays trivial. All numeric cells use 12 significant digits.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import functools
 import math
 import os
@@ -24,6 +26,36 @@ SWEEP_COLUMNS = ["snr_db", "snr_linear", "rate_bits_s_hz", "rate_per_dim",
                  "n_T", "n_samples", "seed"]
 
 _T, _B = KEYS["scenario.t"].default, KEYS["scenario.b"].default
+
+
+@contextlib.contextmanager
+def _claim(path: str | None):
+    """Yield a new empty file beside path for the block to write in full,
+    then move it onto path; yield None for no path (None or empty).
+
+    Making the file first refuses an unwritable path before any work. A
+    block that raises leaves no file of its own, and path as it was. The
+    file gets the mode of a plain open(path, "wb"), 0666 less the umask,
+    not mkstemp's 0600.
+    """
+    if not path:
+        yield None
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        open(tmp, "xb").close()
+    except OSError as exc:
+        # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_csv(path: str, header, rows) -> None:

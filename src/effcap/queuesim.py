@@ -8,6 +8,7 @@ that the effective-capacity computation promises.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .engine import (CovarianceStrategy, FixedCovariance, QosScenario,
                      effective_rate_mc, optimize_covariance_statistical,
                      strategy_spectra)
 from .errors import DomainError, FitError
+from .figures import _claim
 
 _MIN_BLOCKS = 100_000
 _WARMUP_FRACTION = 0.10
@@ -92,6 +94,46 @@ def lindley_path(arrival: float, services: np.ndarray) -> np.ndarray:
     return q
 
 
+class _QueueChunks:
+    """The queue of simulate_queue, iterated one CHUNK of blocks at a time.
+
+    Each chunk's services are drawn into one reused buffer, which the next
+    chunk overwrites, and turned there into queue lengths, with the running
+    sum and minimum carried (`_lindley_chunk`): the joined chunks are
+    bitwise lindley_path over the joined services. service_min and
+    service_max hold the extremes of the services drawn so far.
+    """
+
+    def __init__(self, scenario: QosScenario, model: ChannelModel,
+                 strategy: CovarianceStrategy, snr: float,
+                 arrival_per_block: float, n_blocks: int, seed: int):
+        if n_blocks < _MIN_BLOCKS:
+            raise DomainError(
+                f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
+        if arrival_per_block < 0:
+            raise DomainError("arrival_per_block must be >= 0")
+        check_shape(scenario, model)
+        self.args = (scenario, model, strategy, snr, arrival_per_block,
+                     n_blocks, seed)
+        self.service_min, self.service_max = math.inf, -math.inf
+
+    def __iter__(self):
+        scenario, model, strategy, snr, arrival, n_blocks, seed = self.args
+        bits_per_block = scenario.t * scenario.b
+        buf = np.empty(CHUNK)
+        # -0.0 is the additive identity, so the first block keeps its bits
+        s, low = -0.0, 0.0
+        for ev in strategy_spectra(model, strategy, n_blocks, seed):
+            rates = chunk_rates(ev, strategy, snr, scenario.n_r, model.n_t)
+            d = buf[:len(rates)]
+            np.multiply(bits_per_block, rates, out=d)
+            self.service_min = min(self.service_min, d.min())
+            self.service_max = max(self.service_max, d.max())
+            np.subtract(arrival, d, out=d)
+            s, low = _lindley_chunk(d, s, low)
+            yield d
+
+
 def simulate_queue(scenario: QosScenario, model: ChannelModel,
                    strategy: CovarianceStrategy, snr: float,
                    arrival_per_block: float, n_blocks: int,
@@ -99,64 +141,56 @@ def simulate_queue(scenario: QosScenario, model: ChannelModel,
     """Run the Lindley recursion over n_blocks i.i.d. fading blocks;
     StatisticalOptimized is refused, resolve it to a FixedCovariance.
 
-    Each chunk's services are written into the queue array's slice and
-    turned there into queue lengths, so the queue is the one whole-trace
-    array; it is bitwise lindley_path over the joined services.
+    The chunks of `_QueueChunks` are copied into the queue array, the one
+    whole-trace array; it is bitwise lindley_path over the joined services.
     """
-    if n_blocks < _MIN_BLOCKS:
-        raise DomainError(f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
-    if arrival_per_block < 0:
-        raise DomainError("arrival_per_block must be >= 0")
-    check_shape(scenario, model)
-    bits_per_block = scenario.t * scenario.b
+    chunks = _QueueChunks(scenario, model, strategy, snr, arrival_per_block,
+                          n_blocks, seed)
     q = np.empty(n_blocks)
-    s, low = -0.0, 0.0
-    s_min, s_max = math.inf, -math.inf
     start = 0
-    for ev in strategy_spectra(model, strategy, n_blocks, seed):
-        rates = chunk_rates(ev, strategy, snr, scenario.n_r, model.n_t)
-        d = q[start:start + len(rates)]
-        np.multiply(bits_per_block, rates, out=d)
-        s_min, s_max = min(s_min, d.min()), max(s_max, d.max())
-        np.subtract(arrival_per_block, d, out=d)
-        s, low = _lindley_chunk(d, s, low)
+    for d in chunks:
+        q[start:start + len(d)] = d
         start += len(d)
-    return QueueTrace(queue_lengths=q, service_min=float(s_min),
-                      service_max=float(s_max),
+    return QueueTrace(queue_lengths=q, service_min=float(chunks.service_min),
+                      service_max=float(chunks.service_max),
                       arrival_per_block=arrival_per_block, n_blocks=n_blocks,
                       warmup_blocks=int(n_blocks * _WARMUP_FRACTION))
 
 
-def _tail_quantiles(q: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _tail_quantiles(chunks, n: int, levels: np.ndarray) -> np.ndarray:
     """np.quantile(q, levels) for ascending levels, bitwise, from the top of
-    q only.
+    q only, q being the n values of chunks (arrays of any lengths) joined.
 
     The 'linear' rule reads ranks floor((n-1)*levels[0]) to n-1, k values.
     A buffer of at most 2k + CHUNK keeps the k largest seen so far: each
-    CHUNK adds its values above the k-th largest at the last cut, and the
-    buffer is cut back to its k largest when it reaches 2k. A dropped value
-    is no larger than k values the buffer holds, so the k largest values of
-    q survive. Then NumPy's interpolation: v = (n-1)*level, gamma =
-    v - floor(v), a + (b-a)*gamma, or b - (b-a)*(1-gamma) where gamma >=
-    0.5. q must be finite: NaN would be dropped, not propagated.
+    CHUNK of values adds those above the k-th largest at the last cut, and
+    the buffer is cut back to its k largest when it reaches 2k. A dropped
+    value is no larger than k values the buffer holds, so the k largest
+    values of q survive, whatever the partition. Then NumPy's
+    interpolation: v = (n-1)*level, gamma = v - floor(v), a + (b-a)*gamma,
+    or b - (b-a)*(1-gamma) where gamma >= 0.5. A non-finite q is refused
+    with FitError, since the cut would drop a NaN, not propagate it.
     """
-    n = len(q)
     v = (n - 1) * levels
     prev = np.floor(v)
     lo = int(prev[0])
     k = n - lo
     buf = np.empty(min(n, 2 * k + CHUNK))
     m, cut = 0, -math.inf
-    for start in range(0, n, CHUNK):
-        block = q[start:start + CHUNK]
-        keep = block[block > cut]
-        buf[m:m + len(keep)] = keep
-        m += len(keep)
-        if m >= 2 * k:
-            buf[:m].partition(m - k)
-            cut = buf[m - k]
-            buf[:k] = buf[m - k:m]
-            m = k
+    for chunk in chunks:
+        for start in range(0, len(chunk), CHUNK):
+            block = chunk[start:start + CHUNK]
+            # min and max propagate NaN
+            if not np.isfinite([block.min(), block.max()]).all():
+                raise FitError("queue trace is not finite")
+            keep = block[block > cut]
+            buf[m:m + len(keep)] = keep
+            m += len(keep)
+            if m >= 2 * k:
+                buf[:m].partition(m - k)
+                cut = buf[m - k]
+                buf[:k] = buf[m - k:m]
+                m = k
     top = buf[:m]
     top.partition(m - k)
     top = top[m - k:]
@@ -168,20 +202,12 @@ def _tail_quantiles(q: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
-    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window.
+_TAIL_LEVELS = np.linspace(*TAIL_QUANTILES, 60)
 
-    Its quantiles are bitwise np.quantile's, from a buffer of the top values
-    (`_tail_quantiles`); a non-finite trace is refused with FitError.
-    """
-    q = trace.stationary
-    if len(q) == 0:
-        raise FitError("stationary segment is empty")
-    # min and max propagate NaN
-    if not np.isfinite([q.min(), q.max()]).all():
-        raise FitError("queue trace is not finite")
-    levels = np.linspace(*TAIL_QUANTILES, 60)
-    qs = _tail_quantiles(q, levels)
+
+def _fit_tail(qs: np.ndarray) -> TailFit:
+    """Least-squares slope of log P(Q >= q) on the quantiles qs of the
+    stationary queue at _TAIL_LEVELS."""
     # collapse duplicate quantile values (flat CDF regions carry no slope
     # information and would just be repeated points)
     qs_round = np.round(qs, 12)
@@ -191,13 +217,25 @@ def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
         raise FitError(
             f"only {len(keep)} distinct tail points in the quantile window")
     x = qs[keep]
-    y = np.log(1.0 - levels[keep])
+    y = np.log(1.0 - _TAIL_LEVELS[keep])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     return TailFit(theta_est=float(-slope), r_squared=max(0.0, min(1.0, r2)),
                    q_range=(float(x[0]), float(x[-1])), n_points=len(keep))
+
+
+def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
+    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window.
+
+    Its quantiles are bitwise np.quantile's, from a buffer of the top values
+    (`_tail_quantiles`); a non-finite trace is refused with FitError.
+    """
+    q = trace.stationary
+    if len(q) == 0:
+        raise FitError("stationary segment is empty")
+    return _fit_tail(_tail_quantiles([q], len(q), _TAIL_LEVELS))
 
 
 @dataclass(frozen=True)
@@ -211,48 +249,63 @@ class ThetaValidation:
     tail_n_points: int  # distinct tail points fitted; 0 when vacuous
 
 
+def _past(chunks, warmup: int):
+    """Each chunk's part from block `warmup` on."""
+    at = 0
+    for q in chunks:
+        if at + len(q) > warmup:
+            yield q[max(warmup - at, 0):]
+        at += len(q)
+
+
 def validate_theta(scenario: QosScenario, model: ChannelModel,
                    strategy: CovarianceStrategy, snr: float, n_blocks: int,
                    seed: int, arrival_scale: float = 1.0,
-                   n_samples: int = 200_000) -> ThetaValidation:
+                   n_samples: int = 200_000,
+                   trace_path: str | None = None) -> ThetaValidation:
     """Check that the queue built at arrival rate T*B*n_R*C_E(theta)
-    decays with exponent theta, to within THETA_TOLERANCE relative."""
-    return validate_and_trace(scenario, model, strategy, snr, n_blocks, seed,
-                              arrival_scale, n_samples)[0]
+    decays with exponent theta, to within THETA_TOLERANCE relative.
 
-
-def validate_and_trace(scenario: QosScenario, model: ChannelModel,
-                       strategy: CovarianceStrategy, snr: float, n_blocks: int,
-                       seed: int, arrival_scale: float = 1.0,
-                       n_samples: int = 200_000
-                       ) -> tuple[ThetaValidation, QueueTrace]:
-    """validate_theta plus the QueueTrace it simulated (with seed + 1)."""
+    The queue, seeded seed + 1, is one stream of chunks: each goes to the
+    tail fit's quantile buffer past the warm-up and, with trace_path, to
+    the trace CSV there (`write_trace_csv`'s bytes), so no array of n_blocks
+    entries is held. trace_path is claimed before any draw, and is written
+    in full or left as it was. For the statistically optimized strategy,
+    one optimizer run sets both the arrival rate and the K that serves the
+    queue.
+    """
     if scenario.theta <= 0:
         raise DomainError("validate_theta requires theta > 0")
-    if isinstance(strategy, StatisticalOptimized):
-        # one optimizer run sets both the arrival rate and the serving K
-        k, est = optimize_covariance_statistical(scenario, model, snr,
-                                                 n_samples, seed)
-        strategy = FixedCovariance(k)
-    else:
-        est = effective_rate_mc(scenario, model, strategy, snr, n_samples,
-                                seed)
-    arrival = arrival_scale * scenario.t * scenario.b * scenario.n_r \
-        * est.value
-    trace = simulate_queue(scenario, model, strategy, snr, arrival,
-                           n_blocks, seed + 1)
-    q = trace.stationary
-    # deterministic service above the arrival rate: the tail law holds
-    # trivially (the queue never grows), nothing to fit
-    if float(q.max(initial=0.0)) == 0.0 and trace.service_max \
-            - trace.service_min <= 1e-10 * max(1.0, trace.service_max):
-        return ThetaValidation(scenario.theta, math.nan, True, True, arrival,
-                               math.nan, 0), trace
-    fit = estimate_tail_exponent(trace)
+    with _claim(trace_path) as tmp:
+        if isinstance(strategy, StatisticalOptimized):
+            k, est = optimize_covariance_statistical(scenario, model, snr,
+                                                     n_samples, seed)
+            strategy = FixedCovariance(k)
+        else:
+            est = effective_rate_mc(scenario, model, strategy, snr,
+                                    n_samples, seed)
+        arrival = arrival_scale * scenario.t * scenario.b * scenario.n_r \
+            * est.value
+        queue = _QueueChunks(scenario, model, strategy, snr, arrival,
+                             n_blocks, seed + 1)
+        warmup = int(n_blocks * _WARMUP_FRACTION)
+        # the quantile at level 1 is the stationary queue's maximum
+        levels = np.append(_TAIL_LEVELS, 1.0)
+        with open(tmp, "wb") if tmp else contextlib.nullcontext() as fh:
+            chunks = queue if fh is None else _write_trace(fh, queue)
+            qs = _tail_quantiles(_past(chunks, warmup), n_blocks - warmup,
+                                 levels)
+        # deterministic service above the arrival rate: the tail law holds
+        # trivially (the queue never grows), nothing to fit
+        if qs[-1] == 0.0 and queue.service_max - queue.service_min \
+                <= 1e-10 * max(1.0, queue.service_max):
+            return ThetaValidation(scenario.theta, math.nan, True, True,
+                                   arrival, math.nan, 0)
+        fit = _fit_tail(qs[:-1])
     rel = abs(fit.theta_est - scenario.theta) / scenario.theta
     return ThetaValidation(scenario.theta, fit.theta_est,
                            rel <= THETA_TOLERANCE, False, arrival, fit.r_squared,
-                           fit.n_points), trace
+                           fit.n_points)
 
 
 def _row_templates(offset_fmt: bytes):
@@ -262,27 +315,50 @@ def _row_templates(offset_fmt: bytes):
             np.array([o + b",0\r\n" for o in offsets], dtype=object))
 
 
-def write_trace_csv(trace: QueueTrace, path: str) -> None:
-    """Export the queue sample path as (block_index, queue_bits) rows: the
-    0-based index, the value as %.12g, CRLF line ends.
+def _write_trace(fh, chunks):
+    """Write the trace CSV of chunks, arrays of queue lengths of any lengths
+    joined, to the binary file fh, and yield each chunk on once its rows
+    are out.
 
     Rows go out in groups of _CSV_GROUP_ROWS, each written with one bytes
     format whose index digits are literal text: the group number, then
-    the row's three-digit offset. A +0.0 value, an empty buffer, is the
-    literal 0, so only the other values are formatted.
+    the row's three-digit offset. A group that a chunk leaves short is
+    carried, at most _CSV_GROUP_ROWS - 1 rows, into the next. A +0.0 value,
+    an empty buffer, is the literal 0, so only the other values are
+    formatted.
     """
-    q = np.asarray(trace.queue_lengths, dtype=float)
     # group 0's offsets are its whole index, so they are not padded
     first, later = _row_templates(b"%d"), _row_templates(b"%03d")
+
+    def put(g, block):
+        n = len(block)
+        value_row, zero_row = later if g else first
+        zero = block.view(np.uint64) == 0
+        rows = np.where(zero, zero_row[:n], value_row[:n]).tolist()
+        lead = b"%d" % g if g else b""
+        fh.write(lead.join([b"", *rows]) % tuple(block[~zero].tolist()))
+
+    fh.write(b"block_index,queue_bits\r\n")
+    g, rest = 0, np.empty(0)
+    for chunk in chunks:
+        q = np.concatenate((rest, chunk)) if len(rest) else chunk
+        whole = len(q) - len(q) % _CSV_GROUP_ROWS
+        for start in range(0, whole, _CSV_GROUP_ROWS):
+            put(g, q[start:start + _CSV_GROUP_ROWS])
+            g += 1
+        # a copy: chunk may be a buffer its source reuses
+        rest = q[whole:].copy()
+        yield chunk
+    if len(rest):
+        put(g, rest)
+
+
+def write_trace_csv(trace: QueueTrace, path: str) -> None:
+    """Export the queue sample path as (block_index, queue_bits) rows: the
+    0-based index, the value as %.12g, CRLF line ends (`_write_trace`)."""
     # binary mode: encoding each str block through a text wrapper left the
     # resident set 8 MB higher, and growing, over repeated 1e6-block traces
     with open(path, "wb") as fh:
-        fh.write(b"block_index,queue_bits\r\n")
-        for g, start in enumerate(range(0, len(q), _CSV_GROUP_ROWS)):
-            block = q[start:start + _CSV_GROUP_ROWS]
-            n = len(block)
-            value_row, zero_row = later if g else first
-            zero = block.view(np.uint64) == 0
-            rows = np.where(zero, zero_row[:n], value_row[:n]).tolist()
-            lead = b"%d" % g if g else b""
-            fh.write(lead.join([b"", *rows]) % tuple(block[~zero].tolist()))
+        for _ in _write_trace(fh, [np.asarray(trace.queue_lengths,
+                                              dtype=float)]):
+            pass

@@ -5,14 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effcap import asymptotics, channels, cli, queuesim
+from effcap import asymptotics, channels, cli, figures, queuesim
 from effcap.asymptotics import StatisticalMoments
 from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
                              iter_sample_chunks, max_eig_subspace, mean_gram)
 from effcap.config import (RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import UniformIdentity, WaterfillingCsit
-from effcap.errors import ConfigError
+from effcap.errors import ConfigError, FitError
 from effcap.validation import run_validation
 
 BASE = """
@@ -170,8 +170,40 @@ QUIET_ARGV = [
 ]
 
 
+# the commands that write one file, by the flag that names it: --out of
+# every command that takes it but reproduce-fig, whose --out is a
+# directory, and queue-validate's --trace-out
+ONE_FILE = {**{name: "--out" for name, c in cli.COMMANDS.items()
+               if c.out and name != "reproduce-fig"},
+            "queue-validate": "--trace-out"}
+
+
+def one_file_argv(name, path):
+    """The command's QUIET_ARGV run, writing its one file to path."""
+    argv = list(next(a for a in QUIET_ARGV if a[0] == name))
+    argv[argv.index(ONE_FILE[name]) + 1] = path
+    return argv
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def count_draws(monkeypatch):
+    """Patch every effcap binding of iter_sample_chunks to record the size
+    of each chunk it draws; returns the record."""
+    original = channels.iter_sample_chunks
+    drawn = []
+
+    def counting(model, n_samples, seed):
+        for h in original(model, n_samples, seed):
+            drawn.append(h.shape[0])
+            yield h
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "effcap" \
+                and getattr(mod, "iter_sample_chunks", None) is original:
+            monkeypatch.setattr(mod, "iter_sample_chunks", counting)
+    return drawn
 
 
 class TestCli:
@@ -356,6 +388,20 @@ class TestCli:
                        "--set", "scenario.theta_hat=0.5") == 0
         assert "s_inf = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["beamforming", "waterfilling",
+                                      "fixed", "statistical"])
+    def test_high_snr_refuses_all_but_uniform(self, name, tmp_path, capsys):
+        # its slope and offset are the uniform input's: beamforming on 2x2
+        # at theta_hat = 0.5 printed s_inf = 2, though its rate rises by 1
+        # bit/s/Hz per 3 dB
+        cfg = self.write_cfg(tmp_path)
+        assert run_cli("high-snr", "--config", cfg,
+                       "--set", "scenario.theta_hat=0.5",
+                       "--set", f"strategy.name={name}") == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("config error: ") and out.out == ""
+        assert f"strategy.name = uniform; refused {name}" in out.err
+
     def test_bit_energy(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "be.csv"
@@ -409,16 +455,16 @@ class TestCli:
 
     def test_queue_validate_simulates_once(self, tmp_path, capsys,
                                            monkeypatch):
+        # one pass of the queue's chunk generator feeds both the tail fit
+        # and the trace
         calls = []
-        simulate = queuesim.simulate_queue
+        iterate = queuesim._QueueChunks.__iter__
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
+        def counted(self):
+            calls.append(self.args)
+            return iterate(self)
 
-        for mod in (queuesim, cli):  # wherever it is bound
-            if getattr(mod, "simulate_queue", None) is simulate:
-                monkeypatch.setattr(mod, "simulate_queue", counted)
+        monkeypatch.setattr(queuesim._QueueChunks, "__iter__", counted)
         got = tmp_path / "trace.csv"
         code = run_cli("queue-validate", "--set", "scenario.theta_hat=1.0",
                        "--samples", "20000", "--blocks", "100000",
@@ -428,6 +474,7 @@ class TestCli:
                        if " = " in line)
         assert code == 0
         assert len(calls) == 1
+        assert calls[0][-1] == 6  # the trace seed, seed + 1
         monkeypatch.undo()
 
         cfg = parse_config("scenario.theta_hat = 1.0\n")
@@ -558,6 +605,52 @@ class TestCli:
     def test_quiet_cases_cover_every_command(self):
         assert [argv[0] for argv in QUIET_ARGV] == list(cli.COMMANDS)
 
+    @pytest.mark.parametrize("name", list(ONE_FILE))
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_output_refused_before_any_draw(
+            self, name, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / ("missing/x.csv" if where == "missing-dir"
+                           else "x.csv")
+        if where == "a-dir":
+            path.mkdir()
+        drawn = count_draws(monkeypatch)
+        assert run_cli(*one_file_argv(name, str(path)), "--quiet") == 2
+        assert drawn == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert list(tmp_path.iterdir()) == ([path] if where == "a-dir"
+                                            else [])
+        assert where == "missing-dir" or list(path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", list(ONE_FILE))
+    def test_run_that_raises_leaves_the_path_as_it_was(
+            self, name, tmp_path, monkeypatch, capsys):
+        # each writer writes part of its file, then fails
+        def partial_csv(path, header, rows):
+            with open(path, "w") as fh:
+                fh.write(",".join(header))
+            raise FitError("partial write")
+
+        def partial_trace(fh, chunks):
+            fh.write(b"block_index,queue_bits\r\n")
+            raise FitError("partial write")
+            yield
+
+        monkeypatch.setattr(cli, "_write_csv", partial_csv)
+        monkeypatch.setattr(figures, "_write_csv", partial_csv)
+        monkeypatch.setattr(queuesim, "_write_trace", partial_trace)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "x.csv"
+        for before in (None, b"earlier"):
+            if before is not None:
+                path.write_bytes(before)
+            assert run_cli(*one_file_argv(name, str(path)), "--quiet") == 3
+            assert "partial write" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == ([] if before is None
+                                                else [path])
+        assert path.read_bytes() == b"earlier"
+
     @pytest.mark.parametrize("argv", QUIET_ARGV)
     def test_quiet_prints_nothing(self, argv, tmp_path, monkeypatch,
                                   capsys):
@@ -650,17 +743,7 @@ def _two_pass_statistical_moments(model, n_samples, seed):
 
 class TestLowSnrStatistical:
     def test_draws_each_sample_once(self, monkeypatch, capsys):
-        original = channels.iter_sample_chunks
-        drawn = []
-
-        def counting(model, n_samples, seed):
-            for h in original(model, n_samples, seed):
-                drawn.append(h.shape[0])
-                yield h
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "effcap" \
-                    and getattr(mod, "iter_sample_chunks", None) is original:
-                monkeypatch.setattr(mod, "iter_sample_chunks", counting)
+        drawn = count_draws(monkeypatch)
         assert run_cli("low-snr", *KRONECKER_STATISTICAL,
                        "--samples", "20000", "--quiet") == 0
         assert sum(drawn) == 20_000

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,7 @@ from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
 from effcap.errors import DomainError, FitError
 from effcap.queuesim import (_CSV_GROUP_ROWS, QueueTrace,
                              estimate_tail_exponent, lindley_path,
-                             simulate_queue, validate_and_trace,
-                             validate_theta, write_trace_csv)
+                             simulate_queue, validate_theta, write_trace_csv)
 from oracles import write_trace_csv as write_trace_csv_rows
 
 T, B = 1e-3, 1e5
@@ -267,9 +267,12 @@ class TestValidateTheta:
         # deterministic service below the arrival: the queue grows, so the
         # run is fitted, not vacuous
         fixed = FixedMatrix(np.array([[2.0 + 0j]]))
-        res, trace = validate_and_trace(scen(1.0), fixed, UniformIdentity(),
-                                        1.0, 200_000, 0, arrival_scale=1.1)
+        res = validate_theta(scen(1.0), fixed, UniformIdentity(), 1.0,
+                             200_000, 0, arrival_scale=1.1)
+        trace = simulate_queue(scen(1.0), fixed, UniformIdentity(), 1.0,
+                               res.arrival_per_block, 200_000, 1)
         assert trace.service_max == trace.service_min
+        assert trace.stationary.max() > 0.0
         assert not res.vacuous
         assert res.tail_n_points >= 20
         # no arrivals and random service: the queue never grew, but the
@@ -284,7 +287,8 @@ class TestValidateTheta:
             validate_theta(scen(0.0), IidComplexGaussian(1, 1),
                            UniformIdentity(), 1.0, 200_000, 0)
 
-    def test_statistical_optimized_runs_optimizer_once(self, monkeypatch):
+    def test_statistical_optimized_runs_optimizer_once(self, monkeypatch,
+                                                       tmp_path):
         # the K that serves the queue is the one that set its arrival rate
         calls = []
         optimize = engine.optimize_covariance_statistical
@@ -300,14 +304,80 @@ class TestValidateTheta:
         lag = np.abs(np.subtract.outer(np.arange(2), np.arange(2)))
         model = KroneckerCorrelated(np.eye(2, dtype=complex), 0.9 ** lag)
         sc = scen(1.0, 2, 2)
-        res, trace = validate_and_trace(sc, model, StatisticalOptimized(),
-                                        10.0, 100_000, 0, n_samples=5000)
+        path = tmp_path / "trace.csv"
+        res = validate_theta(sc, model, StatisticalOptimized(), 10.0,
+                             100_000, 0, n_samples=5000, trace_path=str(path))
         assert calls == [(5000, 0)]
         assert res.arrival_per_block > 0
-        assert trace.n_blocks == 100_000
+        assert path.read_bytes().count(b"\n") == 100_001
         with pytest.raises(DomainError):
             simulate_queue(sc, model, StatisticalOptimized(), 10.0, 1.0,
                            100_000, 0)
+
+
+class TestStreamedTrace:
+    """validate_theta with trace_path: the queue goes chunk by chunk to the
+    tail fit and the trace CSV, and no whole-trace array is held."""
+
+    # 7 CHUNKs plus 5 blocks, and a length whose warm-up (15,000 blocks)
+    # ends mid-CHUNK and whose last trace group is one row; the fixed K runs
+    # through eigvalsh(H K H^dagger)
+    @pytest.mark.parametrize("n_blocks", [7 * CHUNK + 5, 150_001])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_whole_trace_bytes_and_fit(self, n_blocks, n, tmp_path):
+        model = IidComplexGaussian(n, n)
+        k = np.diag(np.linspace(2.0, 1.0, n))
+        strategy = UniformIdentity() if n == 1 \
+            else FixedCovariance(k / k.trace())
+        args = (scen(1.0, n, n), model, strategy, 10.0)
+        streamed = tmp_path / "streamed.csv"
+        res = validate_theta(*args, n_blocks, 4, n_samples=20_000,
+                             trace_path=str(streamed))
+        trace = simulate_queue(*args, res.arrival_per_block, n_blocks, 5)
+        whole = tmp_path / "whole.csv"
+        write_trace_csv(trace, str(whole))
+        assert streamed.read_bytes() == whole.read_bytes()
+        fit = estimate_tail_exponent(trace)
+        assert (res.theta_est, res.tail_r_squared, res.tail_n_points) \
+            == (fit.theta_est, fit.r_squared, fit.n_points)
+        # the mode a plain open(path, "wb") gives, not mkstemp's 0600
+        assert os.stat(streamed).st_mode == os.stat(whole).st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["streamed.csv", "whole.csv"]
+
+    def test_peak_memory_per_block(self, tmp_path):
+        # one chunk of queue lengths, the quantile buffer (2k + CHUNK values
+        # for the top 10% k of the stationary queue) and one trace group.
+        # Simulating the whole trace, then exporting it, peaked at 1.23 x 8
+        # bytes per block
+        n = 1_000_000
+        path = str(tmp_path / "trace.csv")
+        args = (scen(1.0), IidComplexGaussian(1, 1), UniformIdentity(), 10.0)
+        validate_theta(*args, 100_000, 0, n_samples=20_000,
+                       trace_path=path)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            validate_theta(*args, n, 3, n_samples=20_000, trace_path=path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n
+
+    def test_failed_fit_leaves_the_path_as_it_was(self, tmp_path):
+        # no arrivals and random service: the queue never grew, so there is
+        # no tail to fit, after the whole trace went out
+        path = tmp_path / "trace.csv"
+        for before in (None, b"earlier"):
+            if before is not None:
+                path.write_bytes(before)
+            with pytest.raises(FitError):
+                validate_theta(scen(1.0), IidComplexGaussian(1, 1),
+                               UniformIdentity(), 10.0, 100_000, 0,
+                               arrival_scale=0.0, n_samples=20_000,
+                               trace_path=str(path))
+            assert list(tmp_path.iterdir()) == ([] if before is None
+                                                else [path])
+        assert path.read_bytes() == b"earlier"
 
 
 def test_write_trace_csv_roundtrip(tmp_path):
