@@ -1,9 +1,12 @@
 """Self-check suites wiring the analytic formulas against Monte Carlo.
 
 Each suite returns a list of named checks and prints nothing; the CLI
-prints them and turns any failure into a nonzero exit status. Sample
-counts are sized for minutes-not-hours turnaround, so tolerances follow
-the acceptance numbers rather than machine precision.
+prints them and turns any failure into a nonzero exit status. The suites
+are the acceptance checks of criteria 3-5 and 7-9: a check's `criterion`
+names the one it is a cell of, and tests/test_acceptance.py asserts those
+checks at the suites' defaults. Sample counts are sized for
+minutes-not-hours turnaround, so tolerances follow the acceptance numbers
+rather than machine precision.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import numpy as np
 from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
 from .config import KEYS
-from .engine import (QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, bit_energy_points, rate_estimator)
+from .engine import (BeamformingCsit, QosScenario, StatisticalOptimized,
+                     UniformIdentity, WaterfillingCsit, bit_energy_points,
+                     rate_estimator)
 from .errors import DomainError
 from .queuesim import validate_theta
 
@@ -31,10 +35,13 @@ class Check:
     name: str
     passed: bool
     detail: str
+    # the number of the acceptance criterion this check is one cell of, or
+    # None; tests/test_acceptance.py reads a criterion's checks by it
+    criterion: int | None = None
 
 
-def _check(name, cond, detail=""):
-    return Check(name, bool(cond), detail)
+def _check(name, cond, detail="", criterion=None):
+    return Check(name, bool(cond), detail, criterion)
 
 
 def _scenario(theta_hat, n_r, n_t):
@@ -60,19 +67,20 @@ def siso_mgf_exact(theta_hat, snr):
 
 # ---------------------------------------------------------------------------
 
-def _fd_checks(label, estimate, d, sc, snr0, th):
-    """Finite differences of estimate's rate against the closed-form
-    derivatives d: first and second deriv checks, in that order."""
-    rp, rm = estimate(sc, snr0).value, estimate(sc, snr0 / 2).value
+def _fd_checks(label, rate, d, snr0, th):
+    """Finite differences of label's rates at snr0 and snr0/2, rate[label,
+    snr, th], against the closed-form derivatives d: first and second
+    deriv checks, in that order."""
+    rp, rm = rate[label, snr0, th], rate[label, snr0 / 2, th]
     fd1 = rp / snr0  # rate(0) = 0 exactly
     # second difference on nodes 0, h, 2h with h = snr0/2
     fd2 = (rp - 2.0 * rm) / (snr0 / 2) ** 2
     return [_check(f"{label} first deriv fd theta_hat={th}",
                    abs(fd1 - d.first_deriv) <= 0.02 * abs(d.first_deriv),
-                   f"fd {fd1:.5g} vs closed {d.first_deriv:.5g}"),
+                   f"fd {fd1:.5g} vs closed {d.first_deriv:.5g}", 4),
             _check(f"{label} second deriv fd theta_hat={th}",
                    abs(fd2 - d.second_deriv) <= 0.10 * abs(d.second_deriv),
-                   f"fd {fd2:.5g} vs closed {d.second_deriv:.5g}")]
+                   f"fd {fd2:.5g} vs closed {d.second_deriv:.5g}", 4)]
 
 
 def lowsnr_suite(n_samples=200_000, seed=0):
@@ -95,47 +103,62 @@ def lowsnr_suite(n_samples=200_000, seed=0):
             checks.append(_check(
                 f"moments {n_r}x{n_t} {key}",
                 abs(got - exact) <= 3.0 * se,
-                f"got {got:.5g}, exact {exact}, se {se:.2g}"))
+                f"got {got:.5g}, exact {exact}, se {se:.2g}", 3))
 
     model = IidComplexGaussian(2, 2)
     mom = moments[2, 2]
     stat_mom = asy.statistical_moments_mc(model, n_big, seed)
     # one eigensolve of the draws per strategy, shared by every theta and SNR
-    uniform = rate_estimator(model, UniformIdentity(), n_samples, seed)
-    csit = rate_estimator(model, WaterfillingCsit(), n_samples, seed)
-    snr0 = 1e-3
-    for th in (0.5, 2.0):
+    estimators = {label: rate_estimator(model, strategy, n_samples, seed)
+                  for label, strategy in (("uniform", UniformIdentity()),
+                                          ("csit", WaterfillingCsit()),
+                                          ("beamforming", BeamformingCsit()))}
+    snr0, fd_thetas, s0_thetas = 1e-3, (0.5, 2.0), (0.0, 1.0, 4.0)
+    # SNR outer, theta inner: an estimator keeps the rates of its latest SNR
+    # only, so this makes each (strategy, SNR) one pass over the draws, and
+    # uniform's last SNR here, snr0, is the secants' first
+    rate = {(label, snr, th): est(_scenario(th, 2, 2), snr).value
+            for snr in (snr0 / 2, snr0) for label, est in estimators.items()
+            for th in fd_thetas}
+    pts = {th: [] for th in s0_thetas}
+    for snr in (snr0, 2 * snr0):
+        for th in s0_thetas:
+            pts[th] += bit_energy_points(estimators["uniform"],
+                                         _scenario(th, 2, 2), [snr])
+
+    for th in fd_thetas:
         sc = _scenario(th, 2, 2)
-        d = asy.derivs_uniform(mom, sc)
-        checks += _fd_checks("uniform", uniform, d, sc, snr0, th)
+        d, dcsit = asy.derivs_uniform(mom, sc), asy.derivs_csit(mom, sc)
         dstat = asy.derivs_statistical(stat_mom, sc)
-        checks.append(_check(
-            f"statistical equals uniform theta_hat={th}",
-            abs(dstat.second_deriv - d.second_deriv)
-            <= 0.01 * abs(d.second_deriv),
-            f"stat {dstat.second_deriv:.5g} vs unif {d.second_deriv:.5g}"))
-        checks += _fd_checks("csit", csit, asy.derivs_csit(mom, sc), sc,
-                             snr0, th)
+        checks += _fd_checks("uniform", rate, d, snr0, th)
+        for attr, which in (("second_deriv", ""),
+                            ("first_deriv", " first deriv")):
+            want, got = getattr(d, attr), getattr(dstat, attr)
+            checks.append(_check(
+                f"statistical equals uniform{which} theta_hat={th}",
+                abs(got - want) <= 0.01 * abs(want),
+                f"stat {got:.5g} vs unif {want:.5g}", 4))
+        # water-filling and beamforming share their derivatives at SNR 0
+        checks += _fd_checks("csit", rate, dcsit, snr0, th)
+        checks += _fd_checks("beamforming", rate, dcsit, snr0, th)
 
     # wideband slope: closed form vs a secant from the bit-energy curve
     s0_values = []
-    for th in (0.0, 1.0, 4.0):
-        sc = _scenario(th, 2, 2)
-        em = asy.energy_metrics(asy.derivs_uniform(mom, sc))
+    for th in s0_thetas:
+        em = asy.energy_metrics(asy.derivs_uniform(mom, _scenario(th, 2, 2)))
         s0_values.append(em.wideband_slope_s0)
-        pts = bit_energy_points(uniform, sc, [1e-3, 2e-3])
-        (e1, r1), (e2, r2) = pts
+        (e1, r1), (e2, r2) = pts[th]
         # S0 = slope of rate against E_b/N0 in dB, scaled by 10 log10(2)
         secant = (r2 - r1) / (e2 - e1) * (10.0 * math.log10(2.0))
         checks.append(_check(
             f"wideband slope secant theta_hat={th}",
             abs(secant - em.wideband_slope_s0)
             <= 0.10 * em.wideband_slope_s0,
-            f"secant {secant:.4g} vs closed {em.wideband_slope_s0:.4g}"))
+            f"secant {secant:.4g} vs closed {em.wideband_slope_s0:.4g}", 5))
     checks.append(_check(
         "wideband slope decreasing in theta",
         s0_values[0] > s0_values[1] > s0_values[2],
-        f"S0 over theta_hat 0,1,4: {['%.4g' % v for v in s0_values]}"))
+        f"S0 over theta_hat 0,1,4: {['%.4g' % v for v in s0_values]}", 5))
     return checks
 
 
@@ -164,7 +187,8 @@ def highsnr_suite(n_samples=200_000, seed=0):
         slope = asy.highsnr_slope_empirical(
             [(s, asy.hankel_effective_rate(sc, s)) for s in snrs])
         checks.append(_check(f"slope {label} theta_hat=2",
-                             abs(slope - want) <= 0.05, f"slope {slope:.4g}"))
+                             abs(slope - want) <= 0.05, f"slope {slope:.4g}",
+                             7))
 
     for th in (0.7, 1.0):
         closed = siso_mgf_exact(th, 10.0)
@@ -179,7 +203,7 @@ def highsnr_suite(n_samples=200_000, seed=0):
     checks.append(_check(
         "siso ergodic power offset",
         abs(m.l_inf - target) <= 1e-12 * target,
-        f"L_inf {m.l_inf:.12g} vs gamma*log2e {target:.12g}"))
+        f"L_inf {m.l_inf:.12g} vs gamma*log2e {target:.12g}", 7))
     return checks
 
 
@@ -187,28 +211,35 @@ def wideband_suite(n_samples=200_000, seed=0):
     checks = []
     model = IidComplexGaussian(2, 2)
     cfg = asy.SparseWidebandConfig(m=5, p_over_n0=1e4)
-    ref_theta = 1.0 / (_T * 1e4 / 5)  # rho = 1 at the reference scale
-    ebs = []
-    for scale in (1e-4, 0.1, 0.5, 1.0, 2.0):
-        sc = QosScenario(theta=scale * ref_theta, t=_T, b=_B, n_r=2, n_t=2)
-        eb, _ = asy.sparse_ebmin_bounded(cfg, sc, model, UniformIdentity(),
-                                         n_samples, seed)
-        ebs.append(eb)
+
+    def eb(theta):
+        sc = QosScenario(theta=theta, t=_T, b=_B, n_r=2, n_t=2)
+        return asy.sparse_ebmin_bounded(cfg, sc, model, UniformIdentity(),
+                                        n_samples, seed)[0]
+
     rich = math.log(2.0) / (2 * 2 / 2)  # ln2 / (E{tr}/n_T) per dimension
-    checks.append(_check(
-        "bounded theta->0 matches rich multipath",
-        abs(ebs[0] - rich) <= 0.01 * rich,
-        f"eb {ebs[0]:.5g} vs ln2/E{{tr K}} {rich:.5g}"))
-    checks.append(_check(
-        "bounded eb increasing in theta",
-        all(a < b for a, b in zip(ebs[1:], ebs[2:])),
-        f"ebs {['%.4g' % e for e in ebs[1:]]}"))
+    ref_theta = 1.0 / (_T * 1e4 / 5)  # rho = 1 at the reference scale
+    # two grids, each a theta near 0 and four multiples of a reference theta
+    for zero_name, up_name, theta0, theta_ref in (
+            ("bounded theta->0 matches rich multipath",
+             "bounded eb increasing in theta", 1e-4 * ref_theta, ref_theta),
+            ("bounded theta_hat=0.0001 matches rich multipath",
+             "bounded eb increasing in theta around theta_hat=0.5",
+             _scenario(1e-4, 2, 2).theta, _scenario(0.5, 2, 2).theta)):
+        eb0 = eb(theta0)
+        ebs = [eb(mult * theta_ref) for mult in (0.1, 0.5, 1.0, 2.0)]
+        checks.append(_check(
+            zero_name, abs(eb0 - rich) <= 0.01 * rich,
+            f"eb {eb0:.5g} vs ln2/E{{tr K}} {rich:.5g}", 8))
+        checks.append(_check(
+            up_name, all(a < b for a, b in zip(ebs, ebs[1:])),
+            f"ebs {['%.4g' % e for e in ebs]}", 8))
     eb_sub, _ = asy.sparse_ebmin_sublinear(model, StatisticalOptimized(),
                                            n_samples, seed)
     checks.append(_check(
         "sublinear statistical equals ln2/n_R",
         eb_sub == math.log(2.0) / 2,
-        f"eb {eb_sub!r} vs ln2/2 {math.log(2.0) / 2!r}"))
+        f"eb {eb_sub!r} vs ln2/2 {math.log(2.0) / 2!r}", 8))
     return checks
 
 
@@ -226,11 +257,11 @@ def queue_suite(n_samples=200_000, seed=0):
                 "siso tail exponent within 15%",
                 res.passed and not res.vacuous,
                 f"theta_est {res.theta_est:.5g} vs theta "
-                f"{res.theta_target:.5g}"))
+                f"{res.theta_target:.5g}", 9))
     checks.append(_check(
         "tail exponent decreasing in arrival rate",
         ests[0] > ests[1] > ests[2],
-        f"estimates {['%.4g' % e for e in ests]}"))
+        f"estimates {['%.4g' % e for e in ests]}", 9))
 
     det = FixedMatrix(np.array([[2.0 + 0j]]))
     res = validate_theta(sc, det, UniformIdentity(), 10.0, 200_000, seed,

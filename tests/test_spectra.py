@@ -211,7 +211,21 @@ def test_estimator_memo_keeps_fresh_estimator_bits():
         assert estimate(sc, snr) == fresh
 
 
-def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch):
+@pytest.fixture
+def fewer_moment_draws(monkeypatch):
+    # the moment checks draw at least 1e6 samples; they call neither
+    # strategy_spectra nor chunk_rates, so fewer draws keep these tests fast
+    def fewer(moments):
+        return lambda model, n_samples, seed: moments(model, 20_000, seed)
+
+    monkeypatch.setattr(validation, "spectral_moments_mc",
+                        fewer(validation.spectral_moments_mc))
+    monkeypatch.setattr(asymptotics, "statistical_moments_mc",
+                        fewer(asymptotics.statistical_moments_mc))
+
+
+def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch,
+                                                     fewer_moment_draws):
     # the wideband-slope secants read the suite's own uniform estimator
     calls = Counter()
     spectra = engine.strategy_spectra
@@ -220,16 +234,35 @@ def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch):
         calls[type(strategy).__name__] += 1
         return spectra(model, strategy, n_samples, seed)
 
-    def fewer_draws(moments):
-        # the moment checks draw at least 1e6 samples; they call no
-        # strategy_spectra, so fewer draws keep this test fast
-        return lambda model, n_samples, seed: moments(model, 20_000, seed)
-
     monkeypatch.setattr(engine, "strategy_spectra", counted)
-    monkeypatch.setattr(validation, "spectral_moments_mc",
-                        fewer_draws(validation.spectral_moments_mc))
-    monkeypatch.setattr(asymptotics, "statistical_moments_mc",
-                        fewer_draws(asymptotics.statistical_moments_mc))
     checks = validation.lowsnr_suite(20_000, 0)
-    assert calls == {"UniformIdentity": 1, "WaterfillingCsit": 1}
+    assert calls == {"UniformIdentity": 1, "WaterfillingCsit": 1,
+                     "BeamformingCsit": 1}
     assert sum(c.name.startswith("wideband slope") for c in checks) == 4
+
+
+def test_lowsnr_suite_one_rate_pass_per_strategy_and_snr(monkeypatch,
+                                                         fewer_moment_draws):
+    # the finite differences at 1e-3 and 5e-4 and the secants at 1e-3 and
+    # 2e-3 read each (strategy, SNR) from one pass of chunk_rates
+    calls = Counter()
+
+    def counted(ev, strategy, snr, n_r, n_t):
+        calls[type(strategy).__name__, snr] += 1
+        return chunk_rates(ev, strategy, snr, n_r, n_t)
+
+    monkeypatch.setattr(engine, "chunk_rates", counted)
+    validation.lowsnr_suite(N, 0)
+    snr0 = 1e-3
+    pairs = [(name, snr) for name in ("UniformIdentity", "WaterfillingCsit",
+                                      "BeamformingCsit")
+             for snr in (snr0 / 2, snr0)] + [("UniformIdentity", 2 * snr0)]
+    assert calls == {pair: math.ceil(N / CHUNK) for pair in pairs}
+
+
+def test_check_names_unique_across_all_suites(suite_checks):
+    # the CLI prints checks by name; run_validation("all") runs the suites
+    # in SUITES order
+    names = [c.name for suite in validation.SUITES
+             for c in suite_checks(suite)]
+    assert len(names) == len(set(names))
