@@ -1,18 +1,19 @@
 """Command-line entry point, and the one module of effcap that prints.
 
-Exit codes: 0 success, 1 validation failure, 2 config error (a config or
-output path that cannot be read or written included), 3 numeric error.
+Exit codes: 0 success, 1 validation failure, 2 config error (an unread
+key or an unreadable config or unwritable output path), 3 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from fnmatch import fnmatchcase
 from typing import Callable, NamedTuple
 
 from . import asymptotics as asy
 from .channels import spectral_moments_mc
-from .config import RunConfig, apply_overrides, parse_kv_text
+from .config import KEYS, RunConfig, apply_overrides, parse_kv_text
 from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, bit_energy_curve)
 from .errors import ConfigError, DomainError, FitError, NumericError
@@ -26,32 +27,26 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-# the only keys of reproduce-fig and validate, whose figure and validation
-# grids carry their own scenarios, models and strategies
-_GRID_KEYS = ("mc.seed", "mc.n_samples")
-
-
-def _load_config(args, needs_scenario: bool = True) -> RunConfig:
-    """The run config of --config, then --set, then the flags. It also sets
-    args.out to output.path when any of them names one, so that --out,
-    --set and --config reach a one-row report alike."""
+def _load_config(args) -> RunConfig:
+    """The run config of --config, then --set, then the flags, refusing any
+    key the command does not read; args.out becomes output.path if any of
+    them names it, so that all three reach a one-row report alike."""
     kv = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             kv = parse_kv_text(fh.read())
     kv = apply_overrides(kv, args.set)
-    if not needs_scenario:
-        unread = [k for k in kv if k not in _GRID_KEYS]
-        if unread:
-            raise ConfigError(f"{args.command} reads only "
-                              f"{' and '.join(_GRID_KEYS)}; refused "
-                              f"{', '.join(unread)}")
-        kv["scenario.theta_hat"] = 0.0
-    for flag, key in (("seed", "mc.seed"), ("samples", "mc.n_samples"),
-                      ("out", "output.path")):
+    cmd = COMMANDS[args.command]
+    unread = [k for k in kv if not cmd.reads(k)]
+    if unread:
+        raise ConfigError(f"{args.command} reads only {', '.join(cmd.keys)}; "
+                          f"refused {', '.join(unread)}")
+    for key, flag in _FLAGS.items():
         if getattr(args, flag, None) is not None:
             kv[key] = getattr(args, flag)
     args.out = kv.get("output.path")
+    if not cmd.reads("scenario.theta_hat"):
+        kv["scenario.theta_hat"] = 0.0  # the grids carry their own scenarios
     return RunConfig(kv)
 
 
@@ -176,8 +171,8 @@ def cmd_queue_validate(args) -> int:
 
 
 def cmd_reproduce_fig(args) -> int:
-    cfg = _load_config(args, needs_scenario=False)
-    curves = reproduce_figure(args.name, out_dir=args.out or ".",
+    cfg = _load_config(args)
+    curves = reproduce_figure(args.name, out_dir=args.out_dir or ".",
                               n_samples=cfg.n_samples, seed=cfg.seed)
     for c in curves:
         _say(args, f"wrote {c.path}")
@@ -185,7 +180,7 @@ def cmd_reproduce_fig(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args, needs_scenario=False)
+    cfg = _load_config(args)
     ok, checks = run_validation(args.suite, n_samples=cfg.n_samples,
                                 seed=cfg.seed)
     for c in checks:
@@ -198,25 +193,37 @@ def cmd_validate(args) -> int:
 class Command(NamedTuple):
     fn: Callable
     help: str
-    out: bool = True  # takes --out
-    mc: bool = True  # takes the Monte Carlo --seed and --samples
+    keys: tuple  # the config keys, and sections as "name.*", that fn reads
 
+    def reads(self, key) -> bool:
+        return any(fnmatchcase(key, k) for k in self.keys)
+
+
+# the keys of one Monte Carlo run and of the figure and validation grids,
+# and the flag of each key that has one, taken where the key is read
+_RUN = ("scenario.*", "model.*", "strategy.*", "mc.*")
+_GRID = ("mc.seed", "mc.n_samples")
+_FLAGS = {"output.path": "out", "mc.seed": "seed", "mc.n_samples": "samples"}
 
 COMMANDS = {
-    "sweep": Command(cmd_sweep, "SNR sweep CSV per the config grid"),
-    "bit-energy": Command(cmd_bit_energy, "E_b/N0 vs rate curve"),
-    "low-snr": Command(cmd_low_snr,
-                       "zero-SNR derivatives and energy metrics"),
+    "sweep": Command(cmd_sweep, "SNR sweep CSV per the config grid",
+                     _RUN + ("sweep.*", "output.path")),
+    "bit-energy": Command(cmd_bit_energy, "E_b/N0 vs rate curve",
+                          _RUN + ("sweep.*", "output.path")),
+    "low-snr": Command(cmd_low_snr, "zero-SNR derivatives and energy "
+                                    "metrics", _RUN + ("output.path",)),
     # the slope and offset are exact: nothing is drawn
     "high-snr": Command(cmd_high_snr, "high-SNR slope and power offset",
-                        mc=False),
+                        ("scenario.*", "model.*", "strategy.name",
+                         "output.path")),
     "sparse-wideband": Command(cmd_sparse_wideband,
-                               "sparse-multipath minimum bit energies"),
+                               "sparse-multipath minimum bit energies",
+                               _RUN + ("sparse.*", "output.path")),
     "queue-validate": Command(cmd_queue_validate,
-                              "queue-tail exponent check", out=False),
+                              "queue-tail exponent check", _RUN),
     "reproduce-fig": Command(cmd_reproduce_fig, "emit a reference figure "
-                                                "dataset (fig1..fig6)"),
-    "validate": Command(cmd_validate, "run a self-check suite", out=False),
+                                                "dataset (fig1..fig6)", _GRID),
+    "validate": Command(cmd_validate, "run a self-check suite", _GRID),
 }
 
 
@@ -226,24 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective capacity of MIMO block-fading links under "
                     "statistical queueing constraints.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, out, mc) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="config override (dotted key, repeatable)")
-        if out:
-            p.add_argument("--out", help="output path")
-        if mc:
-            p.add_argument("--seed", type=int, help="RNG seed")
-            p.add_argument("--samples", type=int, help="MC samples per point")
+        for key, flag in _FLAGS.items():
+            if cmd.reads(key):
+                p.add_argument("--" + flag, type=type(KEYS[key].default),
+                               help=f"sets {key}")
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd.fn)
     p = sub.choices["queue-validate"]
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--blocks", type=int, default=1_000_000)
     p.add_argument("--trace-out", help="also export the queue trace CSV")
     sub.choices["reproduce-fig"].add_argument("name")
+    sub.choices["reproduce-fig"].add_argument("--out", dest="out_dir",
+                                              help="output directory")
     sub.choices["validate"].add_argument("suite", choices=[*SUITES, "all"])
     return ap
 

@@ -91,6 +91,10 @@ KEYS = {
     "output.path": Key("out.csv", None),
 }
 _SECTIONS = tuple(dict.fromkeys(k.split(".", 1)[0] for k in KEYS))
+# the keys that only one model variant or strategy reads
+_ONLY_FOR = {("model.variant", "fixed"): ("model.h_real", "model.h_imag"),
+             ("model.variant", "kronecker"): ("model.rho_r", "model.rho_t"),
+             ("strategy.name", "fixed"): ("strategy.k_diag",)}
 
 
 def _parse_scalar(raw: str):
@@ -168,6 +172,9 @@ class RunConfig:
         for key, (_, check, note) in KEYS.items():
             if key in kv and check is not None and not check(kv[key]):
                 bad.append(f"{key} ({note})" if note else key)
+        for (key, value), only in _ONLY_FOR.items():
+            bad += [f"{k} (needs {key} = {value})" for k in only
+                    if k in kv and kv[key] != value]
         sweep = [k for k in KEYS if k.startswith("sweep.")]
         if any(k in kv for k in sweep):
             bad += [k + " (missing)" for k in sweep if k not in kv]

@@ -1,4 +1,5 @@
 import csv
+import shlex
 import sys
 from pathlib import Path
 
@@ -9,21 +10,27 @@ from effcap import asymptotics, channels, cli, figures, queuesim
 from effcap.asymptotics import StatisticalMoments
 from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
                              iter_sample_chunks, max_eig_subspace, mean_gram)
-from effcap.config import (RunConfig, apply_overrides, parse_config,
+from effcap.config import (KEYS, RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import UniformIdentity, WaterfillingCsit
 from effcap.errors import ConfigError, FitError
 from effcap.validation import run_validation
 
-BASE = """
+# the keys that every command running one scenario reads
+SCENARIO = """
 scenario.theta_hat = 1.0
 scenario.n_r = 2
 scenario.n_t = 2
+"""
+# keys that only some of those commands read: sweep and bit-energy read
+# all of BASE, the other commands that draw read SCENARIO + MC
+SWEEP_KEYS = """
 sweep.snr_db_start = -10
 sweep.snr_db_stop = 10
 sweep.n_points = 5
-mc.n_samples = 2000
 """
+MC = "mc.n_samples = 2000\n"
+BASE = SCENARIO + SWEEP_KEYS + MC
 
 
 class TestParsing:
@@ -67,11 +74,43 @@ class TestParsing:
         with pytest.raises(ConfigError, match="'sparse.b_c'"):
             RunConfig({"scenario.theta_hat": 1.0, "sparse.b_c": 1e5})
 
-    def test_readme_config_loads(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        block = readme.read_text().split("```ini\n", 1)[1].split("```")[0]
-        cfg = parse_config(block)
+    def test_readme_config_loads(self, tmp_path):
+        # README's run.cfg loads with every command shown with it
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(readme.split("```ini\n", 1)[1].split("```")[0])
+        shown = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
+        loaded = {}
+        for line in shown.split("```")[0].replace("\\\n", " ").splitlines():
+            if line.startswith("effcap "):
+                argv = [str(run_cfg) if a == "run.cfg" else a
+                        for a in shlex.split(line)[1:]]
+                args = cli.build_parser().parse_args(argv)
+                loaded[argv[0]] = cli._load_config(args)
+        assert list(loaded) == list(cli.COMMANDS)
+        cfg = loaded["sweep"]
         assert (cfg.kv["scenario.n_r"], cfg.kv["sweep.n_points"]) == (2, 41)
+
+    @pytest.mark.parametrize("kv,key,needs", [
+        ({"model.rho_r": 0.9}, "model.rho_r", "model.variant = kronecker"),
+        ({"model.variant": "fixed", "model.h_real": 1.0, "model.rho_t": 0.9},
+         "model.rho_t", "model.variant = kronecker"),
+        ({"model.h_real": 1.0}, "model.h_real", "model.variant = fixed"),
+        ({"model.variant": "kronecker", "model.h_imag": 0.0},
+         "model.h_imag", "model.variant = fixed"),
+        ({"strategy.k_diag": 0.5}, "strategy.k_diag", "strategy.name = fixed"),
+        ({"strategy.name": "statistical", "strategy.k_diag": 0.5},
+         "strategy.k_diag", "strategy.name = fixed"),
+    ])
+    def test_key_of_another_variant_or_strategy_rejected(self, kv, key,
+                                                          needs):
+        # it used to be ignored: model.rho_r on the default i.i.d. model
+        # gave uncorrelated rates
+        with pytest.raises(ConfigError) as exc:
+            RunConfig({"scenario.theta_hat": 1.0, **kv})
+        assert str(exc.value) == (f"invalid config fields: {key} "
+                                  f"(needs {needs})")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -170,17 +209,36 @@ QUIET_ARGV = [
 ]
 
 
+# a valid value of each config key, offered to the commands that do not
+# read it
+OFFER = {"scenario.theta": 0.01, "scenario.theta_hat": 1.0,
+         "scenario.t": 1e-3, "scenario.b": 1e5, "scenario.n_r": 4,
+         "scenario.n_t": 3, "model.variant": "kronecker",
+         "model.h_real": 1.0, "model.h_imag": 0.0, "model.rho_r": 0.5,
+         "model.rho_t": 0.5, "strategy.name": "waterfilling",
+         "strategy.k_diag": 1.0, "sweep.snr_db_start": 0,
+         "sweep.snr_db_stop": 10, "sweep.n_points": 2,
+         "mc.n_samples": 5000, "mc.seed": 1, "sparse.m": 5,
+         "sparse.p_over_n0": 1e4, "output.path": "o.csv"}
+# every (command, key) pair of a key that the command does not read
+UNREAD = [(name, key) for name, c in cli.COMMANDS.items() for key in KEYS
+          if not c.reads(key)]
+
+
 # the commands that write one file, by the flag that names it: --out of
-# every command that takes it but reproduce-fig, whose --out is a
-# directory, and queue-validate's --trace-out
+# every command that reads output.path, and queue-validate's --trace-out
 ONE_FILE = {**{name: "--out" for name, c in cli.COMMANDS.items()
-               if c.out and name != "reproduce-fig"},
+               if "output.path" in c.keys},
             "queue-validate": "--trace-out"}
+
+
+def quiet_argv(name):
+    return next(a for a in QUIET_ARGV if a[0] == name)
 
 
 def one_file_argv(name, path):
     """The command's QUIET_ARGV run, writing its one file to path."""
-    argv = list(next(a for a in QUIET_ARGV if a[0] == name))
+    argv = list(quiet_argv(name))
     argv[argv.index(ONE_FILE[name]) + 1] = path
     return argv
 
@@ -254,7 +312,7 @@ class TestCli:
         assert "'mc.sed'" in capsys.readouterr().err
 
     def test_low_snr(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
+        cfg = self.write_cfg(tmp_path, SCENARIO + MC)
         assert run_cli("low-snr", "--config", cfg) == 0
         out = capsys.readouterr().out
         assert "eb_n0_min_db" in out
@@ -312,8 +370,8 @@ class TestCli:
         ("sweep.n_points", ("sweep", "--set", "sweep.snr_db_start=0",
                             "--set", "sweep.snr_db_stop=10",
                             "--set", "sweep.n_points=true")),
-        ("mc.n_samples", ("high-snr", "--set", "mc.n_samples=true")),
-        ("mc.seed", ("high-snr", "--set", "mc.seed=true")),
+        ("mc.n_samples", ("low-snr", "--set", "mc.n_samples=true")),
+        ("mc.seed", ("low-snr", "--set", "mc.seed=true")),
         ("sparse.m", ("sparse-wideband", "--set", "sparse.m=true",
                       "--set", "sparse.p_over_n0=1e4")),
         # non-finite list entries used to run a whole pass and exit 3
@@ -346,6 +404,11 @@ class TestCli:
                               "--set", f"sparse.p_over_n0={HUGE}")),
         ("sparse.m", ("sparse-wideband", "--set", f"sparse.m={HUGE}",
                       "--set", "sparse.p_over_n0=1e4")),
+        # keys that only another model variant or strategy reads used to
+        # be ignored: the i.i.d. model ran uncorrelated
+        ("model.rho_r", ("sweep", "--set", "model.rho_r=0.9") + SWEEP3),
+        ("strategy.k_diag", ("low-snr", "--set", "strategy.k_diag=0.5",
+                             "--samples", "2000")),
     ])
     def test_malformed_value_is_config_error(self, key, argv, capsys,
                                              tmp_path, monkeypatch):
@@ -383,7 +446,7 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     def test_high_snr(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path)
+        cfg = self.write_cfg(tmp_path, SCENARIO)
         assert run_cli("high-snr", "--config", cfg,
                        "--set", "scenario.theta_hat=0.5") == 0
         assert "s_inf = 2" in capsys.readouterr().out
@@ -394,7 +457,7 @@ class TestCli:
         # its slope and offset are the uniform input's: beamforming on 2x2
         # at theta_hat = 0.5 printed s_inf = 2, though its rate rises by 1
         # bit/s/Hz per 3 dB
-        cfg = self.write_cfg(tmp_path)
+        cfg = self.write_cfg(tmp_path, SCENARIO)
         assert run_cli("high-snr", "--config", cfg,
                        "--set", "scenario.theta_hat=0.5",
                        "--set", f"strategy.name={name}") == 2
@@ -412,16 +475,17 @@ class TestCli:
         assert len(lines) >= 2
 
     def test_sparse_wideband(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, BASE + "sparse.m = 5\n"
-                                              "sparse.p_over_n0 = 1e4\n")
+        cfg = self.write_cfg(tmp_path, SCENARIO + MC + "sparse.m = 5\n"
+                             "sparse.p_over_n0 = 1e4\n")
         assert run_cli("sparse-wideband", "--config", cfg) == 0
         out = capsys.readouterr().out
         assert "ebmin_bounded_db" in out
         assert "ebmin_sublinear_db" in out
 
-    def test_sparse_wideband_missing_block(self, tmp_path):
-        cfg = self.write_cfg(tmp_path)
+    def test_sparse_wideband_missing_block(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, SCENARIO + MC)
         assert run_cli("sparse-wideband", "--config", cfg, "--quiet") == 2
+        assert "sparse.m required" in capsys.readouterr().err
 
     def test_sparse_wideband_zero_channel_numeric_error(self, tmp_path):
         cfg = self.write_cfg(
@@ -583,13 +647,46 @@ class TestCli:
             self, argv, key, tmp_path, monkeypatch, capsys):
         # the figure and validation grids fix their own scenarios, so any
         # key but mc.seed and mc.n_samples would be ignored without a word
+        self.assert_refused(argv, *key.split("="), tmp_path, monkeypatch,
+                            capsys)
+
+    def assert_refused(self, argv, key, value, tmp_path, monkeypatch,
+                       capsys):
+        """argv given key = value, by --set and by --config, exits 2 and
+        names the key, before any draw and with no file made."""
         monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv, "--set", key, "--quiet") == 2
-        err = capsys.readouterr().err
-        assert key.split("=")[0] in err and "reads only" in err
-        cfg = self.write_cfg(tmp_path, key.replace("=", " = ") + "\n")
-        assert run_cli(*argv, "--config", cfg, "--quiet") == 2
+        drawn = count_draws(monkeypatch)
+        cfg = self.write_cfg(tmp_path, f"{key} = {value}\n")
+        for given in (("--set", f"{key}={value}"), ("--config", cfg)):
+            assert run_cli(*argv, *given, "--quiet") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {argv[0]} reads only ")
+            assert err.endswith(f"; refused {key}\n")
+        assert drawn == []
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    @pytest.mark.parametrize("name,key", UNREAD)
+    def test_unread_key_is_refused(self, name, key, tmp_path, monkeypatch,
+                                   capsys):
+        # a key that the command does not read would leave it reporting a
+        # scenario that was not asked for, without a word
+        self.assert_refused(quiet_argv(name), key, OFFER[key], tmp_path,
+                            monkeypatch, capsys)
+
+    def test_declared_keys_are_config_keys(self):
+        for c in cli.COMMANDS.values():
+            for declared in c.keys:
+                assert any(c._replace(keys=(declared,)).reads(k)
+                           for k in KEYS), declared
+
+    @pytest.mark.parametrize("argv", QUIET_ARGV, ids=lambda a: a[0])
+    def test_flags_are_the_keys_read(self, argv):
+        # --out, --seed and --samples exist exactly where the command reads
+        # output.path, mc.seed and mc.n_samples
+        args = cli.build_parser().parse_args(argv)
+        c = cli.COMMANDS[argv[0]]
+        assert ({k for k, flag in cli._FLAGS.items() if hasattr(args, flag)}
+                == {k for k in cli._FLAGS if c.reads(k)})
 
     def test_grid_commands_take_mc_keys(self, tmp_path, capsys):
         assert run_cli("validate", "wideband", "--set", "mc.n_samples=20000",

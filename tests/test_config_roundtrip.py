@@ -7,8 +7,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from effcap.config import (KEYS, RunConfig, parse_config,  # noqa: E402
-                           serialize_config)
+from effcap.config import (KEYS, RunConfig, _ONLY_FOR,  # noqa: E402
+                           parse_config, serialize_config)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT_LIST = st.lists(FINITE, min_size=1, max_size=4).map(
@@ -20,6 +20,10 @@ FREE = {"model.h_real": FLOAT_LIST, "model.h_imag": FLOAT_LIST,
         "strategy.k_diag": FLOAT_LIST,
         "output.path": st.from_regex(r"[a-z0-9_/-]{1,12}\.csv",
                                      fullmatch=True)}
+
+
+# the (key, value) that each key of one model variant or strategy needs
+NEEDS = {k: need for need, keys in _ONLY_FOR.items() for k in keys}
 
 
 def test_free_keys_match_table():
@@ -52,6 +56,11 @@ def valid_kv(draw):
             wanted = key == theta
         elif key.startswith("sweep."):
             wanted = sweep
+        elif key in NEEDS:  # after its variant or strategy, as in KEYS
+            owner, value = NEEDS[key]
+            wanted = kv.get(owner, value) == value and draw(st.booleans())
+            if wanted:
+                kv[owner] = value
         else:
             wanted = draw(st.booleans())
         if wanted:
