@@ -15,8 +15,11 @@ three-operand einsum whose bits the sampler's explicit accumulation must
 reproduce for real correlations; its G comes from the two-draw complex
 Gaussian formula, the sampler's reference. The queue trace writer is the
 one-`csv.writer`-row-per-block version whose bytes the blocked library
-writer must reproduce. The zero-rate bit-energy intercept reads the
-minimum E_b/N0 off a figure curve for the acceptance checks.
+writer must reproduce. The gram spectra are those of the exact gram
+of the float entries, from mpmath's Hermitian eigensolver at 50 digits,
+the reference of the library's closed form for two eigenvalues. The
+zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure curve
+for the acceptance checks.
 """
 
 import csv
@@ -280,6 +283,24 @@ def write_trace_csv(trace, path: str) -> None:
         w.writerow(["block_index", "queue_bits"])
         for i, q in enumerate(trace.queue_lengths):
             w.writerow([i, "%.12g" % q])
+
+
+def gram_eigvalsh(h: np.ndarray, digits: int = 50) -> np.ndarray:
+    """Ascending eigenvalues of the smaller gram, HH^dagger or H^dagger H,
+    of each H in a stack: the gram of the float entries formed exactly and
+    eigensolved by mpmath at the given digits, then rounded to float."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(digits):
+        for m in h:
+            a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                               for row in m.tolist()])
+            if a.rows > a.cols:
+                a = a.H
+            w = mpmath.eigh(a * a.H, eigvals_only=True)
+            out.append(sorted(float(mpmath.re(x)) for x in w))
+    return np.array(out)
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Spectrum reuse pins: sweeps, bit-energy curves and figures evaluate every
 point from one eigensolve of the draws, and the theta curves of one SNR from
 one pass of rates; all must equal the per-point Monte Carlo estimators bit
-for bit."""
+for bit. The spectra themselves are pinned against LAPACK and, for the
+closed form of two eigenvalues, against a 50-digit oracle."""
 
 import math
 from collections import Counter
@@ -10,14 +11,15 @@ import numpy as np
 import pytest
 
 from effcap import asymptotics, engine, validation
-from effcap.channels import (CHUNK, IidComplexGaussian, iter_sample_chunks,
-                             iter_spectra)
+from effcap.channels import (CHUNK, IidComplexGaussian, _gram_eigvalsh,
+                             iter_sample_chunks, iter_spectra)
 from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp, bit_energy_curve,
                            chunk_rates, effective_rate_mc, ergodic_rate_mc,
                            rate_estimator)
 from effcap.errors import ConfigError
 from effcap.figures import reproduce_figure, sweep_rows
+from oracles import complex_gaussian, gram_eigvalsh
 
 T, B = 1e-3, 1e5
 N = 2 * CHUNK + 123  # three chunks, the last one partial
@@ -55,6 +57,70 @@ def test_single_eigenvalue_spectra_equal_eigvalsh(shape, seed):
         want = np.linalg.eigvalsh(h @ hh if shape[0] == 1 else hh @ h)
         assert ev.dtype == want.dtype and ev.flags.c_contiguous
         assert np.array_equal(ev, want)
+
+
+# the shapes whose smaller gram is 2x2, and the bounds of the closed form
+# against the exact spectrum: lambda_max relative, lambda_min absolute in
+# units of lambda_max. LAPACK on the formed gram is itself up to 4.6 eps
+# off the exact spectrum (4.2 eps on these draws), so agreement with it is
+# asserted to the sum of the two errors.
+TWO = [(2, 2), (2, 3), (3, 2), (2, 5), (5, 2), (2, 15), (15, 2)]
+EPS = np.finfo(float).eps
+EXACT_TOL, LAPACK_TOL = 4 * EPS, 10 * EPS
+
+
+def two_row_stack(m, rng):
+    """2 x m draws, then rows that are parallel (rank one), one zero, and
+    orthogonal of equal norm, each set also scaled by 1e-100, 1e100 and
+    1e150."""
+    g = complex_gaussian(rng, (48, 2, m))
+    x = g[:3, 0]
+    parallel = np.stack([x, (0.3 - 0.7j) * x], axis=1)
+    zero = np.stack([x, np.zeros_like(x)], axis=1)
+    # (p, q, 0...) and (-q*, p*, 0...): b is exactly 0 and a == d
+    ortho = np.zeros((3, 2, m), dtype=complex)
+    ortho[:, 0, :2] = g[3:6, 0, :2]
+    ortho[:, 1, 0] = -ortho[:, 0, 1].conj()
+    ortho[:, 1, 1] = ortho[:, 0, 0].conj()
+    h = np.concatenate([g, parallel, zero, ortho])
+    return np.concatenate([h * s for s in (1.0, 1e-100, 1e100, 1e150)])
+
+
+def assert_spectra_close(got, want, tol):
+    lam = want[:, 1]
+    assert np.all(np.abs(got[:, 1] - lam) <= tol * lam)
+    assert np.all(np.abs(got[:, 0] - want[:, 0]) <= tol * lam)
+
+
+@pytest.mark.parametrize("shape", TWO)
+def test_two_eigenvalue_spectra_closed_form(shape):
+    m = max(shape)
+    h = two_row_stack(m, np.random.default_rng(m))
+    if shape[0] > shape[1]:
+        h = h.transpose(0, 2, 1).copy()
+    got = _gram_eigvalsh(h)
+    assert got.shape == (len(h), 2) and got.dtype == np.float64
+    assert got.flags.c_contiguous
+    assert np.all(np.isfinite(got)) and np.all(got[:, 0] <= got[:, 1])
+    assert_spectra_close(got, gram_eigvalsh(h), EXACT_TOL)
+    hh = h.conj().transpose(0, 2, 1)
+    lapack = np.linalg.eigvalsh(h @ hh if shape[0] == 2 else hh @ h)
+    assert_spectra_close(got, lapack, LAPACK_TOL)
+
+
+@pytest.mark.parametrize("shape", TWO)
+def test_two_eigenvalue_spectra_call_no_eigvalsh(shape, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spectra = list(iter_spectra(IidComplexGaussian(*shape), N, SEED))
+    assert [ev.shape for ev in spectra] == [(CHUNK, 2)] * 2 + [(123, 2)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
@@ -104,9 +170,8 @@ def test_fig5_curve_equals_sparse_rate_formula(tmp_path):
                 # b_c), with R the uniform-power log-det rate
                 a = theta * T * b_c
                 acc = _LogMeanExp()
-                for h in iter_sample_chunks(model, N, SEED):
-                    ev = np.clip(np.linalg.eigvalsh(
-                        h @ h.conj().transpose(0, 2, 1)), 0.0, None)
+                for ev in iter_spectra(model, N, SEED):
+                    ev = np.clip(ev, 0.0, None)
                     acc.add(-a * np.log2(1.0 + 2 * snr / 2 * ev).sum(axis=1))
                 rate = -acc.log_mean() / a
             assert (row[2], row[4]) == (snr, rate)
@@ -117,10 +182,8 @@ def test_uniform_rate_keeps_expression_order():
     # reordered product rounds differently on many draws
     model = IidComplexGaussian(2, 3)
     snr = 0.7
-    for ev, h in zip(iter_spectra(model, N, SEED),
-                     iter_sample_chunks(model, N, SEED)):
-        eig = np.clip(np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1)),
-                      0.0, None)
+    for ev in iter_spectra(model, N, SEED):
+        eig = np.clip(ev, 0.0, None)
         want = np.log2(1.0 + 2 * snr / 3 * eig).sum(axis=1)
         assert np.array_equal(
             chunk_rates(ev, UniformIdentity(), snr, 2, 3), want)
