@@ -204,7 +204,7 @@ def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
     denom = -acc.log_mean()
     if denom <= 0:
         raise NumericError(
-            f"MGF mean did not decay; max exponent {acc.m}")
+            f"MGF mean did not decay; max exponent {acc.m[0]}")
     eb = rho / denom
     return eb, 10.0 * math.log10(eb)
 

@@ -195,6 +195,23 @@ def _two_eigvalsh(h: np.ndarray) -> np.ndarray:
     return np.stack([mid - r, mid + r], axis=1)
 
 
+def sum_columns(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of an (n, k) array, bitwise, by adding its columns.
+
+    For k < 8 NumPy sums each row from 0.0 left to right, one inner-loop
+    call per row; 0.0 + column 0, then each later column added in turn,
+    makes the same roundings (a row of -0.0 included) in k vectorized
+    passes. From k = 8 NumPy sums pairwise, so that case is its own sum.
+    """
+    k = a.shape[1]
+    if not 0 < k < 8:
+        return a.sum(axis=1)
+    out = a[:, 0] + 0.0
+    for j in range(1, k):
+        out += a[:, j]
+    return out
+
+
 def hermitian_eig(a: np.ndarray):
     """Eigenvalues (descending) and matching orthonormal eigenvectors."""
     a = np.asarray(a)
@@ -252,8 +269,8 @@ def spectral_moments_mc(model: ChannelModel, n_samples: int,
     sqsums = np.zeros(5)
     for ev in iter_spectra(model, n_samples, seed):
         lam = ev[:, -1]
-        tr = ev.sum(axis=1)
-        tr2 = (ev ** 2).sum(axis=1)
+        tr = sum_columns(ev)
+        tr2 = sum_columns(ev ** 2)
         stats = np.stack([lam, lam ** 2, tr, tr ** 2, tr2], axis=1)
         sums += stats.sum(axis=0)
         sqsums += (stats ** 2).sum(axis=0)

@@ -8,7 +8,6 @@ log-mean-exp so that large theta*T*B products never overflow.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (ChannelModel, iter_sample_chunks, iter_spectra,
-                       hermitian_eig, mean_gram_and_chunks)
+                       hermitian_eig, mean_gram_and_chunks, sum_columns)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -129,7 +128,7 @@ def _batch_waterfill_rates(eigs: np.ndarray, gain: float) -> np.ndarray:
     d = np.maximum(0.0, mu_star[:, None] - inv)
     rate = np.where(d > 0, np.log2(1.0 + gain * np.where(pos, lam, 0.0) * d),
                     0.0)
-    return rate.sum(axis=1)
+    return sum_columns(rate)
 
 
 def strategy_spectra(model: ChannelModel, strategy: CovarianceStrategy,
@@ -149,16 +148,21 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
     if snr == 0:
         return np.zeros(ev.shape[0])
     gain = n_r * snr
-    ev = np.clip(ev, 0.0, None)
-    if isinstance(strategy, UniformIdentity):
-        return np.log2(1.0 + gain / n_t * ev).sum(axis=1)
-    if isinstance(strategy, FixedCovariance):
-        return np.log2(1.0 + gain * ev).sum(axis=1)
-    if isinstance(strategy, BeamformingCsit):
-        return np.log2(1.0 + gain * ev[:, -1])
     if isinstance(strategy, WaterfillingCsit):
-        return _batch_waterfill_rates(ev, gain)
-    raise DomainError(f"unsupported strategy {strategy!r}")
+        return _batch_waterfill_rates(np.clip(ev, 0.0, None), gain)
+    if isinstance(strategy, UniformIdentity):
+        gain = gain / n_t
+    elif isinstance(strategy, BeamformingCsit):
+        ev = ev[:, -1:]
+    elif not isinstance(strategy, FixedCovariance):
+        raise DomainError(f"unsupported strategy {strategy!r}")
+    # log2(1 + gain * clip(ev)) per eigenvalue, its steps in that order and
+    # in place on one array, then summed over the eigenvalues
+    t = np.clip(ev, 0.0, None)
+    t *= gain
+    t += 1.0
+    np.log2(t, out=t)
+    return sum_columns(t)
 
 
 @dataclass(frozen=True)
@@ -169,50 +173,84 @@ class EffCapEstimate:
 
 
 class _LogMeanExp:
-    """Streaming log-mean-exp with delta-method standard error and, when
-    per-sample derivatives of the exponents are given, its gradient."""
+    """Streaming log-mean-exp of each row of the exponents added, with its
+    delta-method standard error and, for one row given per-sample
+    derivatives of its exponents, its gradient.
+
+    `add` takes a chunk of exponents, (rows, n), or (n,) for one row, in
+    which case the results are floats rather than lists of one per row.
+    Row i keeps its running maximum m[i] and the sums s1[i] of e^(x - m[i])
+    and s2[i] of e^(2(x - m[i])); a chunk that raises m[i] first scales
+    them by math.exp(old m[i] - new m[i]).
+    """
 
     def __init__(self):
-        self.m = -np.inf
-        self.s1 = 0.0
-        self.s2 = 0.0
+        self.m = np.full(1, -np.inf)
+        self.s1, self.s2 = np.zeros((2, 1))
         self.sd = 0.0
         self.n = 0
+        self.one_row = True
+        self._buf = None
 
     def add(self, x: np.ndarray, dx: np.ndarray | None = None):
-        cm = float(x.max())
-        if math.isnan(cm):
+        xs = x.reshape(-1, x.shape[-1])
+        cm = xs.max(axis=1)
+        top = float(cm.max())  # NaN if any exponent is
+        if math.isnan(top):
             raise NumericError("NaN exponent in log-mean-exp")
-        if cm == math.inf:
-            raise NumericError(f"infinite exponent in log-mean-exp: {cm}")
-        if cm > self.m:
-            if math.isfinite(self.m):
-                r = math.exp(self.m - cm)
-                self.s1 *= r
-                self.s2 *= r * r
-                self.sd *= r
+        if top == math.inf:
+            raise NumericError(f"infinite exponent in log-mean-exp: {top}")
+        if self.n == 0:
             self.m = cm
-        w = np.exp(x - self.m)
-        self.s1 += float(w.sum())
-        self.s2 += float((w * w).sum())
+            self.s1, self.s2 = np.zeros((2, len(cm)))
+            self.one_row = x.ndim == 1
+        else:
+            for i in np.flatnonzero(cm > self.m):
+                if math.isfinite(self.m[i]):
+                    r = math.exp(self.m[i] - cm[i])
+                    self.s1[i] *= r
+                    self.s2[i] *= r * r
+                    self.sd *= r
+                self.m[i] = cm[i]
+        # one buffer for the weights of every chunk: a new (rows x n) array
+        # per chunk, freed beside the exponents, can cost more than the
+        # arithmetic when the allocator returns the memory each time
+        if self._buf is None or self._buf.size < xs.size:
+            self._buf = np.empty(xs.size)
+        w = self._buf[:xs.size].reshape(xs.shape)
+        np.subtract(xs, self.m[:, None], out=w)
+        np.exp(w, out=w)
+        self.s1 += w.sum(axis=1)
         if dx is not None:
-            self.sd += w @ dx
-        self.n += len(x)
+            self.sd += w[0] @ dx
+        w *= w
+        self.s2 += w.sum(axis=1)
+        self.n += xs.shape[1]
 
-    def log_mean(self) -> float:
-        if self.s1 <= 0.0 or not math.isfinite(self.m):
-            raise NumericError(
-                f"MGF sample mean underflowed; max exponent was {self.m}")
-        return self.m + math.log(self.s1 / self.n)
+    def _rows(self, values: list):
+        return values[0] if self.one_row else values
+
+    def log_mean(self):
+        out = []
+        for m, s1 in zip(self.m.tolist(), self.s1.tolist()):
+            if s1 <= 0.0 or not math.isfinite(m):
+                raise NumericError(
+                    f"MGF sample mean underflowed; max exponent was {m}")
+            out.append(m + math.log(s1 / self.n))
+        return self._rows(out)
 
     def d_log_mean(self) -> np.ndarray:
-        """Gradient of log_mean: the exp-weighted mean of the added dx."""
-        return self.sd / self.s1
+        """Gradient of log_mean of one row: the exp-weighted mean of the
+        added dx."""
+        return self.sd / self.s1[0]
 
-    def se_log(self) -> float:
-        mean_w = self.s1 / self.n
-        var_w = max(self.s2 / self.n - mean_w ** 2, 0.0)
-        return math.sqrt(var_w / self.n) / mean_w
+    def se_log(self):
+        out = []
+        for s1, s2 in zip(self.s1.tolist(), self.s2.tolist()):
+            mean_w = s1 / self.n
+            var_w = max(s2 / self.n - mean_w ** 2, 0.0)
+            out.append(math.sqrt(var_w / self.n) / mean_w)
+        return self._rows(out)
 
 
 def effective_rate_mc(scenario: QosScenario, model: ChannelModel,
@@ -239,59 +277,75 @@ def _check_snr(snr: float) -> None:
         raise DomainError(f"snr must be finite and >= 0, got {snr}")
 
 
-def _estimate(theta_tb: float, n_r: int, rates,
-              n_samples: int) -> EffCapEstimate:
-    """Effective rate per receive dimension over per-chunk rates, or the
-    sample-mean (ergodic) rate when theta_tb = 0."""
-    if theta_tb == 0:
-        s = 0.0
-        sq = 0.0
-        for r in rates:
-            r = r / n_r
-            s += float(r.sum())
-            sq += float((r * r).sum())
+def _estimate(theta_tbs: list, n_r: int, rates, n_samples: int) -> list:
+    """Per theta_tb, the effective rate per receive dimension, or the
+    sample-mean (ergodic) rate where theta_tb = 0, in one pass over the
+    per-chunk rates: the exponents -theta_tb * rate of every positive
+    theta_tb form one (curves x draws) matrix per chunk, and the ergodic
+    sums are taken once for all theta_tb = 0."""
+    if not theta_tbs:
+        return []
+    pos = [a for a in theta_tbs if a > 0]
+    neg = np.array([-a for a in pos])
+    ergodic = len(pos) < len(theta_tbs)
+    acc = _LogMeanExp()
+    s = sq = 0.0
+    for r in rates:
+        if ergodic:
+            rn = r / n_r
+            s += float(rn.sum())
+            sq += float((rn * rn).sum())
+        if pos:
+            acc.add(np.multiply.outer(neg, r))
+    if ergodic:
         mean = s / n_samples
         var = max(sq / n_samples - mean ** 2, 0.0)
-        return EffCapEstimate(mean, math.sqrt(var / n_samples), n_samples)
-    acc = _LogMeanExp()
-    for r in rates:
-        acc.add(-theta_tb * r)
-    denom = theta_tb * n_r
-    return EffCapEstimate(-acc.log_mean() / denom, acc.se_log() / denom,
-                          n_samples)
+        zero = EffCapEstimate(mean, math.sqrt(var / n_samples), n_samples)
+    effective = iter(
+        [EffCapEstimate(-log_mean / (a * n_r), se / (a * n_r), n_samples)
+         for a, log_mean, se in zip(pos, acc.log_mean(), acc.se_log())]
+        if pos else [])
+    return [zero if a == 0 else next(effective) for a in theta_tbs]
 
 
 def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
                    n_samples: int, seed: int):
-    """Return estimate(scenario, snr), the effective rate (ergodic when
-    scenario.theta = 0) on the draws of (model, n_samples, seed); the one
-    path from draws to a rate, which effective_rate_mc and ergodic_rate_mc
-    call for a single point.
+    """Return estimate(scenarios, snr): the effective rates (ergodic where
+    theta = 0) of a sequence of scenarios at one snr, as a list, or of one
+    scenario, as an estimate, on the draws of (model, n_samples, seed).
+    It is the one path from draws to a rate; effective_rate_mc and
+    ergodic_rate_mc call it for a single scenario.
 
-    The draws are eigensolved once, here, and every point is evaluated
-    from those spectra; StatisticalOptimized re-runs its optimizer per
-    point. A scenario whose shape is not the model's is refused. The rates
-    depend on snr and not on theta, so the per-chunk rates of the most
-    recent snr are kept and reused while calls repeat it, as the theta
-    curves of one SNR do. The spectra and this one-entry memo, k + 1
-    floats per draw for k eigenvalues, live as long as the returned
-    function, so a single-point call holds them until it returns.
+    The draws are eigensolved once, here. Each call makes one pass over
+    those spectra: the rates of a chunk depend on snr and not on theta, so
+    they are computed once and reduced for every scenario of the call
+    together (`_estimate`); the theta curves of one SNR are asked in one
+    call for that reason. StatisticalOptimized runs its optimizer once per
+    scenario. A scenario whose shape is not the model's is refused. The
+    spectra, k floats per draw for k eigenvalues, live as long as the
+    returned function, so a single-point call holds them until it returns.
     """
     if isinstance(strategy, StatisticalOptimized):
-        # looked up at call time, so that a wrapped optimizer is the one run
-        return lambda scenario, snr: optimize_covariance_statistical(
-            scenario, model, snr, n_samples, seed)[1]
-    spectra = list(strategy_spectra(model, strategy, n_samples, seed))
+        def evaluate(batch, snr):
+            # looked up at call time, so that a wrapped optimizer is run
+            return [optimize_covariance_statistical(
+                sc, model, snr, n_samples, seed)[1] for sc in batch]
+    else:
+        spectra = list(strategy_spectra(model, strategy, n_samples, seed))
 
-    @functools.lru_cache(maxsize=1)
-    def rates(snr: float) -> list:
-        _check_snr(snr)
-        return [chunk_rates(ev, strategy, snr, model.n_r, model.n_t)
-                for ev in spectra]
+        def evaluate(batch, snr):
+            for sc in batch:
+                check_shape(sc, model)
+            _check_snr(snr)
+            rates = (chunk_rates(ev, strategy, snr, model.n_r, model.n_t)
+                     for ev in spectra)
+            return _estimate([sc.theta_tb for sc in batch], model.n_r, rates,
+                             n_samples)
 
-    def estimate(scenario: QosScenario, snr: float) -> EffCapEstimate:
-        check_shape(scenario, model)
-        return _estimate(scenario.theta_tb, model.n_r, rates(snr), n_samples)
+    def estimate(scenarios, snr: float):
+        if isinstance(scenarios, QosScenario):
+            return evaluate([scenarios], snr)[0]
+        return evaluate(list(scenarios), snr)
     return estimate
 
 
@@ -468,8 +522,9 @@ def bit_energy_curve(scenario: QosScenario, model: ChannelModel,
 
 def bit_energy_points(estimate, scenario: QosScenario, snr_grid,
                       normalized_per_rx: bool = True):
-    """The points of `bit_energy_curve` from estimate(scenario, snr), a
-    `rate_estimator` that callers may share between curves."""
+    """The points of `bit_energy_curve` from estimate(scenario, snr): a
+    `rate_estimator`, which callers may share between curves, or a lookup
+    of estimates it made."""
     snr_grid = np.asarray(snr_grid, dtype=float)
     if np.any(snr_grid <= 0) or np.any(np.diff(snr_grid) <= 0):
         raise DomainError("snr_grid must be positive and ascending")

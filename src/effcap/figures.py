@@ -72,14 +72,16 @@ def sweep_rows(scenario: QosScenario, model, strategy, snr_db_grid,
     """One row per SNR grid point in the stable sweep schema."""
     estimate = rate_estimator(model, strategy, n_samples, seed)
     name = type(strategy).__name__
-    return [_sweep_row(scenario, name, db, estimate, n_samples, seed)
-            for db in snr_db_grid]
+    rows = []
+    for db in snr_db_grid:
+        snr = 10.0 ** (db / 10.0)
+        rows.append(_sweep_row(scenario, name, db, snr,
+                               estimate(scenario, snr), n_samples, seed))
+    return rows
 
 
-def _sweep_row(scenario: QosScenario, name: str, db, estimate,
+def _sweep_row(scenario: QosScenario, name: str, db, snr, est,
                n_samples: int, seed: int):
-    snr = 10.0 ** (db / 10.0)
-    est = estimate(scenario, snr)
     unnorm = est.value * scenario.n_r
     return (float(db), snr, unnorm, est.value, est.std_err,
             _eb_db(snr, unnorm), name, scenario.theta_hat, scenario.n_r,
@@ -109,14 +111,13 @@ class FigureCurve:
     rows: list
 
 
-def _write_figure(name, out_dir, header, grid, labels, rows):
-    """Write one CSV per curve, rows[i](x) being curve i's row at grid
-    point x. Grid outside, curves inside: rate_estimator keeps only the
-    latest SNR's per-draw rates, so the curves of one point share them."""
-    curves = [[] for _ in rows]
+def _write_figure(name, out_dir, header, grid, labels, rows_at):
+    """Write one CSV per curve, rows_at(x) being the curves' rows at grid
+    point x, in curve order."""
+    curves = [[] for _ in labels]
     for x in grid:
-        for row, curve in zip(rows, curves):
-            curve.append(row(x))
+        for curve, row in zip(curves, rows_at(x)):
+            curve.append(row)
     out = []
     for label, curve in zip(labels, curves):
         path = os.path.join(out_dir, f"{name}_{label}.csv")
@@ -125,17 +126,39 @@ def _write_figure(name, out_dir, header, grid, labels, rows):
     return out
 
 
+def _estimates(estimates, scenarios, snr):
+    """estimates[i](scenarios[i], snr) for each curve i, asked once per
+    estimator for all of its curves, which so share one pass over its
+    draws."""
+    out = [None] * len(scenarios)
+    curves_of = {}
+    for i, estimate in enumerate(estimates):
+        curves_of.setdefault(estimate, []).append(i)
+    for estimate, curves in curves_of.items():
+        for i, est in zip(curves, estimate([scenarios[i] for i in curves],
+                                           snr)):
+            out[i] = est
+    return out
+
+
 def _antenna(values, snr_db, n_points, n_samples, seed, db_range, shape):
     """Figures 1-4 in the sweep schema, over snr_db or 26 points across
-    db_range: one curve per value, at (theta_hat, n_R, n_T) = shape(value)."""
+    db_range: one curve per value, at (theta_hat, n_R, n_T) = shape(value);
+    the curves of one n_R x n_T share an estimator."""
     estimator = functools.cache(lambda n_r, n_t: rate_estimator(
         IidComplexGaussian(n_r, n_t), UniformIdentity(), n_samples, seed))
-    rows = [functools.partial(
-        _sweep_row, QosScenario.from_theta_hat(th, _T, _B, n_r, n_t),
-        "UniformIdentity", estimate=estimator(n_r, n_t), n_samples=n_samples,
-        seed=seed) for th, n_r, n_t in map(shape, values)]
+    scenarios = [QosScenario.from_theta_hat(th, _T, _B, n_r, n_t)
+                 for th, n_r, n_t in map(shape, values)]
+    estimates = [estimator(sc.n_r, sc.n_t) for sc in scenarios]
+
+    def rows_at(db):
+        snr = 10.0 ** (db / 10.0)
+        return [_sweep_row(sc, "UniformIdentity", db, snr, est, n_samples,
+                           seed)
+                for sc, est in zip(scenarios,
+                                   _estimates(estimates, scenarios, snr))]
     grid = np.linspace(*db_range, 26) if snr_db is None else snr_db
-    return SWEEP_COLUMNS, grid, rows
+    return SWEEP_COLUMNS, grid, rows_at
 
 
 _SPARSE_COLUMNS = ["b_c_hz", "m", "snr_linear", "theta", "rate_bits_s_hz",
@@ -149,16 +172,19 @@ def _sparse(values, snr_db, n_points, n_samples, seed, m_of):
     estimate = rate_estimator(IidComplexGaussian(n_r, n_t), UniformIdentity(),
                               n_samples, seed)
 
-    def row(theta, b_c):
+    def rows_at(b_c):
         m = m_of(b_c)
         snr = 1e4 / (n_r * m * b_c)  # set by B_c alone
         # unnormalized rate of one subchannel of bandwidth b_c
-        scenario = QosScenario(theta, _T, float(b_c), n_r, n_t)
-        rate = estimate(scenario, snr).value * n_r
-        return (float(b_c), m, snr, theta, rate, _eb_db(snr, rate),
-                n_samples, seed)
-    rows = [functools.partial(row, theta) for theta in values]
-    return _SPARSE_COLUMNS, np.logspace(4.0, 7.0, n_points), rows
+        ests = estimate([QosScenario(theta, _T, float(b_c), n_r, n_t)
+                         for theta in values], snr)
+        rows = []
+        for theta, est in zip(values, ests):
+            rate = est.value * n_r
+            rows.append((float(b_c), m, snr, theta, rate, _eb_db(snr, rate),
+                         n_samples, seed))
+        return rows
+    return _SPARSE_COLUMNS, np.logspace(4.0, 7.0, n_points), rows_at
 
 
 _SISO, _FIG56 = (0.0, 0.5, 1.0, 2.0, 5.0), (0.0, 0.1, 0.5, 1.0, 2.0)
@@ -196,7 +222,7 @@ def reproduce_figure(name: str, out_dir: str = ".", n_samples: int = 200_000,
     values, fmt, build, *args = _FIGURES[name]
     values = tuple(values if theta_values is None else theta_values)
     os.makedirs(out_dir, exist_ok=True)
-    header, grid, rows = build(values, snr_db, n_points, n_samples, seed,
-                               *args)
+    header, grid, rows_at = build(values, snr_db, n_points, n_samples, seed,
+                                  *args)
     labels = [(fmt % v).replace(".", "p") for v in values]
-    return _write_figure(name, out_dir, header, grid, labels, rows)
+    return _write_figure(name, out_dir, header, grid, labels, rows_at)

@@ -114,17 +114,24 @@ def lowsnr_suite(n_samples=200_000, seed=0):
                                           ("csit", WaterfillingCsit()),
                                           ("beamforming", BeamformingCsit()))}
     snr0, fd_thetas, s0_thetas = 1e-3, (0.5, 2.0), (0.0, 1.0, 4.0)
-    # SNR outer, theta inner: an estimator keeps the rates of its latest SNR
-    # only, so this makes each (strategy, SNR) one pass over the draws, and
-    # uniform's last SNR here, snr0, is the secants' first
-    rate = {(label, snr, th): est(_scenario(th, 2, 2), snr).value
-            for snr in (snr0 / 2, snr0) for label, est in estimators.items()
-            for th in fd_thetas}
-    pts = {th: [] for th in s0_thetas}
-    for snr in (snr0, 2 * snr0):
-        for th in s0_thetas:
-            pts[th] += bit_energy_points(estimators["uniform"],
-                                         _scenario(th, 2, 2), [snr])
+    # water-filling opens its second mode on none of the draws at snr0 and
+    # snr0/2, where its cells equal beamforming's, and on 43% of them at
+    # snr_two (200k draws, seed 0)
+    snr_two = 1.0
+    # every theta read at one (strategy, SNR) is asked in one call, so that
+    # each pair is one pass over the draws
+    asks = {(label, snr): fd_thetas for label in estimators
+            for snr in (snr0 / 2, snr0, snr_two)}
+    asks["uniform", snr0] = fd_thetas + s0_thetas
+    asks["uniform", 2 * snr0] = s0_thetas
+    est = {}
+    for (label, snr), thetas in asks.items():
+        got = estimators[label]([_scenario(th, 2, 2) for th in thetas], snr)
+        est.update(((label, snr, th), e) for th, e in zip(thetas, got))
+    rate = {key: e.value for key, e in est.items()}
+    pts = {th: bit_energy_points(
+               lambda sc, snr, th=th: est["uniform", snr, th],
+               _scenario(th, 2, 2), [snr0, 2 * snr0]) for th in s0_thetas}
 
     for th in fd_thetas:
         sc = _scenario(th, 2, 2)
@@ -141,6 +148,19 @@ def lowsnr_suite(n_samples=200_000, seed=0):
         # water-filling and beamforming share their derivatives at SNR 0
         checks += _fd_checks("csit", rate, dcsit, snr0, th)
         checks += _fd_checks("beamforming", rate, dcsit, snr0, th)
+
+    # water-filling maximizes the rate of each draw and the strategies share
+    # their draws, so its effective rate is at least uniform's, and above
+    # beamforming's once a second mode opens
+    cells = [(th, *(rate[label, snr_two, th]
+                    for label in ("csit", "uniform", "beamforming")))
+             for th in fd_thetas]
+    checks.append(_check(
+        f"csit above uniform and beamforming snr={snr_two}",
+        all(csit >= unif and csit > beam for _, csit, unif, beam in cells),
+        "; ".join(f"theta_hat={th}: csit {csit:.6g}, uniform {unif:.6g}, "
+                  f"beamforming {beam:.6g}"
+                  for th, csit, unif, beam in cells)))
 
     # wideband slope: closed form vs a secant from the bit-energy curve
     s0_values = []
@@ -170,10 +190,11 @@ def highsnr_suite(n_samples=200_000, seed=0):
     for n_r, n_t in ((1, 1), (2, 2), (2, 3)):
         estimate = rate_estimator(IidComplexGaussian(n_r, n_t),
                                   UniformIdentity(), n_big, seed)
-        for th in (0.5, 1.0):
-            sc = _scenario(th, n_r, n_t)
+        thetas = (0.5, 1.0)
+        scenarios = [_scenario(th, n_r, n_t) for th in thetas]
+        for th, sc, est in zip(thetas, scenarios,
+                               estimate(scenarios, 10.0)):
             quad = asy.hankel_effective_rate(sc, 10.0)
-            est = estimate(sc, 10.0)
             diff = abs(quad - est.value * n_r)
             tol = 3.0 * est.std_err * n_r
             checks.append(_check(

@@ -552,6 +552,80 @@ class TestLogMeanExpNaN:
         with pytest.raises(NumericError, match="NaN exponent"):
             _LogMeanExp().add(np.array([np.nan]))
 
+    @pytest.mark.parametrize("bad,match", [(np.nan, "NaN exponent"),
+                                           (np.inf, "infinite exponent")])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_in_one_row(self, bad, match, first):
+        # one bad entry in the middle row of three, in the first chunk or
+        # after a finite one
+        x = -np.arange(12.0).reshape(3, 4)
+        acc = _LogMeanExp()
+        if not first:
+            acc.add(x)
+        x[1, 2] = bad
+        with pytest.raises(NumericError, match=match):
+            acc.add(x)
+
+
+# i.i.d. 2x2 at seed 2 over 3 * CHUNK + 5 draws: at every SNR and strategy
+# below, a later chunk holds a lower rate than the first, so it raises the
+# running maximum of the exponents and the sums of the first are rescaled
+_BATCH_DRAWS, _BATCH_SEED = 3 * CHUNK + 5, 2
+
+
+@pytest.mark.parametrize("strategy", [UniformIdentity(), WaterfillingCsit()])
+@pytest.mark.parametrize("snr", [1e-4, 1.0, 1e3])
+def test_batched_scenarios_equal_one_call_each_bitwise(strategy, snr,
+                                                       monkeypatch):
+    model = IidComplexGaussian(2, 2)
+    mins = [chunk_rates(ev, strategy, snr, 2, 2).min() for ev in
+            engine.strategy_spectra(model, strategy, _BATCH_DRAWS,
+                                    _BATCH_SEED)]
+    assert len(mins) == 4 and min(mins[1:]) < mins[0]
+    estimate = rate_estimator(model, strategy, _BATCH_DRAWS, _BATCH_SEED)
+    scenarios = [scen(th, 2, 2) for th in (0.5, 0.0, 2.0, 8.0, 0.0, 0.5)]
+    batch = estimate(scenarios, snr)
+
+    def bits(est):
+        return est.value.hex(), est.std_err.hex(), est.n_samples
+    assert [bits(e) for e in batch] == \
+        [bits(estimate(sc, snr)) for sc in scenarios]
+    # no scenario, no pass over the draws
+    monkeypatch.setattr(engine, "chunk_rates", None)
+    assert estimate([], snr) == []
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_sum_columns_is_numpy_row_sum_bitwise(k):
+    # NumPy sums a row from 0.0 left to right for k < 8 and pairwise from 8
+    # on; a release that changes either order fails here
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((4096, k)) * 10.0 ** rng.integers(-300, 300,
+                                                              (4096, k))
+    a[rng.random((4096, k)) < 0.2] = 0.0
+    a[rng.random((4096, k)) < 0.1] = -0.0
+    a[rng.random((4096, k)) < 0.1] = 5e-324
+    a[rng.random((4096, k)) < 0.1] = 1e300
+    a[:8] = -0.0
+    got = channels.sum_columns(a)
+    assert got.tobytes() == a.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("strategy", [
+    UniformIdentity(), BeamformingCsit(), FixedCovariance(np.eye(2) / 2)])
+def test_chunk_rates_keep_expression_bits(strategy):
+    # per eigenvalue log2(1 + gain * clip(ev)), in that order, summed over
+    # the eigenvalues, or of the largest only for beamforming
+    rng = np.random.default_rng(4)
+    ev = np.sort(rng.exponential(1.0, (CHUNK + 7, 2)), axis=1)
+    ev[::5, 0] = -1e-17
+    eig = np.clip(ev, 0.0, None)
+    want = {UniformIdentity: lambda: np.log2(1.0 + 2 * 0.7 / 3 * eig).sum(1),
+            BeamformingCsit: lambda: np.log2(1.0 + 2 * 0.7 * eig[:, -1]),
+            FixedCovariance: lambda: np.log2(1.0 + 2 * 0.7 * eig).sum(1)}
+    got = chunk_rates(ev, strategy, 0.7, 2, 3)
+    assert got.tobytes() == want[type(strategy)]().tobytes()
+
 
 class TestSimplexMaximize:
     @pytest.mark.parametrize("seed", range(10))

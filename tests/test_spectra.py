@@ -306,8 +306,9 @@ def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch,
 
 def test_lowsnr_suite_one_rate_pass_per_strategy_and_snr(monkeypatch,
                                                          fewer_moment_draws):
-    # the finite differences at 1e-3 and 5e-4 and the secants at 1e-3 and
-    # 2e-3 read each (strategy, SNR) from one pass of chunk_rates
+    # the finite differences at 1e-3 and 5e-4, the secants at 1e-3 and
+    # 2e-3 and the water-filling comparison at 1 read each (strategy, SNR)
+    # from one pass of chunk_rates
     calls = Counter()
 
     def counted(ev, strategy, snr, n_r, n_t):
@@ -319,7 +320,8 @@ def test_lowsnr_suite_one_rate_pass_per_strategy_and_snr(monkeypatch,
     snr0 = 1e-3
     pairs = [(name, snr) for name in ("UniformIdentity", "WaterfillingCsit",
                                       "BeamformingCsit")
-             for snr in (snr0 / 2, snr0)] + [("UniformIdentity", 2 * snr0)]
+             for snr in (snr0 / 2, snr0, 1.0)] \
+        + [("UniformIdentity", 2 * snr0)]
     assert calls == {pair: math.ceil(N / CHUNK) for pair in pairs}
 
 
