@@ -6,8 +6,8 @@ from .channels import (FixedMatrix, IidComplexGaussian, KroneckerCorrelated,
                        max_eig_subspace, mean_gram_mc, spectral_moments_mc)
 from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, bit_energy_curve, effective_rate_mc,
-                     ergodic_rate_mc, optimize_covariance_statistical)
+                     WaterfillingCsit, effective_rate_mc, ergodic_rate_mc,
+                     optimize_covariance_statistical)
 from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
                           SparseWidebandConfig, StatisticalMoments,
                           derivs_csit, derivs_statistical, derivs_uniform,

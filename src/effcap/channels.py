@@ -185,7 +185,9 @@ def _two_eigvalsh(h: np.ndarray) -> np.ndarray:
     zheevd on the formed gram is within about 5 eps of both. hypot keeps
     entries up to about 1e150 finite wherever the formed gram is.
     """
-    v = h if h.shape[1] == 2 else h.transpose(0, 2, 1)
+    # the two columns of an n x 2 H taken contiguous, so that the einsums
+    # walk the same memory as for a 2 x n H
+    v = h if h.shape[1] == 2 else np.ascontiguousarray(h.transpose(0, 2, 1))
     norms = (np.einsum("nik,nik->ni", v.real, v.real)
              + np.einsum("nik,nik->ni", v.imag, v.imag))
     a, d = norms[:, 0], norms[:, 1]

@@ -15,9 +15,10 @@ from . import asymptotics as asy
 from .channels import spectral_moments_mc
 from .config import KEYS, RunConfig, apply_overrides, parse_kv_text
 from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, bit_energy_curve)
+                     WaterfillingCsit)
 from .errors import ConfigError, DomainError, FitError, NumericError
-from .figures import _claim, _write_csv, reproduce_figure, run_sweep
+from .figures import (SWEEP_COLUMNS, _claim, _write_csv, config_rows,
+                      reproduce_figure, run_sweep)
 from .queuesim import validate_theta
 from .validation import SUITES, run_validation
 
@@ -76,12 +77,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_bit_energy(args) -> int:
     cfg = _load_config(args)
-    grid = 10.0 ** (cfg.sweep_grid_db() / 10.0)
     path = cfg.kv["output.path"]
     with _claim(path) as tmp:
-        rows = bit_energy_curve(cfg.scenario(), cfg.model(), cfg.strategy(),
-                                grid, cfg.n_samples, cfg.seed,
-                                normalized_per_rx=False)
+        rows = [dict(zip(SWEEP_COLUMNS, row)) for row in config_rows(cfg)]
+        # the sweep's points whose rate is positive and at least 10 of its
+        # standard errors, both unnormalized
+        rows = [(r["eb_n0_db"], rate) for r in rows
+                if (rate := r["rate_bits_s_hz"]) > 0
+                and rate >= 10.0 * (r["std_err"] * r["n_R"])]
         _write_csv(tmp, ["eb_n0_db", "rate_bits_s_hz"], rows)
     _say(args, f"wrote {path} ({len(rows)} points)")
     return EXIT_OK

@@ -507,34 +507,3 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     k = (u * p) @ u.conj().T
     return k, best
 
-
-def bit_energy_curve(scenario: QosScenario, model: ChannelModel,
-                     strategy: CovarianceStrategy, snr_grid, n_samples: int,
-                     seed: int, normalized_per_rx: bool = True):
-    """(E_b/N0 dB, rate) points along an ascending SNR grid.
-
-    E_b/N0 = snr / rate with the rate in the requested normalization;
-    points whose rate is below 10 standard errors are dropped.
-    """
-    return bit_energy_points(rate_estimator(model, strategy, n_samples, seed),
-                             scenario, snr_grid, normalized_per_rx)
-
-
-def bit_energy_points(estimate, scenario: QosScenario, snr_grid,
-                      normalized_per_rx: bool = True):
-    """The points of `bit_energy_curve` from estimate(scenario, snr): a
-    `rate_estimator`, which callers may share between curves, or a lookup
-    of estimates it made."""
-    snr_grid = np.asarray(snr_grid, dtype=float)
-    if np.any(snr_grid <= 0) or np.any(np.diff(snr_grid) <= 0):
-        raise DomainError("snr_grid must be positive and ascending")
-    rows = []
-    for snr in snr_grid:
-        est = estimate(scenario, snr)
-        rate = est.value if normalized_per_rx else est.value * scenario.n_r
-        err = est.std_err if normalized_per_rx else est.std_err * scenario.n_r
-        if rate < 10.0 * err:
-            continue
-        eb_db = 10.0 * math.log10(snr / rate)
-        rows.append((eb_db, rate))
-    return rows

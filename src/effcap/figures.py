@@ -93,13 +93,17 @@ def _eb_db(snr, rate) -> float:
     return 10.0 * math.log10(snr / rate) if rate > 0 else math.inf
 
 
+def config_rows(cfg: RunConfig):
+    """The sweep rows of the config's SNR grid: `sweep` writes them whole,
+    `bit-energy` two of their columns, so both read one E_b/N0."""
+    return sweep_rows(cfg.scenario(), cfg.model(), cfg.strategy(),
+                      cfg.sweep_grid_db(), cfg.n_samples, cfg.seed)
+
+
 def run_sweep(cfg: RunConfig, out_path: str | None = None) -> str:
     """Execute the config's SNR sweep and write the CSV dataset."""
-    grid = cfg.sweep_grid_db()
-    rows = sweep_rows(cfg.scenario(), cfg.model(), cfg.strategy(), grid,
-                      cfg.n_samples, cfg.seed)
     path = out_path or cfg.kv["output.path"]
-    _write_csv(path, SWEEP_COLUMNS, rows)
+    _write_csv(path, SWEEP_COLUMNS, config_rows(cfg))
     return path
 
 

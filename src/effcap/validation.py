@@ -20,8 +20,7 @@ from . import asymptotics as asy
 from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
 from .config import KEYS
 from .engine import (BeamformingCsit, QosScenario, StatisticalOptimized,
-                     UniformIdentity, WaterfillingCsit, bit_energy_points,
-                     rate_estimator)
+                     UniformIdentity, WaterfillingCsit, rate_estimator)
 from .errors import DomainError
 from .queuesim import validate_theta
 
@@ -129,9 +128,6 @@ def lowsnr_suite(n_samples=200_000, seed=0):
         got = estimators[label]([_scenario(th, 2, 2) for th in thetas], snr)
         est.update(((label, snr, th), e) for th, e in zip(thetas, got))
     rate = {key: e.value for key, e in est.items()}
-    pts = {th: bit_energy_points(
-               lambda sc, snr, th=th: est["uniform", snr, th],
-               _scenario(th, 2, 2), [snr0, 2 * snr0]) for th in s0_thetas}
 
     for th in fd_thetas:
         sc = _scenario(th, 2, 2)
@@ -162,12 +158,15 @@ def lowsnr_suite(n_samples=200_000, seed=0):
                   f"beamforming {beam:.6g}"
                   for th, csit, unif, beam in cells)))
 
-    # wideband slope: closed form vs a secant from the bit-energy curve
+    # wideband slope: closed form vs a secant through two bit-energy points,
+    # E_b/N0 = snr / rate per receive dimension, in dB
     s0_values = []
     for th in s0_thetas:
         em = asy.energy_metrics(asy.derivs_uniform(mom, _scenario(th, 2, 2)))
         s0_values.append(em.wideband_slope_s0)
-        (e1, r1), (e2, r2) = pts[th]
+        r1, r2 = rate["uniform", snr0, th], rate["uniform", 2 * snr0, th]
+        e1, e2 = (10.0 * math.log10(snr0 / r1),
+                  10.0 * math.log10(2 * snr0 / r2))
         # S0 = slope of rate against E_b/N0 in dB, scaled by 10 log10(2)
         secant = (r2 - r1) / (e2 - e1) * (10.0 * math.log10(2.0))
         checks.append(_check(

@@ -474,6 +474,18 @@ class TestCli:
         assert lines[0] == "eb_n0_db,rate_bits_s_hz"
         assert len(lines) >= 2
 
+    @pytest.mark.parametrize("theta_hat", ["0", "1"])
+    def test_bit_energy_zero_channel_header_only(self, theta_hat, tmp_path,
+                                                 capsys):
+        # a zero channel has rate 0 at every SNR, so no point is kept
+        out = tmp_path / "be.csv"
+        assert run_cli("bit-energy", "--set", f"scenario.theta_hat={theta_hat}",
+                       "--set", "model.variant=fixed",
+                       "--set", "model.h_real=0.0", *SWEEP3,
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote {out} (0 points)\n"
+        assert out.read_text().splitlines() == ["eb_n0_db,rate_bits_s_hz"]
+
     def test_sparse_wideband(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, SCENARIO + MC + "sparse.m = 5\n"
                              "sparse.p_over_n0 = 1e4\n")

@@ -13,10 +13,11 @@ from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            QosScenario, StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp,
                            _statistical_estimate, _statistical_factor,
-                           bit_energy_curve, chunk_rates, effective_rate_mc,
-                           ergodic_rate_mc, optimize_covariance_statistical,
-                           rate_estimator, simplex_maximize)
+                           chunk_rates, effective_rate_mc, ergodic_rate_mc,
+                           optimize_covariance_statistical, rate_estimator,
+                           simplex_maximize)
 from effcap.errors import DomainError, NumericError
+from effcap.figures import SWEEP_COLUMNS, sweep_rows
 from oracles import (central_gradient, kronecker_sample, log_det_rate,
                      min_simplex_quadratic_2, statistical_estimate_lu,
                      statistical_estimate_mp, waterfill)
@@ -662,21 +663,19 @@ class TestSimplexMaximize:
 
 class TestBitEnergyCurve:
     def test_deterministic_siso_awgn_limit(self):
+        # the sweep rows' E_b/N0 on h = 1 is snr / log2(1 + snr)
         model = FixedMatrix(np.array([[1.0 + 0j]]))
-        grid = np.array([1e-4, 1e-3, 1e-2])
-        pts = bit_energy_curve(scen(1.0), model, UniformIdentity(), grid,
-                               2000, 0)
-        for (eb_db, _), snr in zip(pts, grid):
+        rows = [dict(zip(SWEEP_COLUMNS, row)) for row in sweep_rows(
+            scen(1.0), model, UniformIdentity(), [-40.0, -30.0, -20.0],
+            2000, 0)]
+        assert [r["snr_linear"] for r in rows] == [1e-4, 1e-3, 1e-2]
+        for r in rows:
+            snr = r["snr_linear"]
             expected = 10 * math.log10(snr / math.log2(1.0 + snr))
-            assert abs(eb_db - expected) < 1e-9
+            assert abs(r["eb_n0_db"] - expected) < 1e-9
         # scalar AWGN: E_b/N0 -> ln2 = -1.59 dB from above as snr -> 0
-        assert pts[0][0] == pytest.approx(10 * math.log10(math.log(2)),
-                                          abs=1e-3)
-
-    def test_grid_validated(self):
-        with pytest.raises(DomainError):
-            bit_energy_curve(scen(1.0), IidComplexGaussian(1, 1),
-                             UniformIdentity(), np.array([1.0, 0.5]), 2000, 0)
+        assert rows[0]["eb_n0_db"] == pytest.approx(
+            10 * math.log10(math.log(2)), abs=1e-3)
 
 
 def test_determinism_same_seed():

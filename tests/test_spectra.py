@@ -1,22 +1,23 @@
-"""Spectrum reuse pins: sweeps, bit-energy curves and figures evaluate every
-point from one eigensolve of the draws, and the theta curves of one SNR from
-one pass of rates; all must equal the per-point Monte Carlo estimators bit
-for bit. The spectra themselves are pinned against LAPACK and, for the
-closed form of two eigenvalues, against a 50-digit oracle."""
+"""Spectrum reuse pins: sweeps and figures evaluate every point from one
+eigensolve of the draws, and the theta curves of one SNR from one pass of
+rates; all must equal the per-point Monte Carlo estimators bit for bit, and
+the `bit-energy` CSV is two columns of the sweep rows. The spectra
+themselves are pinned against LAPACK and, for the closed form of two
+eigenvalues, against a 50-digit oracle."""
 
+import csv
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from effcap import asymptotics, engine, validation
+from effcap import asymptotics, cli, engine, validation
 from effcap.channels import (CHUNK, IidComplexGaussian, _gram_eigvalsh,
                              iter_sample_chunks, iter_spectra)
 from effcap.engine import (BeamformingCsit, QosScenario, UniformIdentity,
-                           WaterfillingCsit, _LogMeanExp, bit_energy_curve,
-                           chunk_rates, effective_rate_mc, ergodic_rate_mc,
-                           rate_estimator)
+                           WaterfillingCsit, _LogMeanExp, chunk_rates,
+                           effective_rate_mc, ergodic_rate_mc, rate_estimator)
 from effcap.errors import ConfigError
 from effcap.figures import reproduce_figure, sweep_rows
 from oracles import complex_gaussian, gram_eigvalsh
@@ -25,6 +26,9 @@ T, B = 1e-3, 1e5
 N = 2 * CHUNK + 123  # three chunks, the last one partial
 SEED = 5
 STRATEGIES = [UniformIdentity(), BeamformingCsit(), WaterfillingCsit()]
+# strategy.name of each strategy class in a run config
+NAMES = {UniformIdentity: "uniform", BeamformingCsit: "beamforming",
+         WaterfillingCsit: "waterfilling"}
 
 
 def per_point(scenario, model, strategy, snr):
@@ -108,6 +112,16 @@ def test_two_eigenvalue_spectra_closed_form(shape):
     assert_spectra_close(got, lapack, LAPACK_TOL)
 
 
+@pytest.mark.parametrize("shape", [s for s in TWO if s[0] > s[1]])
+def test_two_eigenvalue_spectra_of_transpose_bitwise(shape):
+    # an m x 2 stack is taken as its contiguous 2 x m transpose, so its
+    # spectra are those bits
+    h = two_row_stack(shape[0], np.random.default_rng(shape[0]))
+    ht = h.transpose(0, 2, 1).copy()
+    assert ht.shape[1:] == shape
+    assert np.array_equal(_gram_eigvalsh(ht), _gram_eigvalsh(h))
+
+
 @pytest.mark.parametrize("shape", TWO)
 def test_two_eigenvalue_spectra_call_no_eigvalsh(shape, monkeypatch):
     calls = []
@@ -139,18 +153,33 @@ def test_sweep_rows_equal_per_point_estimates(strategy, theta_hat, shape):
 
 
 @pytest.mark.parametrize("theta_hat", [0.0, 1.0])
-def test_bit_energy_curve_equals_per_point_loop(theta_hat):
+@pytest.mark.parametrize("strategy", STRATEGIES,
+                         ids=lambda s: type(s).__name__)
+def test_bit_energy_cli_equals_per_point_loop(strategy, theta_hat, tmp_path):
+    # the unnormalized rate of each point at SNR 1e-3 .. 1, kept where it is
+    # positive and at least 10 standard errors
     sc = QosScenario.from_theta_hat(theta_hat, T, B, 2, 2)
     model = IidComplexGaussian(2, 2)
-    grid = np.array([1e-3, 1e-2, 1e-1, 1.0])
     expected = []
-    for snr in grid:
-        est = per_point(sc, model, UniformIdentity(), snr)
-        if est.value < 10.0 * est.std_err:
-            continue
-        expected.append((10.0 * math.log10(snr / est.value), est.value))
-    got = bit_energy_curve(sc, model, UniformIdentity(), grid, N, SEED)
-    assert got == expected
+    for db in np.linspace(-30.0, 0.0, 4):
+        snr = 10.0 ** (db / 10.0)
+        est = per_point(sc, model, strategy, snr)
+        rate, err = est.value * 2, est.std_err * 2
+        if rate > 0 and rate >= 10.0 * err:
+            expected.append(["%.12g" % (10.0 * math.log10(snr / rate)),
+                             "%.12g" % rate])
+    out = tmp_path / "be.csv"
+    assert cli.main([
+        "bit-energy", "--set", f"scenario.theta_hat={theta_hat}",
+        "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
+        "--set", f"strategy.name={NAMES[type(strategy)]}",
+        "--set", "sweep.snr_db_start=-30", "--set", "sweep.snr_db_stop=0",
+        "--set", "sweep.n_points=4", "--samples", str(N),
+        "--seed", str(SEED), "--out", str(out), "--quiet"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["eb_n0_db", "rate_bits_s_hz"]] + expected
+    assert len(expected) >= 3
 
 
 def test_fig5_curve_equals_sparse_rate_formula(tmp_path):
