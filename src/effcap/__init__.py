@@ -13,8 +13,7 @@ from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
                           derivs_csit, derivs_statistical, derivs_uniform,
                           energy_metrics, hankel_effective_rate, hankel_mgf,
                           highsnr_metrics, highsnr_slope_empirical,
-                          sparse_ebmin_bounded, sparse_ebmin_sublinear,
-                          statistical_moments_mc)
+                          sparse_ebmin, statistical_moments_mc)
 from .queuesim import (QueueTrace, TailFit, ThetaValidation,
                        estimate_tail_exponent, simulate_queue, validate_theta,
                        write_trace_csv)

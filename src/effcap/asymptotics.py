@@ -22,10 +22,10 @@ import numpy as np
 
 from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
                        hermitian_eig, iter_sample_chunks, iter_spectra,
-                       max_eig_subspace, mean_gram, mean_gram_and_chunks)
+                       max_eig_subspace, mean_gram_and_chunks)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit, _LogMeanExp, check_shape,
+                     WaterfillingCsit, _LogMeanExp, _estimate, check_shape,
                      simplex_maximize, LN2)
 from .errors import DomainError, NumericError
 
@@ -184,31 +184,6 @@ def _sparse_exponent_chunks(model, strategy, n_samples, seed):
             raise DomainError(f"unsupported strategy {strategy!r}")
 
 
-def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
-                         model: ChannelModel, strategy: CovarianceStrategy,
-                         n_samples: int, seed: int):
-    """Bounded-subchannel minimum bit energy; returns (linear, dB).
-
-    rho = theta*T*P/(m*N0); E_b/N0 = rho / (-log E{exp(-rho*q/ln2)}) with
-    q the strategy-appropriate quadratic channel gain.
-    """
-    if scenario.theta <= 0:
-        raise DomainError("sparse_ebmin_bounded requires theta > 0")
-    rho = scenario.theta * scenario.t * config.p_over_n0 / config.m
-
-    if isinstance(strategy, StatisticalOptimized):
-        return _sparse_ebmin_statistical(model, rho, n_samples, seed)
-    acc = _LogMeanExp()
-    for q in _sparse_exponent_chunks(model, strategy, n_samples, seed):
-        acc.add(-rho * q / LN2)
-    denom = -acc.log_mean()
-    if denom <= 0:
-        raise NumericError(
-            f"MGF mean did not decay; max exponent {acc.m[0]}")
-    eb = rho / denom
-    return eb, 10.0 * math.log10(eb)
-
-
 def _sparse_objective(gains: np.ndarray, rho: float):
     """fg(p) of -log E{exp(-rho/ln2 * gains.p)} over per-sample,
     per-direction gains; the exponent is linear in p, so its gradient is
@@ -220,36 +195,52 @@ def _sparse_objective(gains: np.ndarray, rho: float):
     return fg
 
 
-def _sparse_ebmin_statistical(model, rho, n_samples, seed):
-    """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
-    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-    _, u = hermitian_eig(g)
-    # per-sample per-direction gains |H u_i|^2
-    gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in chunks])
-    _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
-                                  np.full(model.n_t, 1.0 / model.n_t))
-    eb = rho / best
-    return eb, 10.0 * math.log10(eb)
+def sparse_ebmin(config: SparseWidebandConfig, scenarios,
+                 model: ChannelModel, strategy: CovarianceStrategy,
+                 n_samples: int, seed: int):
+    """(bounded E_b/N0 of each scenario, sublinear E_b/N0), linear, from
+    one pass of draws.
 
-
-def sparse_ebmin_sublinear(model: ChannelModel,
-                           strategy: CovarianceStrategy,
-                           n_samples: int, seed: int):
-    """Sublinear-growth (m -> inf) minimum bit energy; returns (linear, dB)."""
+    With rho = theta*T*P/(m*N0) and q the strategy's per-draw quadratic
+    channel gain, the bounded-subchannel value is
+    rho / (-log E{exp(-rho*q/ln2)}) and the sublinear-growth (m -> inf)
+    value ln2 / E{q}: the effective reading of q at theta*T*B = rho/ln2
+    and its ergodic reading, both taken by `engine._estimate`.
+    StatisticalOptimized minimizes each bounded value over K in the
+    eigenbasis of E{H^dagger H}, whose largest eigenvalue sets its
+    sublinear value.
+    """
+    rhos = []
+    for sc in scenarios:
+        if sc.theta <= 0:
+            raise DomainError("sparse_ebmin requires theta > 0")
+        rhos.append(sc.theta * sc.t * config.p_over_n0 / config.m)
     if isinstance(strategy, StatisticalOptimized):
-        lam = float(np.linalg.eigvalsh(mean_gram(model, n_samples, seed))[-1])
-        denom = lam
+        g, chunks = mean_gram_and_chunks(model, n_samples, seed)
+        mean_gain = float(np.linalg.eigvalsh(g)[-1])
+        if rhos:  # with none, an i.i.d. model (exact mean) draws nothing
+            _, u = hermitian_eig(g)
+            # per-sample per-direction gains |H u_i|^2
+            gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1)
+                                    for h in chunks])
+        p0 = np.full(model.n_t, 1.0 / model.n_t)
+        ratios = [(rho, simplex_maximize(_sparse_objective(gains, rho), p0)[1])
+                  for rho in rhos]
     else:
-        total = 0.0
-        n = 0
-        for q in _sparse_exponent_chunks(model, strategy, n_samples, seed):
-            total += float(q.sum())
-            n += len(q)
-        denom = total / n
-    if denom <= 0:
+        *effective, ergodic = _estimate(
+            [rho / LN2 for rho in rhos] + [0.0], 1,
+            _sparse_exponent_chunks(model, strategy, n_samples, seed),
+            n_samples)
+        ratios = [(LN2, est.value) for est in effective]
+        mean_gain = ergodic.value
+    # each bounded value is num / den: rho over -log E{exp(-rho q / ln2)},
+    # or ln2 over the effective reading, which is that log times ln2 / rho
+    for rho, (_, den) in zip(rhos, ratios):
+        if not den > 0:
+            raise NumericError(f"MGF mean did not decay at rho = {rho:g}")
+    if not mean_gain > 0:
         raise DomainError("degenerate channel: zero mean gain")
-    eb = LN2 / denom
-    return eb, 10.0 * math.log10(eb)
+    return [num / den for num, den in ratios], LN2 / mean_gain
 
 
 # ---------------------------------------------------------------------------

@@ -301,20 +301,14 @@ def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
                          model.n_t, n_samples)
 
 
-def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
-    """E{H^dagger H}: exact for the i.i.d. model, else `mean_gram_mc`."""
-    if isinstance(model, IidComplexGaussian):
-        return model.exact_mean_gram()
-    return mean_gram_mc(model, n_samples, seed)
-
-
 def mean_gram_and_chunks(model: ChannelModel, n_samples: int, seed: int):
-    """(E{H^dagger H}, chunks): bitwise `mean_gram` and an iterator over
-    the chunks of `iter_sample_chunks`, each drawn once.
+    """(E{H^dagger H}, chunks): the mean and an iterator over the chunks
+    of `iter_sample_chunks`, each drawn once.
 
     The i.i.d. model's mean is exact and its chunks are drawn lazily. Any
-    other model's chunks are drawn and held for the Monte Carlo mean, and
-    the iterator drops each held chunk as it yields it.
+    other model's chunks are drawn and held for the Monte Carlo mean,
+    bitwise `mean_gram_mc`, and the iterator drops each held chunk as it
+    yields it.
     """
     chunks = iter_sample_chunks(model, n_samples, seed)
     if isinstance(model, IidComplexGaussian):

@@ -7,13 +7,15 @@ key or an unreadable config or unwritable output path), 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fnmatch import fnmatchcase
 from typing import Callable, NamedTuple
 
 from . import asymptotics as asy
 from .channels import spectral_moments_mc
-from .config import KEYS, RunConfig, apply_overrides, parse_kv_text
+from .config import (KEYS, RunConfig, apply_overrides, finite_snr,
+                     parse_kv_text)
 from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit)
 from .errors import ConfigError, DomainError, FitError, NumericError
@@ -144,18 +146,20 @@ def cmd_sparse_wideband(args) -> int:
     model = cfg.model()
     strategy = cfg.strategy()
     with _claim(args.out) as out:
-        eb_b, eb_b_db = asy.sparse_ebmin_bounded(swc, sc, model, strategy,
-                                                 cfg.n_samples, cfg.seed)
-        eb_s, eb_s_db = asy.sparse_ebmin_sublinear(model, strategy,
-                                                   cfg.n_samples, cfg.seed)
-        _report(args, [("ebmin_bounded", eb_b), ("ebmin_bounded_db", eb_b_db),
+        (eb_b,), eb_s = asy.sparse_ebmin(swc, [sc], model, strategy,
+                                         cfg.n_samples, cfg.seed)
+        _report(args, [("ebmin_bounded", eb_b),
+                       ("ebmin_bounded_db", 10.0 * math.log10(eb_b)),
                        ("ebmin_sublinear", eb_s),
-                       ("ebmin_sublinear_db", eb_s_db)], out)
+                       ("ebmin_sublinear_db", 10.0 * math.log10(eb_s))], out)
     return EXIT_OK
 
 
 def cmd_queue_validate(args) -> int:
     cfg = _load_config(args)
+    if not finite_snr(args.snr_db):
+        raise ConfigError(f"--snr-db {args.snr_db} has no finite linear "
+                          f"SNR 10^(dB/10)")
     snr = 10.0 ** (args.snr_db / 10.0)
     res = validate_theta(cfg.scenario(), cfg.model(), cfg.strategy(), snr,
                          args.blocks, cfg.seed, n_samples=cfg.n_samples,

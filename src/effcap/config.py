@@ -40,6 +40,15 @@ def _number(v) -> bool:
     return isinstance(v, float) or _integer(-_FLOAT_MAX, _FLOAT_MAX)(v)
 
 
+def finite_snr(db: float) -> bool:
+    """Whether the linear SNR 10^(db/10) of db is finite; it overflows
+    above about 3082.5 dB, and NaN fails."""
+    try:
+        return 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 def _positive(v) -> bool:
     return _number(v) and v > 0
 
@@ -180,9 +189,11 @@ class RunConfig:
             bad += [k + " (missing)" for k in sweep if k not in kv]
             lo = kv.get("sweep.snr_db_start")
             hi = kv.get("sweep.snr_db_stop")
-            if _number(lo) and _number(hi) and \
-                    not -math.inf < lo < hi < math.inf:
-                bad.append("sweep bounds (need finite start < stop)")
+            # start < stop, so a finite linear SNR at stop bounds the grid
+            if _number(lo) and _number(hi) and not (
+                    -math.inf < lo < hi < math.inf and finite_snr(hi)):
+                bad.append("sweep bounds (need finite start < stop, and a "
+                           "finite 10^(stop/10): stop below about 3082.5)")
         if bad:
             raise ConfigError("invalid config fields: " + "; ".join(bad))
 

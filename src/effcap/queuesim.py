@@ -109,7 +109,7 @@ class _QueueChunks:
                  arrival_per_block: float, n_blocks: int, seed: int):
         if n_blocks < _MIN_BLOCKS:
             raise DomainError(
-                f"simulate_queue needs n_blocks >= {_MIN_BLOCKS}")
+                f"n_blocks must be >= {_MIN_BLOCKS}, got {n_blocks}")
         if arrival_per_block < 0:
             raise DomainError("arrival_per_block must be >= 0")
         check_shape(scenario, model)

@@ -231,31 +231,29 @@ def wideband_suite(n_samples=200_000, seed=0):
     checks = []
     model = IidComplexGaussian(2, 2)
     cfg = asy.SparseWidebandConfig(m=5, p_over_n0=1e4)
-
-    def eb(theta):
-        sc = QosScenario(theta=theta, t=_T, b=_B, n_r=2, n_t=2)
-        return asy.sparse_ebmin_bounded(cfg, sc, model, UniformIdentity(),
-                                        n_samples, seed)[0]
-
     rich = math.log(2.0) / (2 * 2 / 2)  # ln2 / (E{tr}/n_T) per dimension
     ref_theta = 1.0 / (_T * 1e4 / 5)  # rho = 1 at the reference scale
-    # two grids, each a theta near 0 and four multiples of a reference theta
+    # two grids, each a theta near 0 and four multiples of a reference
+    # theta, each grid one pass of draws
     for zero_name, up_name, theta0, theta_ref in (
             ("bounded theta->0 matches rich multipath",
              "bounded eb increasing in theta", 1e-4 * ref_theta, ref_theta),
             ("bounded theta_hat=0.0001 matches rich multipath",
              "bounded eb increasing in theta around theta_hat=0.5",
              _scenario(1e-4, 2, 2).theta, _scenario(0.5, 2, 2).theta)):
-        eb0 = eb(theta0)
-        ebs = [eb(mult * theta_ref) for mult in (0.1, 0.5, 1.0, 2.0)]
+        thetas = [theta0] + [mult * theta_ref for mult in (0.1, 0.5, 1.0, 2.0)]
+        (eb0, *ebs), _ = asy.sparse_ebmin(
+            cfg, [QosScenario(theta=th, t=_T, b=_B, n_r=2, n_t=2)
+                  for th in thetas],
+            model, UniformIdentity(), n_samples, seed)
         checks.append(_check(
             zero_name, abs(eb0 - rich) <= 0.01 * rich,
             f"eb {eb0:.5g} vs ln2/E{{tr K}} {rich:.5g}", 8))
         checks.append(_check(
             up_name, all(a < b for a, b in zip(ebs, ebs[1:])),
             f"ebs {['%.4g' % e for e in ebs]}", 8))
-    eb_sub, _ = asy.sparse_ebmin_sublinear(model, StatisticalOptimized(),
-                                           n_samples, seed)
+    _, eb_sub = asy.sparse_ebmin(cfg, [], model, StatisticalOptimized(),
+                                 n_samples, seed)
     checks.append(_check(
         "sublinear statistical equals ln2/n_R",
         eb_sub == math.log(2.0) / 2,

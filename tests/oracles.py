@@ -19,7 +19,9 @@ writer must reproduce. The gram spectra are those of the exact gram
 of the float entries, from mpmath's Hermitian eigensolver at 50 digits,
 the reference of the library's closed form for two eigenvalues. The
 zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure curve
-for the acceptance checks.
+for the acceptance checks. The sparse-wideband minimum bit energies are
+the two per-scenario functions that `sparse_ebmin` replaced, one pass of
+draws each, with the `mean_gram` their sublinear value read.
 """
 
 import csv
@@ -29,9 +31,14 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
-from effcap.asymptotics import _hankel_integrand_entry
-from effcap.channels import KroneckerCorrelated
-from effcap.engine import LN2, EffCapEstimate, QosScenario, _LogMeanExp
+from effcap.asymptotics import (SparseWidebandConfig, _hankel_integrand_entry,
+                                _sparse_exponent_chunks, _sparse_objective)
+from effcap.channels import (ChannelModel, IidComplexGaussian,
+                             KroneckerCorrelated, hermitian_eig,
+                             mean_gram_and_chunks, mean_gram_mc)
+from effcap.engine import (LN2, CovarianceStrategy, EffCapEstimate,
+                           QosScenario, StatisticalOptimized, _LogMeanExp,
+                           simplex_maximize)
 from effcap.errors import ConfigError, DomainError, NumericError
 
 
@@ -329,3 +336,67 @@ def extrapolated_eb_min_db(rows) -> float:
         raise ConfigError("need at least two finite bit-energy points")
     (r1, e1), (r2, e2) = pts[0], pts[1]
     return e1 - r1 * (e2 - e1) / (r2 - r1)
+
+
+def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
+    """E{H^dagger H}: exact for the i.i.d. model, else `mean_gram_mc`."""
+    if isinstance(model, IidComplexGaussian):
+        return model.exact_mean_gram()
+    return mean_gram_mc(model, n_samples, seed)
+
+
+def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
+                         model: ChannelModel, strategy: CovarianceStrategy,
+                         n_samples: int, seed: int):
+    """Bounded-subchannel minimum bit energy; returns (linear, dB).
+
+    rho = theta*T*P/(m*N0); E_b/N0 = rho / (-log E{exp(-rho*q/ln2)}) with
+    q the strategy-appropriate quadratic channel gain.
+    """
+    if scenario.theta <= 0:
+        raise DomainError("sparse_ebmin_bounded requires theta > 0")
+    rho = scenario.theta * scenario.t * config.p_over_n0 / config.m
+
+    if isinstance(strategy, StatisticalOptimized):
+        return _sparse_ebmin_statistical(model, rho, n_samples, seed)
+    acc = _LogMeanExp()
+    for q in _sparse_exponent_chunks(model, strategy, n_samples, seed):
+        acc.add(-rho * q / LN2)
+    denom = -acc.log_mean()
+    if denom <= 0:
+        raise NumericError(
+            f"MGF mean did not decay; max exponent {acc.m[0]}")
+    eb = rho / denom
+    return eb, 10.0 * math.log10(eb)
+
+
+def _sparse_ebmin_statistical(model, rho, n_samples, seed):
+    """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
+    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
+    _, u = hermitian_eig(g)
+    # per-sample per-direction gains |H u_i|^2
+    gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in chunks])
+    _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
+                                  np.full(model.n_t, 1.0 / model.n_t))
+    eb = rho / best
+    return eb, 10.0 * math.log10(eb)
+
+
+def sparse_ebmin_sublinear(model: ChannelModel,
+                           strategy: CovarianceStrategy,
+                           n_samples: int, seed: int):
+    """Sublinear-growth (m -> inf) minimum bit energy; returns (linear, dB)."""
+    if isinstance(strategy, StatisticalOptimized):
+        lam = float(np.linalg.eigvalsh(mean_gram(model, n_samples, seed))[-1])
+        denom = lam
+    else:
+        total = 0.0
+        n = 0
+        for q in _sparse_exponent_chunks(model, strategy, n_samples, seed):
+            total += float(q.sum())
+            n += len(q)
+        denom = total / n
+    if denom <= 0:
+        raise DomainError("degenerate channel: zero mean gain")
+    eb = LN2 / denom
+    return eb, 10.0 * math.log10(eb)

@@ -9,20 +9,21 @@ from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 derivs_statistical, derivs_uniform,
                                 energy_metrics, hankel_effective_rate,
                                 hankel_mgf, highsnr_metrics,
-                                highsnr_slope_empirical, sparse_ebmin_bounded,
-                                sparse_ebmin_sublinear,
+                                highsnr_slope_empirical, sparse_ebmin,
                                 statistical_moments_mc)
-from effcap.channels import (FixedMatrix, IidComplexGaussian,
+from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, MomentEstimates,
-                             iter_sample_chunks, max_eig_subspace, mean_gram,
-                             spectral_moments_mc)
-from effcap.engine import (FixedCovariance, QosScenario, StatisticalOptimized,
-                           UniformIdentity, WaterfillingCsit,
-                           effective_rate_mc, ergodic_rate_mc)
+                             iter_sample_chunks, max_eig_subspace,
+                             mean_gram_mc, spectral_moments_mc)
+from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
+                           StatisticalOptimized, UniformIdentity,
+                           WaterfillingCsit, effective_rate_mc,
+                           ergodic_rate_mc)
 from effcap.errors import DomainError, NumericError
 from effcap.validation import siso_mgf_exact
 from oracles import (central_gradient, hankel_entry_closed, hankel_log_entry,
                      hankel_log_mgf, hankel_log_mgf_per_pair,
+                     sparse_ebmin_bounded, sparse_ebmin_sublinear,
                      upper_incomplete_gamma)
 
 T, B = 1e-3, 1e5
@@ -89,7 +90,7 @@ class TestLowSnrDerivatives:
         d = derivs_statistical(mom, scen(1.0, 2, 2))
         # lambda_max is that of the Monte Carlo mean of the same draws,
         # whose (0, 0) entry has a standard error of 3/sqrt(2 * 50_000)
-        want = max_eig_subspace(mean_gram(model, 50_000, 0)).lambda_max
+        want = max_eig_subspace(mean_gram_mc(model, 50_000, 0)).lambda_max
         assert mom.lambda_max == want
         assert abs(want - 3.0) < 3.0 * 3.0 / math.sqrt(100_000)
         assert mom.e_abs_sq.shape == (1, 1)
@@ -171,72 +172,120 @@ class TestEnergyMetrics:
             energy_metrics(LowSnrDerivatives(first, second, "x"))
 
 
+# the models of the sparse one-pass comparison, i.i.d. in three shapes and
+# one Kronecker, and its strategies; fixed K is a decreasing diagonal
+_SPARSE_MODELS = {
+    "iid1x1": IidComplexGaussian(1, 1),
+    "iid2x2": IidComplexGaussian(2, 2),
+    "iid2x3": IidComplexGaussian(2, 3),
+    "kron2x2": KroneckerCorrelated(
+        np.array([[1.0, 0.7], [0.7, 1.0]], dtype=complex),
+        np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex)),
+}
+_SPARSE_STRATEGIES = ("uniform", "waterfilling", "beamforming", "fixed",
+                      "statistical")
+
+
+def _sparse_strategy(name, n_t):
+    if name == "fixed":
+        w = np.arange(n_t, 0, -1, dtype=float)
+        return FixedCovariance(np.diag(w / w.sum()).astype(complex))
+    return {"uniform": UniformIdentity, "waterfilling": WaterfillingCsit,
+            "beamforming": BeamformingCsit,
+            "statistical": StatisticalOptimized}[name]()
+
+
 class TestSparseWideband:
     def cfg(self, m=5, p=1e4):
         return SparseWidebandConfig(m=m, p_over_n0=p)
 
+    @pytest.mark.parametrize("strategy", _SPARSE_STRATEGIES)
+    @pytest.mark.parametrize("model", sorted(_SPARSE_MODELS))
+    def test_one_pass_matches_per_scenario_oracles(self, model, strategy):
+        # sparse_ebmin's one pass against the two per-scenario functions it
+        # replaced, one pass each, on two chunks. The sublinear value keeps
+        # its bits. A bounded value is rho / d, d = -log E{exp(-rho q/ln2)};
+        # its exponents are now -(rho/ln2) q, not -rho q / ln2, so d moves
+        # by rounding: relative where d >= 1, and absolute below, where d is
+        # the log of a mean near 1 and carries that mean's absolute error
+        model = _SPARSE_MODELS[model]
+        strategy = _sparse_strategy(strategy, model.n_t)
+        cfg = SparseWidebandConfig(m=2, p_over_n0=1e5)
+        n = CHUNK + 123
+        scenarios = [scen(th, model.n_r, model.n_t)
+                     for th in (0.01, 0.5, 2.0, 8.0)]
+        bounded, sublinear = sparse_ebmin(cfg, scenarios, model, strategy,
+                                          n, 4)
+        assert sublinear == sparse_ebmin_sublinear(model, strategy, n, 4)[0]
+        assert len(bounded) == len(scenarios)
+        for eb, sc in zip(bounded, scenarios):
+            ref = sparse_ebmin_bounded(cfg, sc, model, strategy, n, 4)[0]
+            rho = sc.theta * sc.t * cfg.p_over_n0 / cfg.m
+            assert abs(rho / eb - rho / ref) <= 4e-16 * max(1.0, rho / ref)
+            assert eb > sublinear
+
     def test_deterministic_channel_any_theta(self):
         # q = 1 deterministic: E_b = rho/( -ln e^{-rho/ln2}) = ln2 always
         model = FixedMatrix(np.array([[1.0 + 0j]]))
-        for th in (0.1, 1.0, 5.0):
-            eb, eb_db = sparse_ebmin_bounded(self.cfg(), scen(th), model,
-                                             UniformIdentity(), 1000, 0)
+        ebs, _ = sparse_ebmin(self.cfg(), [scen(th) for th in (0.1, 1.0, 5.0)],
+                              model, UniformIdentity(), 1000, 0)
+        assert len(ebs) == 3
+        for eb in ebs:
             assert abs(eb - LN2) < 1e-12
-            assert abs(eb_db - 10 * math.log10(LN2)) < 1e-12
+            assert abs(10 * math.log10(eb) - 10 * math.log10(LN2)) < 1e-12
 
     def test_iid_2x2_frozen_oracle(self):
         # choose (theta, m, P/N0) so that rho = theta*T*P/(m N0) = 1
         sc = QosScenario(theta=1.0, t=1e-3, b=1e5, n_r=2, n_t=2)
         cfg = self.cfg(m=10, p=1e4)
         assert abs(sc.theta * sc.t * cfg.p_over_n0 / cfg.m - 1.0) < 1e-12
-        eb, _ = sparse_ebmin_bounded(cfg, sc, IidComplexGaussian(2, 2),
-                                     UniformIdentity(), 400_000, 2)
+        (eb,), _ = sparse_ebmin(cfg, [sc], IidComplexGaussian(2, 2),
+                                UniformIdentity(), 400_000, 2)
         assert abs(eb - SPARSE_2X2_RHO1) < 0.01 * SPARSE_2X2_RHO1
 
     def test_theta_to_zero_recovers_mean_limit(self):
         model = IidComplexGaussian(2, 2)
-        eb, _ = sparse_ebmin_bounded(self.cfg(m=100), scen(1e-4, 2, 2), model,
-                                     UniformIdentity(), 100_000, 0)
-        eb_lim, _ = sparse_ebmin_sublinear(model, UniformIdentity(),
-                                           100_000, 0)
+        (eb,), eb_lim = sparse_ebmin(self.cfg(m=100), [scen(1e-4, 2, 2)],
+                                     model, UniformIdentity(), 100_000, 0)
         assert abs(eb - eb_lim) < 1e-3 * eb_lim
 
     def test_monotone_in_theta(self):
         model = IidComplexGaussian(2, 2)
-        ebs = [sparse_ebmin_bounded(self.cfg(), scen(th, 2, 2), model,
-                                    UniformIdentity(), 50_000, 0)[0]
-               for th in (0.1, 0.5, 1.0, 2.0)]
+        ebs, _ = sparse_ebmin(self.cfg(),
+                              [scen(th, 2, 2) for th in (0.1, 0.5, 1.0, 2.0)],
+                              model, UniformIdentity(), 50_000, 0)
         assert all(a < b for a, b in zip(ebs, ebs[1:]))
 
     def test_bounded_exceeds_sublinear(self):
         model = IidComplexGaussian(2, 3)
-        eb_b, _ = sparse_ebmin_bounded(self.cfg(), scen(1.0, 2, 3), model,
-                                       UniformIdentity(), 50_000, 0)
-        eb_s, _ = sparse_ebmin_sublinear(model, UniformIdentity(), 50_000, 0)
+        (eb_b,), eb_s = sparse_ebmin(self.cfg(), [scen(1.0, 2, 3)], model,
+                                     UniformIdentity(), 50_000, 0)
         assert eb_b > eb_s
 
     def test_sublinear_statistical_iid_exact(self):
         # lambda_max(E{H^dag H}) = n_R exactly for the i.i.d. model
         for n_r, n_t in [(2, 2), (3, 2)]:
             model = IidComplexGaussian(n_r, n_t)
-            eb, eb_db = sparse_ebmin_sublinear(model, StatisticalOptimized(),
-                                               1000, 0)
+            _, eb = sparse_ebmin(self.cfg(), [], model, StatisticalOptimized(),
+                                 1000, 0)
             assert eb == LN2 / n_r
-            assert abs(eb_db - 10 * math.log10(LN2 / n_r)) < 1e-12
+            assert abs(10 * math.log10(eb) - 10 * math.log10(LN2 / n_r)) \
+                < 1e-12
 
     def test_sublinear_deterministic_siso(self):
-        eb, _ = sparse_ebmin_sublinear(FixedMatrix(np.array([[1.0 + 0j]])),
-                                       UniformIdentity(), 1000, 0)
+        _, eb = sparse_ebmin(self.cfg(), [],
+                             FixedMatrix(np.array([[1.0 + 0j]])),
+                             UniformIdentity(), 1000, 0)
         assert abs(eb - LN2) < 1e-12
 
     def test_statistical_bounded_beats_uniform_when_correlated(self):
         r_t = np.diag([1.6, 0.4]).astype(complex)
         model = KroneckerCorrelated(np.eye(2, dtype=complex), r_t)
         sc = scen(1.0, 2, 2)
-        eb_s, _ = sparse_ebmin_bounded(self.cfg(), sc, model,
-                                       StatisticalOptimized(), 50_000, 0)
-        eb_u, _ = sparse_ebmin_bounded(self.cfg(), sc, model,
-                                       UniformIdentity(), 50_000, 0)
+        (eb_s,), _ = sparse_ebmin(self.cfg(), [sc], model,
+                                  StatisticalOptimized(), 50_000, 0)
+        (eb_u,), _ = sparse_ebmin(self.cfg(), [sc], model,
+                                  UniformIdentity(), 50_000, 0)
         assert eb_s <= eb_u * (1.0 + 1e-6)
 
     def test_statistical_objective_and_gradient(self):
@@ -251,8 +300,8 @@ class TestSparseWideband:
         fg = _sparse_objective(gains, rho)
         p = np.array([0.5, 0.3, 0.2])
         f, grad = fg(p)
-        eb, _ = sparse_ebmin_bounded(cfg, sc, model,
-                                     FixedCovariance(np.diag(p)), 5000, 0)
+        (eb,), _ = sparse_ebmin(cfg, [sc], model,
+                                FixedCovariance(np.diag(p)), 5000, 0)
         assert rho / f == pytest.approx(eb, rel=1e-12)
         fd = central_gradient(lambda x: fg(x)[0], p)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
@@ -260,8 +309,24 @@ class TestSparseWideband:
     def test_zero_channel_raises_numeric(self):
         model = FixedMatrix(np.zeros((1, 1), dtype=complex))
         with pytest.raises(NumericError):
-            sparse_ebmin_bounded(self.cfg(), scen(1.0), model,
-                                 UniformIdentity(), 1000, 0)
+            sparse_ebmin(self.cfg(), [scen(1.0)], model, UniformIdentity(),
+                         1000, 0)
+
+    @pytest.mark.parametrize("strategy", [UniformIdentity(),
+                                          StatisticalOptimized()])
+    def test_zero_channel_bounded_then_sublinear_refused(self, strategy):
+        # a bounded value is refused before the sublinear one; statistical
+        # once divided by the zero decay and died with ZeroDivisionError
+        model = FixedMatrix(np.zeros((1, 1), dtype=complex))
+        with pytest.raises(NumericError, match="did not decay"):
+            sparse_ebmin(self.cfg(), [scen(1.0)], model, strategy, 1000, 0)
+        with pytest.raises(DomainError, match="zero mean gain"):
+            sparse_ebmin(self.cfg(), [], model, strategy, 1000, 0)
+
+    def test_zero_theta_refused(self):
+        with pytest.raises(DomainError, match="theta > 0"):
+            sparse_ebmin(self.cfg(), [scen(1.0), scen(0.0)],
+                         IidComplexGaussian(1, 1), UniformIdentity(), 1000, 0)
 
     def test_config_validated(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import pytest
 from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              IidComplexGaussian, KroneckerCorrelated,
                              _complex_gaussian, chunk_rng, hermitian_eig,
-                             iter_sample_chunks, max_eig_subspace, mean_gram,
+                             iter_sample_chunks, max_eig_subspace,
                              mean_gram_and_chunks, mean_gram_mc,
                              spectral_moments_mc)
 from effcap.errors import DomainError
@@ -236,7 +236,9 @@ class TestMeanGramAndChunks:
     def test_matches_mean_gram_and_draws(self, model):
         n = CHUNK + 100  # two chunks, the second partial
         g, chunks = mean_gram_and_chunks(model, n, 4)
-        assert np.array_equal(g, mean_gram(model, n, 4))
+        want = (model.exact_mean_gram() if isinstance(model, IidComplexGaussian)
+                else mean_gram_mc(model, n, 4))
+        assert np.array_equal(g, want)
         for got, ref in zip(chunks, iter_sample_chunks(model, n, 4),
                             strict=True):
             assert np.array_equal(got, ref)

@@ -1,6 +1,7 @@
 import csv
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from effcap import asymptotics, channels, cli, figures, queuesim
 from effcap.asymptotics import StatisticalMoments
 from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
-                             iter_sample_chunks, max_eig_subspace, mean_gram)
+                             iter_sample_chunks, max_eig_subspace,
+                             mean_gram_mc)
 from effcap.config import (KEYS, RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import UniformIdentity, WaterfillingCsit
@@ -123,6 +125,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("sweep.n_points = 5",
                                       "sweep.n_points = 0"))
+
+    @pytest.mark.parametrize("stop,ok", [(3082.0, True), (3082.6, False),
+                                         (4000.0, False)])
+    def test_sweep_stop_needs_finite_linear_snr(self, stop, ok):
+        # 10^(stop/10) overflows above about 3082.5 dB
+        text = BASE.replace("sweep.snr_db_stop = 10",
+                            f"sweep.snr_db_stop = {stop}")
+        if ok:
+            assert parse_config(text).kv["sweep.snr_db_stop"] == stop
+            return
+        with pytest.raises(ConfigError, match=r"sweep bounds \(need finite "
+                                              r"start < stop, and a finite "
+                                              r"10\^\(stop/10\)"):
+            parse_config(text)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ConfigError):
@@ -509,6 +525,61 @@ class TestCli:
             "sparse.m = 5\nsparse.p_over_n0 = 1e4\n")
         assert run_cli("sparse-wideband", "--config", cfg, "--quiet") == 3
 
+    def test_sparse_wideband_statistical_zero_channel_numeric_error(
+            self, capsys):
+        # the optimized decay of a zero channel is 0; the bounded value was
+        # rho / 0, an uncaught ZeroDivisionError
+        assert run_cli("sparse-wideband", "--set", "scenario.theta_hat=1",
+                       "--set", "model.variant=fixed", "--set",
+                       "model.h_real=0.0", "--set", "strategy.name=statistical",
+                       *SPARSE, "--samples", "2000", "--quiet") == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric error: MGF mean did not decay at rho = ")
+
+    @pytest.mark.parametrize("name", ["sweep", "bit-energy"])
+    def test_sweep_stop_without_finite_snr_refused_before_any_draw(
+            self, name, tmp_path, monkeypatch, capsys):
+        # the first points were drawn, then 10^(db/10) overflowed with a
+        # NumPy RuntimeWarning before the refusal
+        monkeypatch.chdir(tmp_path)
+        drawn = count_draws(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(name, "--set", "scenario.theta_hat=1",
+                           "--set", "sweep.snr_db_start=-10",
+                           "--set", "sweep.snr_db_stop=4000",
+                           "--set", "sweep.n_points=3", "--samples", "2000",
+                           "--out", "s.csv")
+        assert code == 2
+        assert drawn == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "config error: invalid config fields: sweep bounds (need finite "
+            "start < stop, and a finite 10^(stop/10): stop below about "
+            "3082.5)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("db", ["4000", "inf", "nan"])
+    def test_queue_validate_snr_db_without_finite_snr_refused(
+            self, db, monkeypatch, capsys):
+        # 4000 dB died with an uncaught OverflowError, exit 1 in a shell,
+        # which reads as a failed check
+        drawn = count_draws(monkeypatch)
+        assert run_cli("queue-validate", "--set", "scenario.theta_hat=1",
+                       "--snr-db", db, "--samples", "2000", "--quiet") == 2
+        assert drawn == []
+        assert capsys.readouterr().err == (
+            f"config error: --snr-db {float(db)} has no finite linear SNR "
+            f"10^(dB/10)\n")
+
+    def test_queue_validate_short_run_names_n_blocks(self, capsys):
+        assert run_cli("queue-validate", "--set", "scenario.theta_hat=1",
+                       "--blocks", "1000", "--samples", "2000",
+                       "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "config error: n_blocks must be >= 100000, got 1000\n")
+
     def test_queue_validate(self, tmp_path):
         cfg = self.write_cfg(tmp_path,
                              "scenario.theta_hat = 1.0\n"
@@ -835,7 +906,7 @@ KRONECKER_STATISTICAL = (
 def _two_pass_statistical_moments(model, n_samples, seed):
     """statistical_moments_mc as it was with a caller-supplied E{H^dag H}:
     one pass of draws for the mean, a second for the moments."""
-    summ = max_eig_subspace(mean_gram(model, n_samples, seed))
+    summ = max_eig_subspace(mean_gram_mc(model, n_samples, seed))
     l, u = summ.multiplicity_l, summ.max_eig_basis
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
@@ -879,3 +950,26 @@ class TestLowSnrStatistical:
                 f"wideband_slope_s0 = {em.wideband_slope_s0:.12g}"]
         assert run_cli("low-snr", *argv) == 0
         assert capsys.readouterr().out.splitlines() == want
+
+
+class TestSparseWidebandOnePass:
+    @pytest.mark.parametrize("argv", [
+        ("--set", "scenario.theta_hat=1.0", "--set", "scenario.n_r=2",
+         "--set", "scenario.n_t=2"),
+        KRONECKER_STATISTICAL], ids=["uniform-iid", "statistical-kronecker"])
+    def test_draws_each_sample_once(self, argv, monkeypatch, capsys):
+        # the bounded and the sublinear bit energy read one pass of draws;
+        # each took its own pass once
+        drawn = count_draws(monkeypatch)
+        assert run_cli("sparse-wideband", *argv, *SPARSE,
+                       "--samples", "20000", "--quiet") == 0
+        assert sum(drawn) == 20_000
+
+    def test_validate_wideband_draws_each_grid_once(self, monkeypatch):
+        # two theta grids of five scenarios each, one pass per grid; the
+        # statistical sublinear check reads the exact i.i.d. mean and
+        # draws nothing
+        drawn = count_draws(monkeypatch)
+        ok, _ = run_validation("wideband", n_samples=20_000, seed=0)
+        assert ok
+        assert sum(drawn) == 2 * 20_000

@@ -11,6 +11,9 @@ from effcap.config import (KEYS, RunConfig, _ONLY_FOR,  # noqa: E402
                            parse_config, serialize_config)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the sweep's SNR bounds in dB: above about 3082.5 dB, 10^(dB/10) overflows
+# and the bounds rule refuses the stop
+SNR_DB = st.floats(allow_nan=False, allow_infinity=False, max_value=3082.5)
 FLOAT_LIST = st.lists(FINITE, min_size=1, max_size=4).map(
     # one entry reads back as a float, several as the text itself
     lambda xs: xs[0] if len(xs) == 1 else ", ".join(map(repr, xs)))
@@ -66,7 +69,7 @@ def valid_kv(draw):
         if wanted:
             kv[key] = draw(_values(key))
     if sweep:
-        lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2,
+        lo, hi = sorted(draw(st.lists(SNR_DB, min_size=2, max_size=2,
                                       unique=True)))
         kv["sweep.snr_db_start"], kv["sweep.snr_db_stop"] = lo, hi
     return kv

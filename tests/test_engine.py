@@ -5,10 +5,10 @@ import pytest
 
 from effcap import asymptotics, channels, engine
 from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
-                                _sparse_objective, sparse_ebmin_bounded)
+                                _sparse_objective, sparse_ebmin)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, chunk_rng, hermitian_eig,
-                             iter_sample_chunks, mean_gram)
+                             iter_sample_chunks, mean_gram_mc)
 from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            QosScenario, StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp,
@@ -393,9 +393,9 @@ class TestStatisticalDrawsOnce:
 
     def test_sparse_statistical_draws_each_sample_once(self, monkeypatch):
         drawn = _count_draws(monkeypatch)
-        sparse_ebmin_bounded(SparseWidebandConfig(4, 1e4),
-                             scen(2.0, 2, 2), self.MODEL,
-                             StatisticalOptimized(), 4096, 0)
+        sparse_ebmin(SparseWidebandConfig(4, 1e4),
+                     [scen(2.0, 2, 2), scen(0.5, 2, 2)], self.MODEL,
+                     StatisticalOptimized(), 4096, 0)
         assert sum(drawn) == 4096
 
     # the benchmark's optimize cases (rho_t = 0.5, uniform optimum) and a
@@ -426,8 +426,8 @@ class TestStatisticalDrawsOnce:
                                 _einsum_chunks(self.MODEL, 4096, seed)])
         _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
                                       np.full(2, 0.5))
-        eb, _ = sparse_ebmin_bounded(config, sc, self.MODEL,
-                                     StatisticalOptimized(), 4096, seed)
+        (eb,), _ = sparse_ebmin(config, [sc], self.MODEL,
+                                StatisticalOptimized(), 4096, seed)
         assert eb == rho / best
 
 
@@ -483,7 +483,9 @@ class TestStatisticalObjective:
     @pytest.fixture(scope="class", params=sorted(_OBJECTIVE_CASES))
     def draws(self, request):
         model = _OBJECTIVE_CASES[request.param]
-        u = hermitian_eig(mean_gram(model, self.N, 0))[1]
+        g = (model.exact_mean_gram() if isinstance(model, IidComplexGaussian)
+             else mean_gram_mc(model, self.N, 0))
+        u = hermitian_eig(g)[1]
         rotated = [h @ u for h in iter_sample_chunks(model, self.N, 0)]
         return scen(2.0, model.n_r, model.n_t), rotated
 
