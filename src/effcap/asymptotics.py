@@ -1,7 +1,8 @@
 """Low-SNR derivatives, energy-efficiency metrics, sparse-wideband minimum
 bit energies, and high-SNR slope / power-offset computations.
 
-The closed-form low-SNR results take Monte Carlo spectral moments as inputs.
+The low-SNR derivatives and the sparse-wideband bit energies read one
+per-draw zero-SNR gain (`engine.chunk_gains`).
 The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
 log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
 t = ln z, to about 1e-13 relative, the one place a Hankel entry is
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, IidComplexGaussian, MomentEstimates,
-                       hermitian_eig, iter_sample_chunks, iter_spectra,
-                       max_eig_subspace, mean_gram_and_chunks)
+from .channels import (ChannelModel, IidComplexGaussian, hermitian_eig,
+                       iter_sample_chunks, max_eig_subspace,
+                       mean_gram_and_chunks)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, _estimate, check_shape,
-                     simplex_maximize, LN2)
+                     chunk_gains, simplex_maximize, LN2)
 from .errors import DomainError, NumericError
 
 
@@ -68,30 +69,55 @@ class SparseWidebandConfig:
 # ---------------------------------------------------------------------------
 # low-SNR derivatives
 
-def derivs_csit(moments: MomentEstimates,
-                scenario: QosScenario) -> LowSnrDerivatives:
-    """Derivatives at SNR=0 with per-realization channel knowledge."""
-    e1 = moments.e_lambda_max
-    e2 = moments.e_lambda_max_sq
-    a = scenario.theta_tb
-    n_r = scenario.n_r
-    first = e1 / LN2
-    second = a * n_r / LN2 ** 2 * (e1 ** 2 - e2) - n_r / LN2 * e2
-    return LowSnrDerivatives(first, second, "csit")
+@dataclass(frozen=True)
+class ZeroSnrMoments:
+    """E{q}, E{q^2} and E{r} of a strategy's per-draw gains q = tr G and
+    r = tr G^2 (`engine.chunk_gains`), all that its zero-SNR derivatives
+    read, their regime label, and, if sampled, each field's std error."""
+
+    e_q: float
+    e_q_sq: float
+    e_r: float
+    regime: str
+    std_errs: dict | None = None
 
 
-def derivs_uniform(moments: MomentEstimates,
-                   scenario: QosScenario) -> LowSnrDerivatives:
-    """Derivatives at SNR=0 for K_x = I/n_T."""
-    et = moments.e_trace
-    et2 = moments.e_trace_sq
-    eg2 = moments.e_trace_gram_sq
-    a = scenario.theta_tb
-    n_r, n_t = scenario.n_r, scenario.n_t
-    first = et / (n_t * LN2)
-    second = (a * n_r / (n_t ** 2 * LN2 ** 2) * (et ** 2 - et2)
-              - n_r / (n_t ** 2 * LN2) * eg2)
-    return LowSnrDerivatives(first, second, "uniform")
+_REGIMES = {UniformIdentity: "uniform", WaterfillingCsit: "csit",
+            BeamformingCsit: "csit", FixedCovariance: "fixed"}
+
+
+def zero_snr_moments(model: ChannelModel, strategies, n_samples: int,
+                     seed: int) -> list:
+    """Monte Carlo `ZeroSnrMoments` of each strategy, all from one pass of
+    draws; an overflowed or NaN gain raises NumericError."""
+    if n_samples < 1000:
+        raise DomainError("zero_snr_moments needs n_samples >= 1000")
+    sums, sqsums = np.zeros((2, len(strategies), 3))
+    for h in iter_sample_chunks(model, n_samples, seed):
+        for i, strategy in enumerate(strategies):
+            q, r = chunk_gains(h, strategy, squares=True)
+            stats = np.stack([q, q * q, r])
+            sums[i] += stats.sum(axis=1)
+            sqsums[i] += (stats * stats).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise NumericError(f"per-draw gain not finite: sums {sums.tolist()}")
+    means = sums / n_samples
+    se = np.sqrt(np.maximum(sqsums / n_samples - means ** 2, 0.0) / n_samples)
+    return [ZeroSnrMoments(*m, _REGIMES[type(strategy)],
+                           dict(zip(("e_q", "e_q_sq", "e_r"), e)))
+            for strategy, m, e in zip(strategies, means.tolist(),
+                                      se.tolist())]
+
+
+def zero_snr_derivs(moments: ZeroSnrMoments,
+                    scenario: QosScenario) -> LowSnrDerivatives:
+    """First and second derivative of the effective rate per receive
+    dimension at SNR = 0: C'(0) = E{q}/ln2 and
+    C''(0) = (theta T B n_R/ln2^2)(E{q}^2 - E{q^2}) - (n_R/ln2) E{r}."""
+    a, n_r, e_q = scenario.theta_tb, scenario.n_r, moments.e_q
+    second = (a * n_r / LN2 ** 2 * (e_q ** 2 - moments.e_q_sq)
+              - n_r / LN2 * moments.e_r)
+    return LowSnrDerivatives(e_q / LN2, second, moments.regime)
 
 
 def _quadratic_objective(q: np.ndarray):
@@ -122,35 +148,33 @@ def statistical_moments_mc(model: ChannelModel, n_samples: int,
     u = summ.max_eig_basis
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
-    n = 0
     for h in chunks:
         c = h @ u
         m = c.conj().transpose(0, 2, 1) @ c
         diag = np.real(np.einsum("nii->ni", m))
         a_sum += np.einsum("ni,nj->ij", diag, diag)
         b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
-        n += h.shape[0]
-    return StatisticalMoments(summ.lambda_max, a_sum / n, b_sum / n)
+    return StatisticalMoments(summ.lambda_max, a_sum / n_samples,
+                              b_sum / n_samples)
 
 
 def derivs_statistical(moments: StatisticalMoments,
                        scenario: QosScenario) -> LowSnrDerivatives:
-    """Derivatives at SNR=0 when only E{H^dagger H} is known.
-
-    The second derivative minimizes a quadratic form over the simplex of
-    power fractions in the maximal-eigenvalue eigenspace of E{H^dagger H};
-    only its weight c1 depends on theta.
+    """Derivatives at SNR=0 when only E{H^dagger H} is known:
+    `zero_snr_derivs` of K = U diag(p) U^dagger, whose E{q} = lambda_max,
+    E{q^2} = p^T E{M_ii M_jj} p and E{r} = p^T E{|M_ij|^2} p, at the p on
+    the simplex that minimizes the quadratic form of the second
+    derivative; only its weight c1 depends on theta.
     """
-    lam = moments.lambda_max
-    first = lam / LN2
+    a, b = moments.e_diag_products, moments.e_abs_sq
     c1 = scenario.theta_tb * scenario.n_r / LN2 ** 2
     c2 = scenario.n_r / LN2
-    q = c1 * moments.e_diag_products + c2 * moments.e_abs_sq
-    l = len(q)
-    _, neg_min, _ = simplex_maximize(_quadratic_objective(q),
-                                     np.full(l, 1.0 / l))
-    second = c1 * lam ** 2 + neg_min
-    return LowSnrDerivatives(first, second, "statistical")
+    l = len(a)
+    p, _, _ = simplex_maximize(_quadratic_objective(c1 * a + c2 * b),
+                               np.full(l, 1.0 / l))
+    return zero_snr_derivs(ZeroSnrMoments(moments.lambda_max,
+                                          float(p @ a @ p), float(p @ b @ p),
+                                          "statistical"), scenario)
 
 
 def energy_metrics(derivs: LowSnrDerivatives) -> EnergyMetrics:
@@ -167,22 +191,6 @@ def energy_metrics(derivs: LowSnrDerivatives) -> EnergyMetrics:
 
 # ---------------------------------------------------------------------------
 # sparse wideband
-
-def _sparse_exponent_chunks(model, strategy, n_samples, seed):
-    """Per-sample quantity whose scaled exponential MGF sets the bit energy."""
-    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
-        for ev in iter_spectra(model, n_samples, seed):
-            yield ev[:, -1]
-        return
-    for h in iter_sample_chunks(model, n_samples, seed):
-        if isinstance(strategy, UniformIdentity):
-            yield (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
-        elif isinstance(strategy, FixedCovariance):
-            m = h @ strategy.k @ h.conj().transpose(0, 2, 1)
-            yield np.real(np.einsum("nii->n", m))
-        else:
-            raise DomainError(f"unsupported strategy {strategy!r}")
-
 
 def _sparse_objective(gains: np.ndarray, rho: float):
     """fg(p) of -log E{exp(-rho/ln2 * gains.p)} over per-sample,
@@ -201,8 +209,8 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
     """(bounded E_b/N0 of each scenario, sublinear E_b/N0), linear, from
     one pass of draws.
 
-    With rho = theta*T*P/(m*N0) and q the strategy's per-draw quadratic
-    channel gain, the bounded-subchannel value is
+    With rho = theta*T*P/(m*N0) and q the strategy's per-draw zero-SNR
+    gain (`engine.chunk_gains`), the bounded-subchannel value is
     rho / (-log E{exp(-rho*q/ln2)}) and the sublinear-growth (m -> inf)
     value ln2 / E{q}: the effective reading of q at theta*T*B = rho/ln2
     and its ergodic reading, both taken by `engine._estimate`.
@@ -217,9 +225,9 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
         rhos.append(sc.theta * sc.t * config.p_over_n0 / config.m)
     if isinstance(strategy, StatisticalOptimized):
         g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-        mean_gain = float(np.linalg.eigvalsh(g)[-1])
+        w, u = hermitian_eig(g)  # as `statistical_moments_mc` reads it
+        mean_gain = float(w[0])
         if rhos:  # with none, an i.i.d. model (exact mean) draws nothing
-            _, u = hermitian_eig(g)
             # per-sample per-direction gains |H u_i|^2
             gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1)
                                     for h in chunks])
@@ -229,8 +237,9 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
     else:
         *effective, ergodic = _estimate(
             [rho / LN2 for rho in rhos] + [0.0], 1,
-            _sparse_exponent_chunks(model, strategy, n_samples, seed),
-            n_samples)
+            (chunk_gains(h, strategy)
+             for h in iter_sample_chunks(model, n_samples, seed)),
+            n_samples, what="gain")
         ratios = [(LN2, est.value) for est in effective]
         mean_gain = ergodic.value
     # each bounded value is num / den: rho over -log E{exp(-rho q / ln2)},

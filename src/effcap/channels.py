@@ -251,40 +251,6 @@ def max_eig_subspace(a: np.ndarray) -> SpectralSummary:
     return SpectralSummary(w, lam, l, v[:, :l])
 
 
-@dataclass(frozen=True)
-class MomentEstimates:
-    e_lambda_max: float
-    e_lambda_max_sq: float
-    e_trace: float
-    e_trace_sq: float
-    e_trace_gram_sq: float
-    std_errs: dict
-    n_samples: int
-
-
-def spectral_moments_mc(model: ChannelModel, n_samples: int,
-                        seed: int) -> MomentEstimates:
-    """Monte Carlo moments of the gram spectrum feeding the low-SNR formulas."""
-    if n_samples < 1000:
-        raise DomainError("spectral_moments_mc needs n_samples >= 1000")
-    sums = np.zeros(5)
-    sqsums = np.zeros(5)
-    for ev in iter_spectra(model, n_samples, seed):
-        lam = ev[:, -1]
-        tr = sum_columns(ev)
-        tr2 = sum_columns(ev ** 2)
-        stats = np.stack([lam, lam ** 2, tr, tr ** 2, tr2], axis=1)
-        sums += stats.sum(axis=0)
-        sqsums += (stats ** 2).sum(axis=0)
-    means = sums / n_samples
-    var = np.maximum(sqsums / n_samples - means ** 2, 0.0)
-    se = np.sqrt(var / n_samples)
-    names = ["e_lambda_max", "e_lambda_max_sq", "e_trace", "e_trace_sq",
-             "e_trace_gram_sq"]
-    return MomentEstimates(*means, std_errs=dict(zip(names, se)),
-                           n_samples=n_samples)
-
-
 def _mean_gram_of(chunks, n_t: int, n_samples: int) -> np.ndarray:
     """E{H^dagger H} averaged over chunks of n_samples draws in total, each
     chunk's sum added in turn; the one Monte Carlo estimator of it."""

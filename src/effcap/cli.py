@@ -13,11 +13,9 @@ from fnmatch import fnmatchcase
 from typing import Callable, NamedTuple
 
 from . import asymptotics as asy
-from .channels import spectral_moments_mc
 from .config import (KEYS, RunConfig, apply_overrides, finite_snr,
                      parse_kv_text)
-from .engine import (BeamformingCsit, StatisticalOptimized, UniformIdentity,
-                     WaterfillingCsit)
+from .engine import StatisticalOptimized
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import (SWEEP_COLUMNS, _claim, _write_csv, config_rows,
                       reproduce_figure, run_sweep)
@@ -92,28 +90,18 @@ def cmd_bit_energy(args) -> int:
     return EXIT_OK
 
 
-# low-snr's (moments estimator, derivative formula) per strategy class
-_LOW_SNR = {
-    UniformIdentity: (spectral_moments_mc, asy.derivs_uniform),
-    WaterfillingCsit: (spectral_moments_mc, asy.derivs_csit),
-    BeamformingCsit: (spectral_moments_mc, asy.derivs_csit),
-    StatisticalOptimized: (asy.statistical_moments_mc,
-                           asy.derivs_statistical),
-}
-
-
 def cmd_low_snr(args) -> int:
     cfg = _load_config(args)
     sc = cfg.scenario()
     model = cfg.model()
     strategy = cfg.strategy()
-    if type(strategy) not in _LOW_SNR:
-        raise DomainError(f"low-snr has no derivatives for "
-                          f"{type(strategy).__name__} (strategy.name = "
-                          f"{cfg.kv['strategy.name']})")
-    moments, derivs = _LOW_SNR[type(strategy)]
     with _claim(args.out) as out:
-        d = derivs(moments(model, cfg.n_samples, cfg.seed), sc)
+        if isinstance(strategy, StatisticalOptimized):
+            d = asy.derivs_statistical(asy.statistical_moments_mc(
+                model, cfg.n_samples, cfg.seed), sc)
+        else:
+            d = asy.zero_snr_derivs(asy.zero_snr_moments(
+                model, [strategy], cfg.n_samples, cfg.seed)[0], sc)
         em = asy.energy_metrics(d)
         _report(args, [("regime", d.regime), ("first_deriv", d.first_deriv),
                        ("second_deriv", d.second_deriv),

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, iter_sample_chunks, iter_spectra,
-                       hermitian_eig, mean_gram_and_chunks, sum_columns)
+from .channels import (ChannelModel, _gram_eigvalsh, iter_sample_chunks,
+                       iter_spectra, hermitian_eig, mean_gram_and_chunks,
+                       sum_columns)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -165,6 +166,31 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
     return sum_columns(t)
 
 
+def chunk_gains(h: np.ndarray, strategy: CovarianceStrategy,
+                squares: bool = False):
+    """Per-draw zero-SNR gains q = tr G of a chunk of draws h, G = H K
+    H^dagger at the strategy's K as SNR -> 0: I/n_T for uniform, the given
+    K, or the top eigenvector of H^dagger H for beamforming and for
+    water-filling, which opens one mode. A draw's rate is
+    (n_R snr/ln2) q - ((n_R snr)^2/(2 ln2)) r + O(snr^3), r = tr G^2;
+    with squares, (q, r)."""
+    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
+        q = _gram_eigvalsh(h)[:, -1]
+        return (q, q * q) if squares else q
+    if isinstance(strategy, UniformIdentity):
+        q = (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
+        if squares:  # from the small gram's spectrum, G = HH^dagger/n_T
+            r = sum_columns(_gram_eigvalsh(h) ** 2) / h.shape[2] ** 2
+    elif isinstance(strategy, FixedCovariance):
+        g = h @ strategy.k @ h.conj().transpose(0, 2, 1)
+        q = np.real(np.einsum("nii->n", g))
+        if squares:  # ||G||_F^2 of the Hermitian G
+            r = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
+    else:
+        raise DomainError(f"unsupported strategy {strategy!r}")
+    return (q, r) if squares else q
+
+
 @dataclass(frozen=True)
 class EffCapEstimate:
     value: float
@@ -277,12 +303,15 @@ def _check_snr(snr: float) -> None:
         raise DomainError(f"snr must be finite and >= 0, got {snr}")
 
 
-def _estimate(theta_tbs: list, n_r: int, rates, n_samples: int) -> list:
+def _estimate(theta_tbs: list, n_r: int, rates, n_samples: int,
+              what: str = "rate") -> list:
     """Per theta_tb, the effective rate per receive dimension, or the
     sample-mean (ergodic) rate where theta_tb = 0, in one pass over the
     per-chunk rates: the exponents -theta_tb * rate of every positive
     theta_tb form one (curves x draws) matrix per chunk, and the ergodic
-    sums are taken once for all theta_tb = 0."""
+    sums are taken once for all theta_tb = 0. An overflowed or NaN value
+    (`what`: rate, or gain) raises NumericError, which -theta_tb * inf
+    would otherwise weight e^-inf = 0."""
     if not theta_tbs:
         return []
     pos = [a for a in theta_tbs if a > 0]
@@ -291,9 +320,12 @@ def _estimate(theta_tbs: list, n_r: int, rates, n_samples: int) -> list:
     acc = _LogMeanExp()
     s = sq = 0.0
     for r in rates:
+        rn = r / n_r if ergodic else r
+        total = float(rn.sum())
+        if not math.isfinite(total):
+            raise NumericError(f"per-draw {what} not finite: sum {total}")
+        s += total
         if ergodic:
-            rn = r / n_r
-            s += float(rn.sum())
             sq += float((rn * rn).sum())
         if pos:
             acc.add(np.multiply.outer(neg, r))

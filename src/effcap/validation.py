@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics as asy
-from .channels import FixedMatrix, IidComplexGaussian, spectral_moments_mc
+from .channels import FixedMatrix, IidComplexGaussian
 from .config import KEYS
 from .engine import (BeamformingCsit, QosScenario, StatisticalOptimized,
                      UniformIdentity, WaterfillingCsit, rate_estimator)
@@ -87,25 +87,28 @@ def lowsnr_suite(n_samples=200_000, seed=0):
     # identity checks are 3-sigma tests; run them at the full 1e6 draws so
     # a single unlucky smaller batch cannot trip them
     n_big = max(n_samples, 1_000_000)
-    moments = {}
-    for n_r, n_t in ((2, 2), (2, 5)):
-        model = IidComplexGaussian(n_r, n_t)
-        mom = moments[n_r, n_t] = spectral_moments_mc(model, n_big, seed)
+    # one pass for uniform's gain and lambda_max, which water-filling shares
+    model = IidComplexGaussian(2, 2)
+    mom, csit_mom = asy.zero_snr_moments(
+        model, [UniformIdentity(), BeamformingCsit()], n_big, seed)
+    (mom_2x5,) = asy.zero_snr_moments(IidComplexGaussian(2, 5),
+                                      [UniformIdentity()], n_big, seed)
+    for n_r, n_t, m in ((2, 2, mom), (2, 5, mom_2x5)):
+        # the uniform gain is q = tr(HH^dagger)/n_T, so the gram's trace
+        # moments are n_T E{q}, n_T^2 E{q^2} and n_T^2 E{r}
         ids = {
-            "e_trace": n_r * n_t,
-            "e_trace_sq": n_r * n_t * (n_r * n_t + 1),
-            "e_trace_gram_sq": n_r * n_t * (n_r + n_t),
+            "e_trace": ("e_q", n_t, n_r * n_t),
+            "e_trace_sq": ("e_q_sq", n_t ** 2, n_r * n_t * (n_r * n_t + 1)),
+            "e_trace_gram_sq": ("e_r", n_t ** 2, n_r * n_t * (n_r + n_t)),
         }
-        for key, exact in ids.items():
-            got = getattr(mom, key)
-            se = mom.std_errs[key]
+        for key, (name, scale, exact) in ids.items():
+            got = scale * getattr(m, name)
+            se = scale * m.std_errs[name]
             checks.append(_check(
                 f"moments {n_r}x{n_t} {key}",
                 abs(got - exact) <= 3.0 * se,
                 f"got {got:.5g}, exact {exact}, se {se:.2g}", 3))
 
-    model = IidComplexGaussian(2, 2)
-    mom = moments[2, 2]
     stat_mom = asy.statistical_moments_mc(model, n_big, seed)
     # one eigensolve of the draws per strategy, shared by every theta and SNR
     estimators = {label: rate_estimator(model, strategy, n_samples, seed)
@@ -131,7 +134,8 @@ def lowsnr_suite(n_samples=200_000, seed=0):
 
     for th in fd_thetas:
         sc = _scenario(th, 2, 2)
-        d, dcsit = asy.derivs_uniform(mom, sc), asy.derivs_csit(mom, sc)
+        d = asy.zero_snr_derivs(mom, sc)
+        dcsit = asy.zero_snr_derivs(csit_mom, sc)
         dstat = asy.derivs_statistical(stat_mom, sc)
         checks += _fd_checks("uniform", rate, d, snr0, th)
         for attr, which in (("second_deriv", ""),
@@ -141,7 +145,6 @@ def lowsnr_suite(n_samples=200_000, seed=0):
                 f"statistical equals uniform{which} theta_hat={th}",
                 abs(got - want) <= 0.01 * abs(want),
                 f"stat {got:.5g} vs unif {want:.5g}", 4))
-        # water-filling and beamforming share their derivatives at SNR 0
         checks += _fd_checks("csit", rate, dcsit, snr0, th)
         checks += _fd_checks("beamforming", rate, dcsit, snr0, th)
 
@@ -162,7 +165,7 @@ def lowsnr_suite(n_samples=200_000, seed=0):
     # E_b/N0 = snr / rate per receive dimension, in dB
     s0_values = []
     for th in s0_thetas:
-        em = asy.energy_metrics(asy.derivs_uniform(mom, _scenario(th, 2, 2)))
+        em = asy.energy_metrics(asy.zero_snr_derivs(mom, _scenario(th, 2, 2)))
         s0_values.append(em.wideband_slope_s0)
         r1, r2 = rate["uniform", snr0, th], rate["uniform", 2 * snr0, th]
         e1, e2 = (10.0 * math.log10(snr0 / r1),

@@ -21,24 +21,33 @@ the reference of the library's closed form for two eigenvalues. The
 zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure curve
 for the acceptance checks. The sparse-wideband minimum bit energies are
 the two per-scenario functions that `sparse_ebmin` replaced, one pass of
-draws each, with the `mean_gram` their sublinear value read.
+draws each, with the `mean_gram` their sublinear value read and the
+per-draw gains `_sparse_exponent_chunks` that both read, whose bits
+`engine.chunk_gains` keeps. The zero-SNR derivatives of the uniform and
+the per-realization-CSI strategies are the spectral-moment estimator
+`spectral_moments_mc`, with its `MomentEstimates`, and the two formulas
+`derivs_uniform` and `derivs_csit` that `zero_snr_moments` and
+`zero_snr_derivs` replaced.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
-from effcap.asymptotics import (SparseWidebandConfig, _hankel_integrand_entry,
-                                _sparse_exponent_chunks, _sparse_objective)
+from effcap.asymptotics import (LowSnrDerivatives, SparseWidebandConfig,
+                                _hankel_integrand_entry, _sparse_objective)
 from effcap.channels import (ChannelModel, IidComplexGaussian,
                              KroneckerCorrelated, hermitian_eig,
-                             mean_gram_and_chunks, mean_gram_mc)
-from effcap.engine import (LN2, CovarianceStrategy, EffCapEstimate,
-                           QosScenario, StatisticalOptimized, _LogMeanExp,
-                           simplex_maximize)
+                             iter_sample_chunks, iter_spectra,
+                             mean_gram_and_chunks, mean_gram_mc, sum_columns)
+from effcap.engine import (LN2, BeamformingCsit, CovarianceStrategy,
+                           EffCapEstimate, FixedCovariance, QosScenario,
+                           StatisticalOptimized, UniformIdentity,
+                           WaterfillingCsit, _LogMeanExp, simplex_maximize)
 from effcap.errors import ConfigError, DomainError, NumericError
 
 
@@ -400,3 +409,79 @@ def sparse_ebmin_sublinear(model: ChannelModel,
         raise DomainError("degenerate channel: zero mean gain")
     eb = LN2 / denom
     return eb, 10.0 * math.log10(eb)
+
+
+def _sparse_exponent_chunks(model, strategy, n_samples, seed):
+    """Per-sample quantity whose scaled exponential MGF sets the bit energy."""
+    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
+        for ev in iter_spectra(model, n_samples, seed):
+            yield ev[:, -1]
+        return
+    for h in iter_sample_chunks(model, n_samples, seed):
+        if isinstance(strategy, UniformIdentity):
+            yield (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
+        elif isinstance(strategy, FixedCovariance):
+            m = h @ strategy.k @ h.conj().transpose(0, 2, 1)
+            yield np.real(np.einsum("nii->n", m))
+        else:
+            raise DomainError(f"unsupported strategy {strategy!r}")
+
+
+@dataclass(frozen=True)
+class MomentEstimates:
+    e_lambda_max: float
+    e_lambda_max_sq: float
+    e_trace: float
+    e_trace_sq: float
+    e_trace_gram_sq: float
+    std_errs: dict
+    n_samples: int
+
+
+def spectral_moments_mc(model: ChannelModel, n_samples: int,
+                        seed: int) -> MomentEstimates:
+    """Monte Carlo moments of the gram spectrum feeding the low-SNR formulas."""
+    if n_samples < 1000:
+        raise DomainError("spectral_moments_mc needs n_samples >= 1000")
+    sums = np.zeros(5)
+    sqsums = np.zeros(5)
+    for ev in iter_spectra(model, n_samples, seed):
+        lam = ev[:, -1]
+        tr = sum_columns(ev)
+        tr2 = sum_columns(ev ** 2)
+        stats = np.stack([lam, lam ** 2, tr, tr ** 2, tr2], axis=1)
+        sums += stats.sum(axis=0)
+        sqsums += (stats ** 2).sum(axis=0)
+    means = sums / n_samples
+    var = np.maximum(sqsums / n_samples - means ** 2, 0.0)
+    se = np.sqrt(var / n_samples)
+    names = ["e_lambda_max", "e_lambda_max_sq", "e_trace", "e_trace_sq",
+             "e_trace_gram_sq"]
+    return MomentEstimates(*means, std_errs=dict(zip(names, se)),
+                           n_samples=n_samples)
+
+
+def derivs_csit(moments: MomentEstimates,
+                scenario: QosScenario) -> LowSnrDerivatives:
+    """Derivatives at SNR=0 with per-realization channel knowledge."""
+    e1 = moments.e_lambda_max
+    e2 = moments.e_lambda_max_sq
+    a = scenario.theta_tb
+    n_r = scenario.n_r
+    first = e1 / LN2
+    second = a * n_r / LN2 ** 2 * (e1 ** 2 - e2) - n_r / LN2 * e2
+    return LowSnrDerivatives(first, second, "csit")
+
+
+def derivs_uniform(moments: MomentEstimates,
+                   scenario: QosScenario) -> LowSnrDerivatives:
+    """Derivatives at SNR=0 for K_x = I/n_T."""
+    et = moments.e_trace
+    et2 = moments.e_trace_sq
+    eg2 = moments.e_trace_gram_sq
+    a = scenario.theta_tb
+    n_r, n_t = scenario.n_r, scenario.n_t
+    first = et / (n_t * LN2)
+    second = (a * n_r / (n_t ** 2 * LN2 ** 2) * (et ** 2 - et2)
+              - n_r / (n_t ** 2 * LN2) * eg2)
+    return LowSnrDerivatives(first, second, "uniform")

@@ -4,27 +4,27 @@ import numpy as np
 import pytest
 
 from effcap import asymptotics
-from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
-                                _sparse_objective, derivs_csit,
-                                derivs_statistical, derivs_uniform,
-                                energy_metrics, hankel_effective_rate,
-                                hankel_mgf, highsnr_metrics,
-                                highsnr_slope_empirical, sparse_ebmin,
-                                statistical_moments_mc)
+from effcap.asymptotics import (SparseWidebandConfig, ZeroSnrMoments,
+                                _quadratic_objective, _sparse_objective,
+                                derivs_statistical, energy_metrics,
+                                hankel_effective_rate, hankel_mgf,
+                                highsnr_metrics, highsnr_slope_empirical,
+                                sparse_ebmin, statistical_moments_mc,
+                                zero_snr_derivs, zero_snr_moments)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, MomentEstimates,
-                             iter_sample_chunks, max_eig_subspace,
-                             mean_gram_mc, spectral_moments_mc)
+                             KroneckerCorrelated, iter_sample_chunks,
+                             max_eig_subspace, mean_gram_mc)
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
-                           WaterfillingCsit, effective_rate_mc,
-                           ergodic_rate_mc)
+                           WaterfillingCsit, chunk_gains, effective_rate_mc,
+                           ergodic_rate_mc, rate_estimator)
 from effcap.errors import DomainError, NumericError
-from effcap.validation import siso_mgf_exact
-from oracles import (central_gradient, hankel_entry_closed, hankel_log_entry,
-                     hankel_log_mgf, hankel_log_mgf_per_pair,
+from effcap.validation import _fd_checks, siso_mgf_exact
+from oracles import (_sparse_exponent_chunks, central_gradient, derivs_csit,
+                     derivs_uniform, hankel_entry_closed, hankel_log_entry,
+                     hankel_log_mgf, hankel_log_mgf_per_pair, mean_gram,
                      sparse_ebmin_bounded, sparse_ebmin_sublinear,
-                     upper_incomplete_gamma)
+                     spectral_moments_mc, upper_incomplete_gamma)
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
@@ -39,36 +39,43 @@ def scen(theta_hat, n_r=1, n_t=1):
     return QosScenario.from_theta_hat(theta_hat, T, B, n_r, n_t)
 
 
-def exact_moments(e1, e2, et, et2, eg2, n=10**9):
-    zeros = {k: 0.0 for k in ("e_lambda_max", "e_lambda_max_sq", "e_trace",
-                              "e_trace_sq", "e_trace_gram_sq")}
-    return MomentEstimates(e1, e2, et, et2, eg2, zeros, n)
+def iid_uniform_moments(n_r, n_t):
+    """Exact ZeroSnrMoments of the uniform gain q = tr(HH^dagger)/n_T on
+    the i.i.d. model: E{tr} = n_R n_T, E{tr^2} = n_R n_T (n_R n_T + 1) and
+    E{tr (HH^dagger)^2} = n_R n_T (n_R + n_T)."""
+    return ZeroSnrMoments(n_r, n_r * (n_r * n_t + 1) / n_t,
+                          n_r * (n_r + n_t) / n_t, "uniform")
 
 
 class TestLowSnrDerivatives:
     def test_deterministic_siso(self):
         # |h|^2 = 1 with certainty: C'(0) = 1/ln2 and, at theta = 0,
-        # C''(0) = -E{|h|^4}/ln2 = -1/ln2
-        m = exact_moments(1.0, 1.0, 1.0, 1.0, 1.0)
-        d = derivs_csit(m, scen(0.0))
+        # C''(0) = -E{|h|^4}/ln2 = -1/ln2; uniform and beamforming put the
+        # one antenna's power on the one mode, so their gains coincide
+        model = FixedMatrix(np.array([[1.0 + 0j]]))
+        mu, mb = zero_snr_moments(model, [UniformIdentity(),
+                                          BeamformingCsit()], 1000, 0)
+        assert (mu.e_q, mu.e_q_sq, mu.e_r) == (1.0, 1.0, 1.0)
+        d = zero_snr_derivs(mb, scen(0.0))
         assert abs(d.first_deriv - 1.0 / LN2) < 1e-12
         assert abs(d.second_deriv + 1.0 / LN2) < 1e-12
-        du = derivs_uniform(m, scen(0.0))
+        du = zero_snr_derivs(mu, scen(0.0))
         assert abs(du.first_deriv - d.first_deriv) < 1e-12
         assert abs(du.second_deriv - d.second_deriv) < 1e-12
+        assert (du.regime, d.regime) == ("uniform", "csit")
 
     def test_exponential_gain_theta_zero(self):
         # SISO Rayleigh: E{|h|^2} = 1, E{|h|^4} = 2 -> C''(0) = -2/ln2
-        m = exact_moments(1.0, 2.0, 1.0, 2.0, 2.0)
-        d = derivs_uniform(m, scen(0.0))
+        m = iid_uniform_moments(1, 1)
+        d = zero_snr_derivs(m, scen(0.0))
         assert abs(d.first_deriv - 1.0 / LN2) < 1e-12
         assert abs(d.second_deriv + 2.0 / LN2) < 1e-12
 
     def test_theta_term_lowers_second_deriv(self):
-        m = exact_moments(1.0, 2.0, 1.0, 2.0, 2.0)
-        d0 = derivs_uniform(m, scen(0.0))
-        d1 = derivs_uniform(m, scen(1.0))
-        # extra -theta_tb * n_r * Var{trace}/(n_t^2 ln^2 2) term
+        m = iid_uniform_moments(1, 1)
+        d0 = zero_snr_derivs(m, scen(0.0))
+        d1 = zero_snr_derivs(m, scen(1.0))
+        # extra -theta_tb * n_r * Var{q}/ln^2 2 term
         extra = scen(1.0).theta_tb * 1.0 / LN2 ** 2 * (2.0 - 1.0)
         assert abs((d0.second_deriv - d1.second_deriv) - extra) < 1e-12
         assert d1.second_deriv < d0.second_deriv
@@ -76,10 +83,8 @@ class TestLowSnrDerivatives:
     def test_uniform_first_deriv_iid(self):
         # E{tr} = n_R n_T so the first derivative is n_R/ln2 regardless of n_T
         for n_r, n_t in [(2, 2), (2, 5), (3, 1)]:
-            m = exact_moments(0.0, 0.0, n_r * n_t,
-                              n_r * n_t * (n_r * n_t + 1),
-                              n_r * n_t * (n_r + n_t))
-            d = derivs_uniform(m, scen(1.0, n_r, n_t))
+            d = zero_snr_derivs(iid_uniform_moments(n_r, n_t),
+                                scen(1.0, n_r, n_t))
             assert abs(d.first_deriv - n_r / LN2) < 1e-12
 
     def test_statistical_first_deriv_rank_one(self):
@@ -103,8 +108,8 @@ class TestLowSnrDerivatives:
         sc = scen(1.0, 2, 2)
         ds = derivs_statistical(
             statistical_moments_mc(model, 2_000, 0), sc)
-        m = spectral_moments_mc(model, 2_000, 0)
-        dc = derivs_csit(m, sc)
+        (m,) = zero_snr_moments(model, [BeamformingCsit()], 2_000, 0)
+        dc = zero_snr_derivs(m, sc)
         assert abs(ds.first_deriv - dc.first_deriv) < 1e-9
         assert abs(ds.second_deriv - dc.second_deriv) < 1e-9
 
@@ -113,8 +118,8 @@ class TestLowSnrDerivatives:
         sc = scen(1.0, 2, 2)
         ds = derivs_statistical(
             statistical_moments_mc(model, 500_000, 0), sc)
-        m = spectral_moments_mc(model, 500_000, 0)
-        du = derivs_uniform(m, sc)
+        (m,) = zero_snr_moments(model, [UniformIdentity()], 500_000, 0)
+        du = zero_snr_derivs(m, sc)
         # statistical uses the exact mean Gram, so its first derivative is
         # exact; uniform's comes from Monte Carlo moments
         assert ds.first_deriv == pytest.approx(2.0 / LN2, abs=1e-12)
@@ -135,25 +140,23 @@ class TestLowSnrDerivatives:
 
 class TestEnergyMetrics:
     def test_siso_minimum_bit_energy(self):
-        m = exact_moments(1.0, 2.0, 1.0, 2.0, 2.0)
-        em = energy_metrics(derivs_uniform(m, scen(0.0)))
+        em = energy_metrics(zero_snr_derivs(iid_uniform_moments(1, 1),
+                                            scen(0.0)))
         assert abs(em.eb_min_linear - LN2) < 1e-12
         assert abs(em.eb_min_db - 10 * math.log10(LN2)) < 1e-12
         assert abs(em.eb_min_db + 1.5917) < 1e-3
 
     def test_deterministic_siso_slope_two(self):
-        m = exact_moments(1.0, 1.0, 1.0, 1.0, 1.0)
-        em = energy_metrics(derivs_uniform(m, scen(0.0)))
+        m = ZeroSnrMoments(1.0, 1.0, 1.0, "uniform")
+        em = energy_metrics(zero_snr_derivs(m, scen(0.0)))
         assert abs(em.wideband_slope_s0 - 2.0) < 1e-12
 
     def test_iid_slope_closed_form(self):
         # exact i.i.d. moments: S0 = 2 / ((n_R + n_T)/n_T + theta_tb/(n_T ln2))
         for n_r, n_t, th in [(2, 2, 0.0), (2, 4, 1.0), (3, 2, 2.0)]:
             sc = scen(th, n_r, n_t)
-            m = exact_moments(0.0, 0.0, n_r * n_t,
-                              n_r * n_t * (n_r * n_t + 1),
-                              n_r * n_t * (n_r + n_t))
-            em = energy_metrics(derivs_uniform(m, sc))
+            em = energy_metrics(zero_snr_derivs(iid_uniform_moments(n_r, n_t),
+                                                sc))
             expect = 2.0 * n_t / (n_r + n_t + sc.theta_hat)
             assert abs(em.wideband_slope_s0 - expect) < 1e-10
 
@@ -195,6 +198,126 @@ def _sparse_strategy(name, n_t):
             "statistical": StatisticalOptimized}[name]()
 
 
+def _low_snr_derivs(model, strategy, scenario, n_samples, seed):
+    """The low-SNR derivatives of `effcap low-snr` for any strategy."""
+    if isinstance(strategy, StatisticalOptimized):
+        return derivs_statistical(
+            statistical_moments_mc(model, n_samples, seed), scenario)
+    (m,) = zero_snr_moments(model, [strategy], n_samples, seed)
+    return zero_snr_derivs(m, scenario)
+
+
+# a 2x2 channel with no zero entry and no symmetry
+_H_FIXED = np.array([[1.0 + 0.5j, 0.3], [-0.2j, 0.8 - 0.1j]])
+
+
+class TestZeroSnrGain:
+    @pytest.mark.parametrize("strategy", _SPARSE_STRATEGIES)
+    @pytest.mark.parametrize("model", ["iid2x2", "kron2x2", "fixed2x2"])
+    def test_low_snr_eb_min_equals_sparse_sublinear(self, model, strategy):
+        # E_b/N0_min = 1/C'(0) = ln2/E{q} is the sublinear sparse value:
+        # both read one E{q} (statistical: one lambda_max of E{H^dag H}),
+        # as 1/(E{q}/ln2) and as ln2/E{q}, two roundings apart
+        model = (FixedMatrix(_H_FIXED) if model == "fixed2x2"
+                 else _SPARSE_MODELS[model])
+        strategy = (FixedCovariance(np.diag([0.7, 0.3]).astype(complex))
+                    if strategy == "fixed" else _sparse_strategy(strategy, 2))
+        n, seed = CHUNK + 123, 5
+        d = _low_snr_derivs(model, strategy, scen(1.0, 2, 2), n, seed)
+        eb = energy_metrics(d).eb_min_linear
+        _, sublinear = sparse_ebmin(SparseWidebandConfig(m=5, p_over_n0=1e4),
+                                    [], model, strategy, n, seed)
+        assert abs(eb - sublinear) <= 2 * math.ulp(sublinear)
+
+    def test_fixed_k_on_fixed_matrix_by_hand(self):
+        # one draw's G = H K H^dag: C'(0) = q/ln2 and, with no spread in q,
+        # C''(0) = -n_R r/ln2 at any theta
+        k = [0.7, 0.3]
+        h = _H_FIXED
+        q = sum(k[j] * abs(h[a, j]) ** 2 for a in range(2) for j in range(2))
+        r = sum(abs(sum(h[a, j] * k[j] * h[b, j].conjugate()
+                        for j in range(2))) ** 2
+                for a in range(2) for b in range(2))
+        (m,) = zero_snr_moments(FixedMatrix(h),
+                                [FixedCovariance(np.diag(k))], 2000, 0)
+        for th in (0.0, 1.0, 8.0):
+            d = zero_snr_derivs(m, scen(th, 2, 2))
+            assert d.first_deriv == pytest.approx(q / LN2, rel=1e-14)
+            assert d.second_deriv == pytest.approx(-2 * r / LN2, rel=1e-12)
+            assert d.regime == "fixed"
+
+    def test_fixed_k_matches_finite_differences(self):
+        # the fixed-K derivatives against finite differences of the
+        # fixed-K effective rate at SNR 1e-3 and 5e-4, with the bounds of
+        # the low-SNR suite's checks: 2% first, 10% second
+        model = IidComplexGaussian(2, 2)
+        strategies = [FixedCovariance(np.diag(k).astype(complex))
+                      for k in ((0.7, 0.3), (1.0, 0.0), (0.5, 0.5))]
+        snr0, thetas = 1e-3, (0.5, 2.0)
+        moments = zero_snr_moments(model, strategies, 1_000_000, 0)
+        seconds = []
+        for strategy, m in zip(strategies, moments):
+            estimate = rate_estimator(model, strategy, 200_000, 0)
+            scs = [scen(th, 2, 2) for th in thetas]
+            rate = {("fixed", snr, th): e.value for snr in (snr0, snr0 / 2)
+                    for th, e in zip(thetas, estimate(scs, snr))}
+            for th, sc in zip(thetas, scs):
+                d = zero_snr_derivs(m, sc)
+                checks = _fd_checks("fixed", rate, d, snr0, th)
+                assert all(c.passed for c in checks), checks
+            seconds.append(zero_snr_derivs(m, scs[0]).second_deriv)
+        # the second derivative follows K
+        assert len(set(seconds)) == 3
+
+    @pytest.mark.parametrize("strategy", ["uniform", "waterfilling",
+                                          "beamforming", "fixed"])
+    @pytest.mark.parametrize("model", sorted(_SPARSE_MODELS))
+    def test_gains_bitwise_sparse_reference(self, model, strategy):
+        # every sparse-wideband gain keeps the reference's expression
+        model = _SPARSE_MODELS[model]
+        strategy = _sparse_strategy(strategy, model.n_t)
+        n = CHUNK + 123
+        want = list(_sparse_exponent_chunks(model, strategy, n, 4))
+        chunks = list(iter_sample_chunks(model, n, 4))
+        assert len(chunks) == len(want) == 2
+        for h, w in zip(chunks, want):
+            assert np.array_equal(chunk_gains(h, strategy), w)
+            assert np.array_equal(chunk_gains(h, strategy, squares=True)[0],
+                                  w)
+
+    @pytest.mark.parametrize("model", sorted(_SPARSE_MODELS))
+    def test_moments_match_spectral_reference(self, model):
+        # the moments of the uniform and the beamforming gain move from the
+        # spectral reference's by rounding only: the trace is ||H||^2 where
+        # it was the eigenvalue sum, and each chunk is summed pairwise where
+        # the reference summed draw by draw. Each moment is within 1e-14
+        # relative, and the second derivative's terms carry those moves
+        model = _SPARSE_MODELS[model]
+        n, n_t = CHUNK + 123, model.n_t
+        ref = spectral_moments_mc(model, n, 4)
+        mu, mb = zero_snr_moments(model, [UniformIdentity(),
+                                          BeamformingCsit()], n, 4)
+        for got, want in ((mu.e_q, ref.e_trace / n_t),
+                          (mu.e_q_sq, ref.e_trace_sq / n_t ** 2),
+                          (mu.e_r, ref.e_trace_gram_sq / n_t ** 2),
+                          (mb.e_q, ref.e_lambda_max),
+                          (mb.e_q_sq, ref.e_lambda_max_sq),
+                          (mb.e_r, ref.e_lambda_max_sq)):
+            assert abs(got - want) <= 1e-14 * want
+        for th in (0.01, 0.5, 2.0, 8.0):
+            sc = scen(th, model.n_r, n_t)
+            for m, want in ((mu, derivs_uniform(ref, sc)),
+                            (mb, derivs_csit(ref, sc))):
+                d = zero_snr_derivs(m, sc)
+                assert d.regime == want.regime
+                assert abs(d.first_deriv - want.first_deriv) \
+                    <= 1e-14 * want.first_deriv
+                terms = (sc.theta_tb * sc.n_r / LN2 ** 2
+                         * (m.e_q ** 2 + m.e_q_sq) + sc.n_r / LN2 * m.e_r)
+                assert abs(d.second_deriv - want.second_deriv) \
+                    <= 3e-14 * terms
+
+
 class TestSparseWideband:
     def cfg(self, m=5, p=1e4):
         return SparseWidebandConfig(m=m, p_over_n0=p)
@@ -216,7 +339,16 @@ class TestSparseWideband:
                      for th in (0.01, 0.5, 2.0, 8.0)]
         bounded, sublinear = sparse_ebmin(cfg, scenarios, model, strategy,
                                           n, 4)
-        assert sublinear == sparse_ebmin_sublinear(model, strategy, n, 4)[0]
+        ref = sparse_ebmin_sublinear(model, strategy, n, 4)[0]
+        if isinstance(strategy, StatisticalOptimized):
+            # lambda_max of E{H^dag H} is now hermitian_eig's, as the
+            # low-SNR derivatives read it; the reference read eigvalsh, and
+            # the two LAPACK drivers agree to rounding
+            lam = max_eig_subspace(mean_gram(model, n, 4)).lambda_max
+            assert sublinear == LN2 / lam
+            assert abs(sublinear - ref) <= 1e-14 * ref
+        else:
+            assert sublinear == ref
         assert len(bounded) == len(scenarios)
         for eb, sc in zip(bounded, scenarios):
             ref = sparse_ebmin_bounded(cfg, sc, model, strategy, n, 4)[0]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from effcap.asymptotics import zero_snr_moments
 from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              IidComplexGaussian, KroneckerCorrelated,
                              _complex_gaussian, chunk_rng, hermitian_eig,
                              iter_sample_chunks, max_eig_subspace,
-                             mean_gram_and_chunks, mean_gram_mc,
-                             spectral_moments_mc)
+                             mean_gram_and_chunks, mean_gram_mc)
+from effcap.engine import BeamformingCsit, UniformIdentity
 from effcap.errors import DomainError
 from oracles import complex_gaussian, kronecker_sample
 
@@ -56,12 +57,14 @@ class TestSampling:
         kron = KroneckerCorrelated(np.eye(2, dtype=complex),
                                    np.eye(3, dtype=complex))
         iid = IidComplexGaussian(2, 3)
-        mk = spectral_moments_mc(kron, 50_000, 7)
-        mi = spectral_moments_mc(iid, 50_000, 7)
+        both = [UniformIdentity(), BeamformingCsit()]
+        mk = zero_snr_moments(kron, both, 50_000, 7)
+        mi = zero_snr_moments(iid, both, 50_000, 7)
         # same seed, same underlying gaussians: identity correlation is a
-        # no-op so the draws coincide exactly
-        assert mk.e_trace == mi.e_trace
-        assert mk.e_lambda_max == mi.e_lambda_max
+        # no-op so the draws coincide exactly; the uniform gain is the
+        # trace over n_T, the beamforming gain lambda_max
+        assert mk[0].e_q == mi[0].e_q
+        assert mk[1].e_q == mi[1].e_q
 
     def test_kronecker_requires_psd(self):
         with pytest.raises(DomainError):
@@ -141,39 +144,49 @@ class TestMaxEigSubspace:
 
 
 class TestSpectralMoments:
+    """The gram-spectrum moments that the zero-SNR derivatives read: the
+    uniform gain q = tr(HH^dagger)/n_T and the beamforming gain
+    q = lambda_max, from `zero_snr_moments`."""
+
     def test_iid_2x2_identities(self):
-        m = spectral_moments_mc(IidComplexGaussian(2, 2), 200_000, 1)
-        assert abs(m.e_trace - 4.0) <= 3 * m.std_errs["e_trace"]
-        assert abs(m.e_trace_sq - 20.0) <= 3 * m.std_errs["e_trace_sq"]
-        assert abs(m.e_trace_gram_sq - 16.0) \
-            <= 3 * m.std_errs["e_trace_gram_sq"]
+        # E{tr} = 4, E{tr^2} = 20 and E{tr (HH^dag)^2} = 16, over n_T^k
+        (m,) = zero_snr_moments(IidComplexGaussian(2, 2), [UniformIdentity()],
+                                200_000, 1)
+        assert abs(m.e_q - 4.0 / 2) <= 3 * m.std_errs["e_q"]
+        assert abs(m.e_q_sq - 20.0 / 4) <= 3 * m.std_errs["e_q_sq"]
+        assert abs(m.e_r - 16.0 / 4) <= 3 * m.std_errs["e_r"]
 
     def test_iid_2x2_lambda_max_oracle(self):
-        m = spectral_moments_mc(IidComplexGaussian(2, 2), 200_000, 1)
-        assert abs(m.e_lambda_max - LMAX_MEAN_2X2) \
-            <= 3 * m.std_errs["e_lambda_max"]
-        assert abs(m.e_lambda_max_sq - LMAX_SQ_2X2) \
-            <= 3 * m.std_errs["e_lambda_max_sq"]
+        (m,) = zero_snr_moments(IidComplexGaussian(2, 2), [BeamformingCsit()],
+                                200_000, 1)
+        assert abs(m.e_q - LMAX_MEAN_2X2) <= 3 * m.std_errs["e_q"]
+        assert abs(m.e_q_sq - LMAX_SQ_2X2) <= 3 * m.std_errs["e_q_sq"]
+        # one mode: r = tr G^2 = lambda_max^2
+        assert m.e_r == m.e_q_sq
 
     def test_fixed_matrix_zero_variance(self):
-        m = spectral_moments_mc(FixedMatrix(np.diag([1.0, 2.0]).astype(complex)),
-                                2000, 0)
-        assert m.e_lambda_max == 4.0
-        assert m.std_errs["e_lambda_max"] < 1e-12
+        (m,) = zero_snr_moments(
+            FixedMatrix(np.diag([1.0, 2.0]).astype(complex)),
+            [BeamformingCsit()], 2000, 0)
+        assert m.e_q == 4.0
+        assert m.std_errs["e_q"] < 1e-12
 
     def test_cauchy_schwarz_invariants(self):
-        m = spectral_moments_mc(IidComplexGaussian(3, 2), 20_000, 2)
-        assert m.e_lambda_max ** 2 <= m.e_lambda_max_sq \
-            + 3 * m.std_errs["e_lambda_max_sq"]
-        assert m.e_trace ** 2 <= m.e_trace_sq + 3 * m.std_errs["e_trace_sq"]
+        # Jensen: E{q}^2 <= E{q^2}, for lambda_max and for the trace
+        for m in zero_snr_moments(IidComplexGaussian(3, 2),
+                                  [BeamformingCsit(), UniformIdentity()],
+                                  20_000, 2):
+            assert m.e_q ** 2 <= m.e_q_sq + 3 * m.std_errs["e_q_sq"]
 
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
-            spectral_moments_mc(IidComplexGaussian(1, 1), 100, 0)
+            zero_snr_moments(IidComplexGaussian(1, 1), [UniformIdentity()],
+                             100, 0)
 
     def test_determinism(self):
-        a = spectral_moments_mc(IidComplexGaussian(2, 2), 40_000, 9)
-        b = spectral_moments_mc(IidComplexGaussian(2, 2), 40_000, 9)
+        both = [UniformIdentity(), BeamformingCsit()]
+        a = zero_snr_moments(IidComplexGaussian(2, 2), both, 40_000, 9)
+        b = zero_snr_moments(IidComplexGaussian(2, 2), both, 40_000, 9)
         assert a == b
 
     def test_per_sample_spectral_bounds(self):

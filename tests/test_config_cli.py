@@ -206,6 +206,12 @@ FIXED_H2 = ("--samples", "2000", "--set", "model.variant=fixed",
             "--set", "scenario.n_t=2")
 HUGE = "9" * 400  # an integer beyond the largest float
 SPARSE = ("--set", "sparse.m=5", "--set", "sparse.p_over_n0=1e4")
+# an SNR grid whose top point, 3082 dB, is a finite SNR that overflows
+# n_R * snr * lambda, and a finite channel whose |h|^2 overflows
+HUGE_SNR_SWEEP = ("--set", "sweep.snr_db_start=3000",
+                  "--set", "sweep.snr_db_stop=3082",
+                  "--set", "sweep.n_points=2")
+HUGE_CHANNEL = ("--set", "model.variant=fixed", "--set", "model.h_real=1e200")
 
 
 # one small run of each subcommand, in the order of cli.COMMANDS
@@ -349,15 +355,63 @@ class TestCli:
         assert "QosScenario" in out.err and out.out == ""
 
     @pytest.mark.parametrize("k_diag", ["1,0", "0.5,0.5", "0.1,0.1"])
-    def test_low_snr_refuses_fixed_covariance(self, k_diag, capsys):
-        # derivs_uniform would report the same numbers for every K
-        assert run_cli("low-snr", "--set", "strategy.name=fixed",
-                       "--set", f"strategy.k_diag={k_diag}",
-                       "--set", "scenario.theta_hat=1",
-                       "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
-                       "--samples", "20000") == 2
-        out = capsys.readouterr()
-        assert "FixedCovariance" in out.err and out.out == ""
+    def test_low_snr_fixed_covariance_values(self, k_diag, capsys):
+        # the derivatives of the given K, which were refused: on the i.i.d.
+        # model q = tr(HKH^dag) has E{q} = n_R tr K,
+        # E{q^2} = n_R^2 (tr K)^2 + n_R tr K^2 and
+        # E{r} = tr G^2 = n_R (tr K)^2 + n_R^2 tr K^2
+        argv = ("--set", "strategy.name=fixed",
+                "--set", f"strategy.k_diag={k_diag}",
+                "--set", "scenario.theta_hat=1",
+                "--set", "scenario.n_r=2", "--set", "scenario.n_t=2",
+                "--samples", "20000")
+        assert run_cli("low-snr", *argv) == 0
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            ("low-snr",) + argv))
+        (m,) = asymptotics.zero_snr_moments(cfg.model(), [cfg.strategy()],
+                                            20_000, 0)
+        d = asymptotics.zero_snr_derivs(m, cfg.scenario())
+        em = asymptotics.energy_metrics(d)
+        assert capsys.readouterr().out.splitlines() == [
+            "regime = fixed", f"first_deriv = {d.first_deriv:.12g}",
+            f"second_deriv = {d.second_deriv:.12g}",
+            f"eb_n0_min_db = {em.eb_min_db:.12g}",
+            f"wideband_slope_s0 = {em.wideband_slope_s0:.12g}"]
+        k = [float(x) for x in k_diag.split(",")]
+        tr, tr2 = sum(k), sum(x * x for x in k)
+        exact = {"e_q": 2 * tr, "e_q_sq": 4 * tr ** 2 + 2 * tr2,
+                 "e_r": 2 * tr ** 2 + 4 * tr2}
+        for name, want in exact.items():
+            assert abs(getattr(m, name) - want) <= 4 * m.std_errs[name]
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--set", "scenario.theta_hat=0", *HUGE_SNR_SWEEP),
+        ("sweep", "--set", "scenario.theta_hat=1", *HUGE_SNR_SWEEP),
+        ("bit-energy", "--set", "scenario.theta_hat=1", *HUGE_SNR_SWEEP),
+        ("queue-validate", "--set", "scenario.theta_hat=1",
+         "--snr-db", "3082", "--blocks", "100000"),
+        ("low-snr", "--set", "scenario.theta_hat=1", *HUGE_CHANNEL),
+        ("sparse-wideband", "--set", "scenario.theta_hat=1", *HUGE_CHANNEL,
+         *SPARSE),
+    ], ids=["sweep-0", "sweep-1", "bit-energy", "queue-validate", "low-snr",
+            "sparse-wideband"])
+    def test_non_finite_rate_or_gain_numeric_error(self, argv, tmp_path,
+                                                   capsys):
+        # a finite SNR or channel whose per-draw rate or gain overflows:
+        # the ergodic sweep died with a ValueError, the effective sweep and
+        # bit-energy wrote values with the overflowed draws weighted
+        # e^-inf = 0, and low-snr and sparse-wideband failed on what
+        # followed from the infinite gain
+        out = tmp_path / "out.csv"
+        if argv[0] in ("sweep", "bit-energy"):
+            argv += ("--out", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_cli(*argv, "--samples", "2000", "--quiet") == 3
+        err = capsys.readouterr().err
+        what = "gain" if argv[0] in ("low-snr", "sparse-wideband") else "rate"
+        assert err.startswith(f"numeric error: per-draw {what} not finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,argv", [
         ("sparse.m", ("sparse-wideband", "--set", "sparse.m=abc",

@@ -307,13 +307,15 @@ def test_estimator_memo_keeps_fresh_estimator_bits():
 def fewer_moment_draws(monkeypatch):
     # the moment checks draw at least 1e6 samples; they call neither
     # strategy_spectra nor chunk_rates, so fewer draws keep these tests fast
-    def fewer(moments):
-        return lambda model, n_samples, seed: moments(model, 20_000, seed)
-
-    monkeypatch.setattr(validation, "spectral_moments_mc",
-                        fewer(validation.spectral_moments_mc))
-    monkeypatch.setattr(asymptotics, "statistical_moments_mc",
-                        fewer(asymptotics.statistical_moments_mc))
+    gains, statistical = (asymptotics.zero_snr_moments,
+                          asymptotics.statistical_moments_mc)
+    monkeypatch.setattr(
+        asymptotics, "zero_snr_moments",
+        lambda model, strategies, n_samples, seed:
+        gains(model, strategies, 20_000, seed))
+    monkeypatch.setattr(
+        asymptotics, "statistical_moments_mc",
+        lambda model, n_samples, seed: statistical(model, 20_000, seed))
 
 
 def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch,
