@@ -149,8 +149,11 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
     if snr == 0:
         return np.zeros(ev.shape[0])
     gain = n_r * snr
+    # a product that overflows makes an infinite rate, which `_estimate`
+    # refuses from the sum
     if isinstance(strategy, WaterfillingCsit):
-        return _batch_waterfill_rates(np.clip(ev, 0.0, None), gain)
+        with np.errstate(over="ignore"):
+            return _batch_waterfill_rates(np.clip(ev, 0.0, None), gain)
     if isinstance(strategy, UniformIdentity):
         gain = gain / n_t
     elif isinstance(strategy, BeamformingCsit):
@@ -160,7 +163,8 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
     # log2(1 + gain * clip(ev)) per eigenvalue, its steps in that order and
     # in place on one array, then summed over the eigenvalues
     t = np.clip(ev, 0.0, None)
-    t *= gain
+    with np.errstate(over="ignore"):
+        t *= gain
     t += 1.0
     np.log2(t, out=t)
     return sum_columns(t)
@@ -173,21 +177,23 @@ def chunk_gains(h: np.ndarray, strategy: CovarianceStrategy,
     K, or the top eigenvector of H^dagger H for beamforming and for
     water-filling, which opens one mode. A draw's rate is
     (n_R snr/ln2) q - ((n_R snr)^2/(2 ln2)) r + O(snr^3), r = tr G^2;
-    with squares, (q, r)."""
-    if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
-        q = _gram_eigvalsh(h)[:, -1]
-        return (q, q * q) if squares else q
-    if isinstance(strategy, UniformIdentity):
-        q = (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
-        if squares:  # from the small gram's spectrum, G = HH^dagger/n_T
-            r = sum_columns(_gram_eigvalsh(h) ** 2) / h.shape[2] ** 2
-    elif isinstance(strategy, FixedCovariance):
-        g = h @ strategy.k @ h.conj().transpose(0, 2, 1)
-        q = np.real(np.einsum("nii->n", g))
-        if squares:  # ||G||_F^2 of the Hermitian G
-            r = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
-    else:
-        raise DomainError(f"unsupported strategy {strategy!r}")
+    with squares, (q, r). A product that overflows makes an infinite gain,
+    which its callers refuse from the sums."""
+    with np.errstate(over="ignore"):
+        if isinstance(strategy, (WaterfillingCsit, BeamformingCsit)):
+            q = _gram_eigvalsh(h)[:, -1]
+            return (q, q * q) if squares else q
+        if isinstance(strategy, UniformIdentity):
+            q = (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
+            if squares:  # from the small gram's spectrum, G = HH^dagger/n_T
+                r = sum_columns(_gram_eigvalsh(h) ** 2) / h.shape[2] ** 2
+        elif isinstance(strategy, FixedCovariance):
+            g = h @ strategy.k @ h.conj().transpose(0, 2, 1)
+            q = np.real(np.einsum("nii->n", g))
+            if squares:  # ||G||_F^2 of the Hermitian G
+                r = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
+        else:
+            raise DomainError(f"unsupported strategy {strategy!r}")
     return (q, r) if squares else q
 
 
@@ -503,6 +509,11 @@ def _statistical_factor(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(b.transpose(1, 2, 0))
 
 
+class _UniformTie(Exception):
+    """Raised by the optimizer's objective once a Frank-Wolfe bound shows
+    that the tie-break will return the uniform allocation."""
+
+
 def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
                                     snr: float, n_samples: int, seed: int):
     """Maximize the effective rate over K in the eigenbasis of E{H^dagger H}.
@@ -514,6 +525,16 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     each chunk becomes its factors F with F^dagger F = U^dagger H^dagger H U
     (`_statistical_factor`) and is released, and every candidate K reuses
     those factors.
+
+    The search stops early when the tie is already decided. The sample
+    objective is concave in p (minus a log-sum-exp of convex functions), so
+    at any evaluated p its optimum is at most f(p) + max_i g_i - g.p, the
+    Frank-Wolfe bound, and so is the value the search would end on. Once
+    that bound is at most f(u) + 2 se(u) - 1e-9 max(1, |f(u)|) at the
+    uniform u, the tie-break must return u, and u is returned at once; the
+    1e-9 margin covers rounding in f and g. Where the optimum beats the
+    uniform K by more, the bound never gets that low and the search runs
+    to its end.
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
@@ -523,19 +544,26 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     _, u = hermitian_eig(g)
     factors = [_statistical_factor(h, u) for h in chunks]
     estimates = {}
+    uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
 
     def fg(p):
         est, grad = _statistical_estimate(scenario, snr, factors, p,
                                           n_samples)
         estimates[p.tobytes()] = est
+        tie = estimates[uniform.tobytes()]  # the first call is at uniform
+        if (est.value + float(grad.max() - grad @ p)
+                <= tie.value + 2.0 * tie.std_err
+                - 1e-9 * max(1.0, abs(tie.value))):
+            raise _UniformTie
         return est.value, grad
 
-    uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
-    p, _, _ = simplex_maximize(fg, uniform)
+    try:
+        p, _, _ = simplex_maximize(fg, uniform)
+    except _UniformTie:
+        p = uniform
     best = estimates[p.tobytes()]
     uniform_est = estimates[uniform.tobytes()]
     if best.value <= uniform_est.value + 2.0 * uniform_est.std_err:
         p, best = uniform, uniform_est
     k = (u * p) @ u.conj().T
     return k, best
-

@@ -393,24 +393,35 @@ class TestCli:
         ("low-snr", "--set", "scenario.theta_hat=1", *HUGE_CHANNEL),
         ("sparse-wideband", "--set", "scenario.theta_hat=1", *HUGE_CHANNEL,
          *SPARSE),
+        ("sweep", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=waterfilling", *HUGE_SNR_SWEEP),
+        ("low-snr", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=beamforming", *HUGE_CHANNEL),
+        ("sparse-wideband", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=fixed", "--set", "strategy.k_diag=1",
+         *HUGE_CHANNEL, *SPARSE),
     ], ids=["sweep-0", "sweep-1", "bit-energy", "queue-validate", "low-snr",
-            "sparse-wideband"])
+            "sparse-wideband", "sweep-waterfilling", "low-snr-beamforming",
+            "sparse-wideband-fixed"])
     def test_non_finite_rate_or_gain_numeric_error(self, argv, tmp_path,
                                                    capsys):
         # a finite SNR or channel whose per-draw rate or gain overflows:
         # the ergodic sweep died with a ValueError, the effective sweep and
         # bit-energy wrote values with the overflowed draws weighted
         # e^-inf = 0, and low-snr and sparse-wideband failed on what
-        # followed from the infinite gain
+        # followed from the infinite gain. Each also printed NumPy's
+        # overflow RuntimeWarning before the refusal; a warning now fails
+        # the run, and the refusal is all that stderr holds
         out = tmp_path / "out.csv"
         if argv[0] in ("sweep", "bit-energy"):
             argv += ("--out", str(out))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert run_cli(*argv, "--samples", "2000", "--quiet") == 3
         err = capsys.readouterr().err
         what = "gain" if argv[0] in ("low-snr", "sparse-wideband") else "rate"
         assert err.startswith(f"numeric error: per-draw {what} not finite")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("key,argv", [

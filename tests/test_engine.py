@@ -382,6 +382,13 @@ def test_statistical_point_runs_the_module_optimizer_once(monkeypatch, call):
         (runs[0][1].value, runs[0][1].std_err, runs[0][1].n_samples)
 
 
+# (rho_t, linear SNR) of the optimizer comparisons; an id names rho_t, and
+# the SNR where it is not 10 dB
+_OPTIMIZER_CASES = [(0.5, 10.0), (0.9, 10.0), (0.0, 10.0), (0.3, 10.0),
+                    (0.5, 100.0)]
+_OPTIMIZER_IDS = ["0.5", "0.9", "0.0", "0.3", "0.5-20dB"]
+
+
 class TestStatisticalDrawsOnce:
     MODEL = _kronecker(2, 0.7, 0.5)
 
@@ -398,23 +405,57 @@ class TestStatisticalDrawsOnce:
                      StatisticalOptimized(), 4096, 0)
         assert sum(drawn) == 4096
 
-    # the benchmark's optimize cases (rho_t = 0.5, uniform optimum) and a
-    # stronger transmit correlation whose optimum is not uniform
-    @pytest.mark.parametrize("rho_t", [0.5, 0.9])
+    # the benchmark's optimize cases (rho_t = 0.5 at 10 dB, uniform
+    # optimum), cases where the Frank-Wolfe bound proves the uniform tie
+    # early, often at the first evaluation (rho_t = 0 and 0.3 at 10 dB,
+    # rho_t = 0.5 at 20 dB), and a stronger transmit correlation whose
+    # optimum is not uniform. The oracle always runs the whole search. A
+    # stop that drops the gap term (f(p) <= bar, without max_i g_i - g.p)
+    # returns the uniform K at rho_t = 0.9 and fails here.
+    @pytest.mark.parametrize("rho_t,snr", _OPTIMIZER_CASES,
+                             ids=_OPTIMIZER_IDS)
     @pytest.mark.parametrize("n,n_samples", [(2, 4096), (4, 2048)])
     @pytest.mark.parametrize("seed", range(5))
-    def test_optimizer_matches_two_pass_bitwise(self, rho_t, n, n_samples,
-                                                seed):
+    def test_optimizer_matches_two_pass_bitwise(self, rho_t, snr, n,
+                                                n_samples, seed):
         model = _kronecker(n, 0.7, rho_t)
         sc = scen(2.0, n, n)
-        k, est = optimize_covariance_statistical(sc, model, 10.0, n_samples,
+        k, est = optimize_covariance_statistical(sc, model, snr, n_samples,
                                                  seed)
-        k_ref, est_ref = _two_pass_optimize(sc, model, 10.0, n_samples, seed)
+        k_ref, est_ref = _two_pass_optimize(sc, model, snr, n_samples, seed)
         assert np.array_equal(k, k_ref)
         assert (est.value, est.std_err) == (est_ref.value, est_ref.std_err)
         if rho_t == 0.9:
             # the comparison must cover an optimum off the uniform K
             assert not np.allclose(k, np.eye(n) / n)
+
+    @pytest.mark.parametrize("rho_t,snr", _OPTIMIZER_CASES,
+                             ids=_OPTIMIZER_IDS)
+    @pytest.mark.parametrize("n,n_samples", [(2, 4096), (4, 2048)])
+    def test_optimizer_stops_early_only_on_a_uniform_tie(
+            self, monkeypatch, rho_t, snr, n, n_samples):
+        # objective evaluations: fewer than the whole search's where the
+        # result is the uniform K, the same number where it is not
+        calls, estimate = [], _statistical_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return estimate(*args, **kwargs)
+
+        model, sc = _kronecker(n, 0.7, rho_t), scen(2.0, n, n)
+        monkeypatch.setattr(engine, "_statistical_estimate", counting)
+        k, _ = optimize_covariance_statistical(sc, model, snr, n_samples, 0)
+        n_opt = len(calls)
+        monkeypatch.setitem(globals(), "_statistical_estimate", counting)
+        _two_pass_optimize(sc, model, snr, n_samples, 0)
+        n_ref = len(calls) - n_opt
+        assert np.array_equal(calls[0], np.full(n, 1.0 / n))
+        if rho_t == 0.9:
+            assert not np.allclose(k, np.eye(n) / n)
+            assert n_opt == n_ref
+        else:
+            assert np.allclose(k, np.eye(n) / n)
+            assert n_opt < n_ref
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_statistical_matches_two_pass_bitwise(self, seed):
