@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, IidComplexGaussian, hermitian_eig,
-                       iter_sample_chunks, max_eig_subspace,
-                       mean_gram_and_chunks)
+from .channels import (ChannelModel, IidComplexGaussian, iter_sample_chunks,
+                       max_eig_multiplicity)
 from .engine import (CovarianceStrategy, BeamformingCsit, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, _LogMeanExp, _estimate, check_shape,
-                     chunk_gains, simplex_maximize, LN2)
+                     chunk_gains, in_eigenbasis, simplex_maximize, LN2)
 from .errors import DomainError, NumericError
 
 
@@ -89,20 +88,29 @@ _REGIMES = {UniformIdentity: "uniform", WaterfillingCsit: "csit",
 def zero_snr_moments(model: ChannelModel, strategies, n_samples: int,
                      seed: int) -> list:
     """Monte Carlo `ZeroSnrMoments` of each strategy, all from one pass of
-    draws; an overflowed or NaN gain raises NumericError."""
+    draws; a gain, or a square behind a standard error, that overflows or
+    is NaN raises NumericError."""
     if n_samples < 1000:
         raise DomainError("zero_snr_moments needs n_samples >= 1000")
+    drawn = [in_eigenbasis(model, strategy) for strategy in strategies]
     sums, sqsums = np.zeros((2, len(strategies), 3))
-    for h in iter_sample_chunks(model, n_samples, seed):
-        for i, strategy in enumerate(strategies):
-            q, r = chunk_gains(h, strategy, squares=True)
-            stats = np.stack([q, q * q, r])
-            sums[i] += stats.sum(axis=1)
-            sqsums[i] += (stats * stats).sum(axis=1)
-    if not np.isfinite(sums).all():
-        raise NumericError(f"per-draw gain not finite: sums {sums.tolist()}")
-    means = sums / n_samples
-    se = np.sqrt(np.maximum(sqsums / n_samples - means ** 2, 0.0) / n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in iter_sample_chunks(model, n_samples, seed):
+            for i, strategy in enumerate(drawn):
+                q, r = chunk_gains(h, strategy, squares=True)
+                stats = np.stack([q, q * q, r])
+                sums[i] += stats.sum(axis=1)
+                sqsums[i] += (stats * stats).sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise NumericError(
+                f"per-draw gain not finite: sums {sums.tolist()}")
+        if not np.isfinite(sqsums).all():
+            raise NumericError(f"per-draw gain not finite in the squares "
+                               f"behind its standard error: sums of "
+                               f"squares {sqsums.tolist()}")
+        means = sums / n_samples
+        se = np.sqrt(np.maximum(sqsums / n_samples - means ** 2, 0.0)
+                     / n_samples)
     return [ZeroSnrMoments(*m, _REGIMES[type(strategy)],
                            dict(zip(("e_q", "e_q_sq", "e_r"), e)))
             for strategy, m, e in zip(strategies, means.tolist(),
@@ -140,21 +148,20 @@ class StatisticalMoments:
 
 def statistical_moments_mc(model: ChannelModel, n_samples: int,
                            seed: int) -> StatisticalMoments:
-    """`StatisticalMoments` of model; one draw of each sample gives both
-    E{H^dagger H} and the moments (`mean_gram_and_chunks`)."""
-    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-    summ = max_eig_subspace(g)
-    l = summ.multiplicity_l
-    u = summ.max_eig_basis
+    """`StatisticalMoments` of model. E{H^dagger H} is the model's exact one
+    (`mean_gram_eig`), and its draws come in its eigenbasis, descending, so
+    the maximal eigenspace is spanned by their first l columns."""
+    w, _ = model.mean_gram_eig
+    l = max_eig_multiplicity(w)
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
-    for h in chunks:
-        c = h @ u
+    for h in iter_sample_chunks(model, n_samples, seed):
+        c = h[:, :, :l]
         m = c.conj().transpose(0, 2, 1) @ c
         diag = np.real(np.einsum("nii->ni", m))
         a_sum += np.einsum("ni,nj->ij", diag, diag)
         b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
-    return StatisticalMoments(summ.lambda_max, a_sum / n_samples,
+    return StatisticalMoments(float(w[0]), a_sum / n_samples,
                               b_sum / n_samples)
 
 
@@ -215,8 +222,8 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
     value ln2 / E{q}: the effective reading of q at theta*T*B = rho/ln2
     and its ergodic reading, both taken by `engine._estimate`.
     StatisticalOptimized minimizes each bounded value over K in the
-    eigenbasis of E{H^dagger H}, whose largest eigenvalue sets its
-    sublinear value.
+    eigenbasis of the exact E{H^dagger H}, the basis of the draws, whose
+    largest eigenvalue sets its sublinear value.
     """
     rhos = []
     for sc in scenarios:
@@ -224,20 +231,25 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
             raise DomainError("sparse_ebmin requires theta > 0")
         rhos.append(sc.theta * sc.t * config.p_over_n0 / config.m)
     if isinstance(strategy, StatisticalOptimized):
-        g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-        w, u = hermitian_eig(g)  # as `statistical_moments_mc` reads it
-        mean_gain = float(w[0])
-        if rhos:  # with none, an i.i.d. model (exact mean) draws nothing
-            # per-sample per-direction gains |H u_i|^2
-            gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1)
-                                    for h in chunks])
+        # as `statistical_moments_mc` reads it
+        mean_gain = float(model.mean_gram_eig[0][0])
+        if not math.isfinite(mean_gain):
+            raise NumericError(f"largest eigenvalue of E{{H^dagger H}} not "
+                               f"finite: {mean_gain}")
+        if rhos:  # with none, nothing is drawn
+            # per-sample per-direction gains |H u_i|^2, u_i the columns of
+            # the drawn basis
+            gains = np.concatenate(
+                [(np.abs(h) ** 2).sum(axis=1)
+                 for h in iter_sample_chunks(model, n_samples, seed)])
         p0 = np.full(model.n_t, 1.0 / model.n_t)
         ratios = [(rho, simplex_maximize(_sparse_objective(gains, rho), p0)[1])
                   for rho in rhos]
     else:
+        drawn = in_eigenbasis(model, strategy)
         *effective, ergodic = _estimate(
             [rho / LN2 for rho in rhos] + [0.0], 1,
-            (chunk_gains(h, strategy)
+            (chunk_gains(h, drawn)
              for h in iter_sample_chunks(model, n_samples, seed)),
             n_samples, what="gain")
         ratios = [(LN2, est.value) for est in effective]

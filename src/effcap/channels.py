@@ -7,11 +7,12 @@ chunks are distributed over workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 CHUNK = 1 << 14
 
@@ -36,7 +37,9 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def _psd_sqrt(a: np.ndarray, name: str) -> np.ndarray:
+def _psd_eig(a: np.ndarray, name: str):
+    """Eigenvalues, descending and clipped at 0, and matching eigenvectors
+    of a finite Hermitian positive semidefinite matrix; refuses any other."""
     # a NaN passes every comparison below and eigh returns NaNs for it
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} must be finite")
@@ -45,8 +48,15 @@ def _psd_sqrt(a: np.ndarray, name: str) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     if w.min() < -1e-10 * max(1.0, w.max()):
         raise DomainError(f"{name} must be positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return np.clip(w[::-1], 0.0, None), v[:, ::-1]
 
+
+# Every model draws its channels in the eigenbasis U of E{H^dagger H}: each
+# draw of `sample_eigenbasis` is V^dagger H U in law, for some unitary V,
+# and `mean_gram_eig` is (the eigenvalues, descending, U). Whatever reads a
+# draw reads it through H^dagger H or H K H^dagger, whose spectra a left
+# unitary V keeps, so only a transmit covariance K changes: it acts on the
+# draws as U^dagger K U (`engine.in_eigenbasis`).
 
 @dataclass(frozen=True)
 class IidComplexGaussian:
@@ -58,9 +68,15 @@ class IidComplexGaussian:
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _complex_gaussian(rng, (n, self.n_r, self.n_t))
 
-    # exact mean of the n_t x n_t gram: n_r * I
+    # E{H^dagger H} = n_R I has every basis as eigenbasis: U = I
+    sample_eigenbasis = sample_batch
+
     def exact_mean_gram(self) -> np.ndarray:
         return self.n_r * np.eye(self.n_t)
+
+    @property
+    def mean_gram_eig(self):
+        return np.full(self.n_t, float(self.n_r)), np.eye(self.n_t)
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,22 @@ class FixedMatrix:
     """Deterministic channel: every draw returns the same matrix."""
 
     h: np.ndarray
+    mean_gram_eig: tuple = field(init=False, repr=False, compare=False)
+    _rotated: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.h)):
             raise DomainError("FixedMatrix h must be finite")
+        h = np.asarray(self.h, dtype=complex)
+        # the eigenvectors of H^dagger H from the SVD of H, which does not
+        # square the entries; an eigenvalue s^2 may overflow to inf
+        _, s, vh = np.linalg.svd(h)
+        w = np.zeros(self.n_t)
+        with np.errstate(over="ignore"):
+            w[:len(s)] = s * s
+        u = vh.conj().T
+        object.__setattr__(self, "mean_gram_eig", (w, u))
+        object.__setattr__(self, "_rotated", h @ u)
 
     @property
     def n_r(self) -> int:
@@ -85,19 +113,40 @@ class FixedMatrix:
         return np.broadcast_to(np.asarray(self.h, dtype=complex),
                                (n,) + self.h.shape).copy()
 
+    def sample_eigenbasis(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.broadcast_to(self._rotated, (n,) + self.h.shape).copy()
+
+    def exact_mean_gram(self) -> np.ndarray:
+        h = np.asarray(self.h, dtype=complex)
+        return h.conj().T @ h
+
 
 @dataclass(frozen=True)
 class KroneckerCorrelated:
-    """Separable correlation: draws R_r^{1/2} G R_t^{1/2} with G i.i.d."""
+    """Separable correlation: H = R_r^{1/2} G R_t^{1/2} with G i.i.d.
+
+    With R_r = U_r L_r U_r^dagger and R_t = U_t L_t U_t^dagger,
+    U_r^dagger H U_t = L_r^{1/2} (U_r^dagger G U_t) L_t^{1/2}, and
+    U_r^dagger G U_t has the law of G: an i.i.d. complex Gaussian matrix is
+    unitarily invariant (Tulino & Verdu, Random Matrix Theory and Wireless
+    Communications, 2004, Sec. 2). So a draw in the eigenbasis is G scaled
+    entrywise by sqrt(l_r,i l_t,j), O(n_R n_T) work, and
+    E{H^dagger H} = tr(R_r) R_t is diagonal there.
+    """
 
     r_r: np.ndarray
     r_t: np.ndarray
-    _sq_r: np.ndarray = field(init=False, repr=False, compare=False)
-    _sq_t: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_gram_eig: tuple = field(init=False, repr=False, compare=False)
+    _u_r: np.ndarray = field(init=False, repr=False, compare=False)
+    _scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_sq_r", _psd_sqrt(np.asarray(self.r_r, complex), "r_r"))
-        object.__setattr__(self, "_sq_t", _psd_sqrt(np.asarray(self.r_t, complex), "r_t"))
+        lam_r, u_r = _psd_eig(np.asarray(self.r_r, complex), "r_r")
+        lam_t, u_t = _psd_eig(np.asarray(self.r_t, complex), "r_t")
+        object.__setattr__(self, "_u_r", u_r)
+        object.__setattr__(self, "_scale", np.sqrt(np.outer(lam_r, lam_t)))
+        object.__setattr__(self, "mean_gram_eig",
+                           (np.trace(self.r_r).real * lam_t, u_t))
 
     @property
     def n_r(self) -> int:
@@ -107,20 +156,24 @@ class KroneckerCorrelated:
     def n_t(self) -> int:
         return self.r_t.shape[0]
 
-    def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws of R_r^{1/2} G R_t^{1/2}, mixed as the sum over (j, k),
-        in C order, of the outer products
-        (G_jk * R_r^{1/2}[:, j]) R_t^{1/2}[k]. That is the order and the
-        products of the naive einsum("ij,njk,kl->nil"), so with real
-        correlation matrices the draws are bitwise those of the einsum; with
-        complex ones they can differ in the last bits."""
+    def sample_eigenbasis(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws of U_r^dagger H U_t = L_r^{1/2} o G o L_t^{1/2}, its
+        columns in descending order of the eigenvalues of R_t."""
         g = _complex_gaussian(rng, (n, self.n_r, self.n_t))
-        sq_r, sq_t = self._sq_r, self._sq_t
-        out = np.zeros((n, self.n_r, self.n_t), dtype=complex)
-        for j in range(self.n_r):
-            for k in range(self.n_t):
-                out += (g[:, j, k, None] * sq_r[:, j])[:, :, None] * sq_t[k]
-        return out
+        g *= self._scale
+        return g
+
+    def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws of H: the draws of `sample_eigenbasis` rotated back,
+        U_r D U_t^dagger = R_r^{1/2} G' R_t^{1/2} with G' = U_r G U_t^dagger,
+        which has the law of G."""
+        return np.einsum("ij,njk,kl->nil", self._u_r,
+                         self.sample_eigenbasis(n, rng),
+                         self.mean_gram_eig[1].conj().T)
+
+    def exact_mean_gram(self) -> np.ndarray:
+        """E{H^dagger H} = tr(R_r) R_t, since E{G^dagger A G} = tr(A) I."""
+        return np.trace(self.r_r).real * np.asarray(self.r_t, complex)
 
 
 ChannelModel = IidComplexGaussian | FixedMatrix | KroneckerCorrelated
@@ -132,11 +185,13 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def iter_sample_chunks(model: ChannelModel, n_samples: int, seed: int):
-    """Yield (n, n_r, n_t) chunks; chunk RNG depends only on (seed, index)."""
+    """Yield (n, n_r, n_t) chunks of draws in the eigenbasis of
+    E{H^dagger H} (`sample_eigenbasis`); chunk RNG depends only on
+    (seed, index)."""
     idx = 0
     for start in range(0, n_samples, CHUNK):
         m = min(CHUNK, n_samples - start)
-        yield model.sample_batch(m, chunk_rng(seed, idx))
+        yield model.sample_eigenbasis(m, chunk_rng(seed, idx))
         idx += 1
 
 
@@ -233,58 +288,45 @@ class SpectralSummary:
     max_eig_basis: np.ndarray
 
 
-# eigenvalues within this fraction of the largest count as maximal: it
-# absorbs the Monte Carlo error of an estimated E{H^dagger H}
-MAX_EIG_REL_TOL = 1e-2
+# eigenvalues within this fraction of the largest count as maximal: a
+# rounding tolerance. Every E{H^dagger H} is exact (`mean_gram_eig`), and
+# its computed eigenvalues are off by a few n_T eps of the largest, so a
+# true near-tie, such as 2.008 against 1.992, is no tie
+MAX_EIG_REL_TOL = 1e-12
+
+
+def max_eig_multiplicity(w: np.ndarray) -> int:
+    """How many of the descending eigenvalues w are within MAX_EIG_REL_TOL
+    of w[0], relative: all of them for a zero (or numerically zero)
+    matrix, whose whole space is maximal. An infinite or NaN w[0], such as
+    the squared singular value of a huge fixed channel, raises
+    NumericError."""
+    lam = float(w[0])
+    if not math.isfinite(lam):
+        raise NumericError(f"largest eigenvalue of E{{H^dagger H}} not "
+                           f"finite: {lam}")
+    if lam <= 0.0:
+        return len(w)
+    return int(np.sum((lam - w) / lam <= MAX_EIG_REL_TOL))
 
 
 def max_eig_subspace(a: np.ndarray) -> SpectralSummary:
-    """Maximum eigenvalue, its numerical multiplicity (eigenvalues within
-    MAX_EIG_REL_TOL of it, relative) and eigenspace basis."""
+    """Maximum eigenvalue, its numerical multiplicity
+    (`max_eig_multiplicity`) and eigenspace basis."""
     w, v = hermitian_eig(a)
-    lam = float(w[0])
-    if lam <= 0.0:
-        # zero (or numerically zero) matrix: the whole space is maximal
-        return SpectralSummary(w, 0.0, len(w), v)
-    mask = (lam - w) / lam <= MAX_EIG_REL_TOL
-    l = int(np.sum(mask))
-    return SpectralSummary(w, lam, l, v[:, :l])
-
-
-def _mean_gram_of(chunks, n_t: int, n_samples: int) -> np.ndarray:
-    """E{H^dagger H} averaged over chunks of n_samples draws in total, each
-    chunk's sum added in turn; the one Monte Carlo estimator of it."""
-    acc = np.zeros((n_t, n_t), dtype=complex)
-    for h in chunks:
-        acc += np.einsum("nij,nik->jk", h.conj(), h)
-    g = acc / n_samples
-    return 0.5 * (g + g.conj().T)
+    l = max_eig_multiplicity(w)
+    return SpectralSummary(w, float(w[0]) if w[0] > 0 else 0.0, l, v[:, :l])
 
 
 def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo estimate of E{H^dagger H}."""
-    return _mean_gram_of(iter_sample_chunks(model, n_samples, seed),
-                         model.n_t, n_samples)
-
-
-def mean_gram_and_chunks(model: ChannelModel, n_samples: int, seed: int):
-    """(E{H^dagger H}, chunks): the mean and an iterator over the chunks
-    of `iter_sample_chunks`, each drawn once.
-
-    The i.i.d. model's mean is exact and its chunks are drawn lazily. Any
-    other model's chunks are drawn and held for the Monte Carlo mean,
-    bitwise `mean_gram_mc`, and the iterator drops each held chunk as it
-    yields it.
-    """
-    chunks = iter_sample_chunks(model, n_samples, seed)
-    if isinstance(model, IidComplexGaussian):
-        return model.exact_mean_gram(), chunks
-    held = list(chunks)
-    return _mean_gram_of(held, model.n_t, n_samples), _drain(held)
-
-
-def _drain(held: list):
-    """Yield the held chunks in order, dropping each from the list."""
-    held.reverse()
-    while held:
-        yield held.pop()
+    """Monte Carlo estimate of E{H^dagger H}, whose exact value is the
+    model's `exact_mean_gram`: the mean gram of the draws, rotated from
+    their eigenbasis U back to the model's basis. Nothing in effcap calls
+    it; it stays because perfbench/tracing.py rebinds it, and goes once the
+    tracer stops doing so (ROADMAP item 3)."""
+    acc = np.zeros((model.n_t, model.n_t), dtype=complex)
+    for h in iter_sample_chunks(model, n_samples, seed):
+        acc += np.einsum("nij,nik->jk", h.conj(), h)
+    u = model.mean_gram_eig[1]
+    g = u @ (acc / n_samples) @ u.conj().T
+    return 0.5 * (g + g.conj().T)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, _gram_eigvalsh, iter_sample_chunks,
-                       iter_spectra, hermitian_eig, mean_gram_and_chunks,
-                       sum_columns)
+from .channels import (ChannelModel, IidComplexGaussian, _gram_eigvalsh,
+                       iter_sample_chunks, iter_spectra, sum_columns)
 from .errors import DomainError, NumericError
 
 LOG2E = math.log2(math.e)
@@ -132,13 +131,27 @@ def _batch_waterfill_rates(eigs: np.ndarray, gain: float) -> np.ndarray:
     return sum_columns(rate)
 
 
+def in_eigenbasis(model: ChannelModel, strategy: CovarianceStrategy):
+    """The strategy as it acts on the draws of `iter_sample_chunks`, which
+    come in the eigenbasis U of E{H^dagger H} (the model's
+    `mean_gram_eig`): a fixed K becomes U^dagger K U, formed once per run,
+    and stays K on the i.i.d. model, whose U is I; every other strategy
+    reads only what that basis keeps."""
+    if (not isinstance(strategy, FixedCovariance)
+            or isinstance(model, IidComplexGaussian)):
+        return strategy
+    u = model.mean_gram_eig[1]
+    return FixedCovariance(u.conj().T @ strategy.k @ u)
+
+
 def strategy_spectra(model: ChannelModel, strategy: CovarianceStrategy,
                      n_samples: int, seed: int):
     """Per-chunk eigenvalues that set the strategy's rate: those of the
     small gram (`iter_spectra`), or of H K H^dagger for a fixed K."""
     if not isinstance(strategy, FixedCovariance):
         return iter_spectra(model, n_samples, seed)
-    return (np.linalg.eigvalsh(h @ strategy.k @ h.conj().transpose(0, 2, 1))
+    k = in_eigenbasis(model, strategy).k
+    return (np.linalg.eigvalsh(h @ k @ h.conj().transpose(0, 2, 1))
             for h in iter_sample_chunks(model, n_samples, seed))
 
 
@@ -447,6 +460,7 @@ def simplex_maximize(fg, p0: np.ndarray):
     return p, f, float(g.max() - g @ p)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _statistical_estimate(scenario: QosScenario, snr: float, factors,
                           p: np.ndarray, n_samples: int):
     """Effective rate of K = U diag(p) U^dagger and its gradient in p, on
@@ -459,6 +473,10 @@ def _statistical_estimate(scenario: QosScenario, snr: float, factors,
     entry, each entry a vector over the chunk: every L_jj^2 = 1 + |z_j|^2
     is a sum of squares, where factoring a formed C would cancel digits at
     high SNR. The gradient divides by no p_i, so vertices are fine.
+
+    A draw whose log det overflows, or turns NaN on the way, raises
+    NumericError from its chunk's sum of the per-draw log dets, before its
+    exponent -inf could be weighted e^-inf = 0.
     """
     a = scenario.theta_tb
     gain = scenario.n_r * snr
@@ -484,6 +502,10 @@ def _statistical_estimate(scenario: QosScenario, snr: float, factors,
                 ip = (zj.conj() * z[j + 1:]).sum(axis=1)
                 cols.append(ip.conj() * inv[j])
                 z[j + 1:] -= zj * (ip / (r * (1.0 + r)))[:, None]
+        total = float(logdet.sum())
+        if not math.isfinite(total):
+            raise NumericError(f"per-draw rate not finite: log det sum "
+                               f"{total}")
         d_rate = 0.0
         ys = []  # rows of L^{-1} F by forward substitution
         for j in range(k):
@@ -499,14 +521,14 @@ def _statistical_estimate(scenario: QosScenario, snr: float, factors,
     return est, -acc.d_log_mean() / denom
 
 
-def _statistical_factor(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-draw factors F of a chunk h, batch last (k, n_T, n), with
-    F^dagger F = U^dagger H^dagger H U and k = min(n_R, n_T): H U itself, or
-    the R of its QR decomposition when n_R > n_T."""
-    b = h @ u
-    if b.shape[1] > b.shape[2]:
-        b = np.linalg.qr(b, mode="r")
-    return np.ascontiguousarray(b.transpose(1, 2, 0))
+def _statistical_factor(h: np.ndarray) -> np.ndarray:
+    """Per-draw factors F of a chunk h of draws in the eigenbasis of
+    E{H^dagger H}, batch last (k, n_T, n), with F^dagger F = H^dagger H and
+    k = min(n_R, n_T): H itself, or the R of its QR decomposition when
+    n_R > n_T."""
+    if h.shape[1] > h.shape[2]:
+        h = np.linalg.qr(h, mode="r")
+    return np.ascontiguousarray(h.transpose(1, 2, 0))
 
 
 class _UniformTie(Exception):
@@ -520,11 +542,11 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
 
     `simplex_maximize` over the power fractions with common random numbers;
     ties within two standard errors are broken toward the uniform allocation.
-    The draws of (model, n_samples, seed) are sampled once
-    (`mean_gram_and_chunks`): they give the Monte Carlo E{H^dagger H}, then
-    each chunk becomes its factors F with F^dagger F = U^dagger H^dagger H U
-    (`_statistical_factor`) and is released, and every candidate K reuses
-    those factors.
+    E{H^dagger H} is the model's exact one, and the draws of (model,
+    n_samples, seed) come in its eigenbasis U (`iter_sample_chunks`), so
+    each chunk is its own factors F with F^dagger F = U^dagger H^dagger H U
+    (`_statistical_factor`), and every candidate K = U diag(p) U^dagger
+    reuses those factors; K is returned in the model's basis.
 
     The search stops early when the tie is already decided. The sample
     objective is concave in p (minus a log-sum-exp of convex functions), so
@@ -540,9 +562,8 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
         raise DomainError("optimize_covariance_statistical requires theta > 0")
     _check_snr(snr)
     check_shape(scenario, model)
-    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-    _, u = hermitian_eig(g)
-    factors = [_statistical_factor(h, u) for h in chunks]
+    factors = [_statistical_factor(h)
+               for h in iter_sample_chunks(model, n_samples, seed)]
     estimates = {}
     uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
 
@@ -565,5 +586,5 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
     uniform_est = estimates[uniform.tobytes()]
     if best.value <= uniform_est.value + 2.0 * uniform_est.std_err:
         p, best = uniform, uniform_est
-    k = (u * p) @ u.conj().T
-    return k, best
+    u = model.mean_gram_eig[1]
+    return (u * p) @ u.conj().T, best

@@ -19,7 +19,7 @@ from .engine import (CovarianceStrategy, FixedCovariance, QosScenario,
                      StatisticalOptimized, check_shape, chunk_rates,
                      effective_rate_mc, optimize_covariance_statistical,
                      strategy_spectra)
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, NumericError
 from .figures import _claim
 
 _MIN_BLOCKS = 100_000
@@ -101,7 +101,8 @@ class _QueueChunks:
     chunk overwrites, and turned there into queue lengths, with the running
     sum and minimum carried (`_lindley_chunk`): the joined chunks are
     bitwise lindley_path over the joined services. service_min and
-    service_max hold the extremes of the services drawn so far.
+    service_max hold the extremes of the services drawn so far; a chunk
+    with a service that overflowed or is NaN raises NumericError.
     """
 
     def __init__(self, scenario: QosScenario, model: ChannelModel,
@@ -127,8 +128,12 @@ class _QueueChunks:
             rates = chunk_rates(ev, strategy, snr, scenario.n_r, model.n_t)
             d = buf[:len(rates)]
             np.multiply(bits_per_block, rates, out=d)
-            self.service_min = min(self.service_min, d.min())
-            self.service_max = max(self.service_max, d.max())
+            lo, hi = d.min(), d.max()  # NaN if any service is
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise NumericError(f"per-block service not finite: chunk "
+                                   f"min {lo}, max {hi}")
+            self.service_min = min(self.service_min, lo)
+            self.service_max = max(self.service_max, hi)
             np.subtract(arrival, d, out=d)
             s, low = _lindley_chunk(d, s, low)
             yield d

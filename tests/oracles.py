@@ -10,10 +10,13 @@ the per-pair Hankel log-MGF is the loop the library's one call for all
 orders must reproduce exactly. The statistical optimizer's objective has
 two references: the LU form, a batched `slogdet` and a batched `solve` on
 rotated grams, and the same sums per draw in 40-digit mpmath, which stands
-in at high SNR, where the LU form loses digits. The Kronecker draw is the
-three-operand einsum whose bits the sampler's explicit accumulation must
-reproduce for real correlations; its G comes from the two-draw complex
-Gaussian formula, the sampler's reference. The queue trace writer is the
+in at high SNR, where the LU form loses digits. The Kronecker draw has two
+references, both from the G of the two-draw complex Gaussian formula, the
+sampler's reference: R_r^{1/2} G R_t^{1/2} by one einsum of the Hermitian
+square roots, the definition of the law that the sampler's draws must
+follow, and U_r (L_r^{1/2} o G o L_t^{1/2}) U_t^dagger by one einsum of
+the eigendecompositions, whose bits the sampler's public draws keep. The
+queue trace writer is the
 one-`csv.writer`-row-per-block version whose bytes the blocked library
 writer must reproduce. The gram spectra are those of the exact gram
 of the float entries, from mpmath's Hermitian eigensolver at 50 digits,
@@ -21,9 +24,11 @@ the reference of the library's closed form for two eigenvalues. The
 zero-rate bit-energy intercept reads the minimum E_b/N0 off a figure curve
 for the acceptance checks. The sparse-wideband minimum bit energies are
 the two per-scenario functions that `sparse_ebmin` replaced, one pass of
-draws each, with the `mean_gram` their sublinear value read and the
-per-draw gains `_sparse_exponent_chunks` that both read, whose bits
-`engine.chunk_gains` keeps. The zero-SNR derivatives of the uniform and
+draws each, with the exact E{H^dagger H} their sublinear value reads and
+the per-draw gains `_sparse_exponent_chunks` that both read, whose bits
+`engine.chunk_gains` keeps (a fixed K acting on the draws in their
+eigenbasis, as `engine.in_eigenbasis` forms it). The zero-SNR
+derivatives of the uniform and
 the per-realization-CSI strategies are the spectral-moment estimator
 `spectral_moments_mc`, with its `MomentEstimates`, and the two formulas
 `derivs_uniform` and `derivs_csit` that `zero_snr_moments` and
@@ -40,14 +45,13 @@ from scipy import special as sps
 
 from effcap.asymptotics import (LowSnrDerivatives, SparseWidebandConfig,
                                 _hankel_integrand_entry, _sparse_objective)
-from effcap.channels import (ChannelModel, IidComplexGaussian,
-                             KroneckerCorrelated, hermitian_eig,
-                             iter_sample_chunks, iter_spectra,
-                             mean_gram_and_chunks, mean_gram_mc, sum_columns)
+from effcap.channels import (ChannelModel, KroneckerCorrelated,
+                             iter_sample_chunks, iter_spectra, sum_columns)
 from effcap.engine import (LN2, BeamformingCsit, CovarianceStrategy,
                            EffCapEstimate, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
-                           WaterfillingCsit, _LogMeanExp, simplex_maximize)
+                           WaterfillingCsit, _LogMeanExp, in_eigenbasis,
+                           simplex_maximize)
 from effcap.errors import ConfigError, DomainError, NumericError
 
 
@@ -326,12 +330,34 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
         / np.sqrt(2.0)
 
 
+def _descending_eigh(a: np.ndarray):
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+    return np.clip(w[::-1], 0.0, None), v[:, ::-1]
+
+
 def kronecker_sample(model: KroneckerCorrelated, n: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """n draws R_r^{1/2} G R_t^{1/2} mixed by one unoptimized einsum, from
-    the same G that `model.sample_batch(n, rng)` draws."""
+    """n draws R_r^{1/2} G R_t^{1/2} mixed by one unoptimized einsum of the
+    Hermitian square roots U L^{1/2} U^dagger: the definition of the
+    Kronecker law."""
+    def sqrt(a):
+        w, v = _descending_eigh(a)
+        return (v * np.sqrt(w)) @ v.conj().T
     g = complex_gaussian(rng, (n, model.n_r, model.n_t))
-    return np.einsum("ij,njk,kl->nil", model._sq_r, g, model._sq_t)
+    return np.einsum("ij,njk,kl->nil", sqrt(model.r_r), g, sqrt(model.r_t))
+
+
+def kronecker_eigen_sample(model: KroneckerCorrelated, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """n draws U_r (L_r^{1/2} o G o L_t^{1/2}) U_t^dagger, from the same G
+    that `model.sample_batch(n, rng)` draws: G scaled entrywise by
+    sqrt(l_r,i l_t,j), eigenvalues descending, then rotated by one
+    unoptimized einsum."""
+    l_r, u_r = _descending_eigh(model.r_r)
+    l_t, u_t = _descending_eigh(model.r_t)
+    g = complex_gaussian(rng, (n, model.n_r, model.n_t))
+    g = g * np.sqrt(np.outer(l_r, l_t))
+    return np.einsum("ij,njk,kl->nil", u_r, g, u_t.conj().T)
 
 
 def extrapolated_eb_min_db(rows) -> float:
@@ -345,13 +371,6 @@ def extrapolated_eb_min_db(rows) -> float:
         raise ConfigError("need at least two finite bit-energy points")
     (r1, e1), (r2, e2) = pts[0], pts[1]
     return e1 - r1 * (e2 - e1) / (r2 - r1)
-
-
-def mean_gram(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:
-    """E{H^dagger H}: exact for the i.i.d. model, else `mean_gram_mc`."""
-    if isinstance(model, IidComplexGaussian):
-        return model.exact_mean_gram()
-    return mean_gram_mc(model, n_samples, seed)
 
 
 def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
@@ -380,11 +399,11 @@ def sparse_ebmin_bounded(config: SparseWidebandConfig, scenario: QosScenario,
 
 
 def _sparse_ebmin_statistical(model, rho, n_samples, seed):
-    """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis."""
-    g, chunks = mean_gram_and_chunks(model, n_samples, seed)
-    _, u = hermitian_eig(g)
+    """Minimize the bounded-m bit energy over K in the E{H^dag H} eigenbasis,
+    the basis of the draws."""
     # per-sample per-direction gains |H u_i|^2
-    gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in chunks])
+    gains = np.concatenate([(np.abs(h) ** 2).sum(axis=1) for h in
+                            iter_sample_chunks(model, n_samples, seed)])
     _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
                                   np.full(model.n_t, 1.0 / model.n_t))
     eb = rho / best
@@ -396,8 +415,7 @@ def sparse_ebmin_sublinear(model: ChannelModel,
                            n_samples: int, seed: int):
     """Sublinear-growth (m -> inf) minimum bit energy; returns (linear, dB)."""
     if isinstance(strategy, StatisticalOptimized):
-        lam = float(np.linalg.eigvalsh(mean_gram(model, n_samples, seed))[-1])
-        denom = lam
+        denom = float(np.linalg.eigvalsh(model.exact_mean_gram())[-1])
     else:
         total = 0.0
         n = 0
@@ -421,7 +439,8 @@ def _sparse_exponent_chunks(model, strategy, n_samples, seed):
         if isinstance(strategy, UniformIdentity):
             yield (np.abs(h) ** 2).sum(axis=(1, 2)) / h.shape[2]
         elif isinstance(strategy, FixedCovariance):
-            m = h @ strategy.k @ h.conj().transpose(0, 2, 1)
+            k = in_eigenbasis(model, strategy).k
+            m = h @ k @ h.conj().transpose(0, 2, 1)
             yield np.real(np.einsum("nii->n", m))
         else:
             raise DomainError(f"unsupported strategy {strategy!r}")

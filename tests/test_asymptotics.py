@@ -13,16 +13,16 @@ from effcap.asymptotics import (SparseWidebandConfig, ZeroSnrMoments,
                                 zero_snr_derivs, zero_snr_moments)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
                              KroneckerCorrelated, iter_sample_chunks,
-                             max_eig_subspace, mean_gram_mc)
+                             max_eig_subspace)
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, chunk_gains, effective_rate_mc,
-                           ergodic_rate_mc, rate_estimator)
+                           ergodic_rate_mc, in_eigenbasis, rate_estimator)
 from effcap.errors import DomainError, NumericError
 from effcap.validation import _fd_checks, siso_mgf_exact
 from oracles import (_sparse_exponent_chunks, central_gradient, derivs_csit,
                      derivs_uniform, hankel_entry_closed, hankel_log_entry,
-                     hankel_log_mgf, hankel_log_mgf_per_pair, mean_gram,
+                     hankel_log_mgf, hankel_log_mgf_per_pair,
                      sparse_ebmin_bounded, sparse_ebmin_sublinear,
                      spectral_moments_mc, upper_incomplete_gamma)
 
@@ -93,11 +93,10 @@ class TestLowSnrDerivatives:
         # E{H^dag H} = tr(R_r) * R_t = 2 R_t -> lambda_max = 3, l = 1
         mom = statistical_moments_mc(model, 50_000, 0)
         d = derivs_statistical(mom, scen(1.0, 2, 2))
-        # lambda_max is that of the Monte Carlo mean of the same draws,
-        # whose (0, 0) entry has a standard error of 3/sqrt(2 * 50_000)
-        want = max_eig_subspace(mean_gram_mc(model, 50_000, 0)).lambda_max
+        # lambda_max is that of the exact mean, with no Monte Carlo error
+        want = max_eig_subspace(model.exact_mean_gram()).lambda_max
         assert mom.lambda_max == want
-        assert abs(want - 3.0) < 3.0 * 3.0 / math.sqrt(100_000)
+        assert want == 3.0
         assert mom.e_abs_sq.shape == (1, 1)
         assert d.first_deriv == mom.lambda_max / LN2
         assert d.second_deriv < 0.0
@@ -273,17 +272,18 @@ class TestZeroSnrGain:
                                           "beamforming", "fixed"])
     @pytest.mark.parametrize("model", sorted(_SPARSE_MODELS))
     def test_gains_bitwise_sparse_reference(self, model, strategy):
-        # every sparse-wideband gain keeps the reference's expression
+        # every sparse-wideband gain keeps the reference's expression, a
+        # fixed K acting on the draws in their eigenbasis
         model = _SPARSE_MODELS[model]
         strategy = _sparse_strategy(strategy, model.n_t)
         n = CHUNK + 123
         want = list(_sparse_exponent_chunks(model, strategy, n, 4))
         chunks = list(iter_sample_chunks(model, n, 4))
+        drawn = in_eigenbasis(model, strategy)
         assert len(chunks) == len(want) == 2
         for h, w in zip(chunks, want):
-            assert np.array_equal(chunk_gains(h, strategy), w)
-            assert np.array_equal(chunk_gains(h, strategy, squares=True)[0],
-                                  w)
+            assert np.array_equal(chunk_gains(h, drawn), w)
+            assert np.array_equal(chunk_gains(h, drawn, squares=True)[0], w)
 
     @pytest.mark.parametrize("model", sorted(_SPARSE_MODELS))
     def test_moments_match_spectral_reference(self, model):
@@ -341,10 +341,10 @@ class TestSparseWideband:
                                           n, 4)
         ref = sparse_ebmin_sublinear(model, strategy, n, 4)[0]
         if isinstance(strategy, StatisticalOptimized):
-            # lambda_max of E{H^dag H} is now hermitian_eig's, as the
-            # low-SNR derivatives read it; the reference read eigvalsh, and
-            # the two LAPACK drivers agree to rounding
-            lam = max_eig_subspace(mean_gram(model, n, 4)).lambda_max
+            # lambda_max of the exact E{H^dag H} is the model's first
+            # eigenvalue, as the low-SNR derivatives read it; the reference
+            # takes eigvalsh of the exact mean, which agrees to rounding
+            lam = float(model.mean_gram_eig[0][0])
             assert sublinear == LN2 / lam
             assert abs(sublinear - ref) <= 1e-14 * ref
         else:
@@ -421,8 +421,10 @@ class TestSparseWideband:
         assert eb_s <= eb_u * (1.0 + 1e-6)
 
     def test_statistical_objective_and_gradient(self):
-        # with U = I the objective at p is -log E{exp(-rho q / ln2)} for
-        # K = diag(p), and its exact gradient matches central differences
+        # on the draws, which come in the eigenbasis U of E{H^dag H}, the
+        # objective at p is -log E{exp(-rho q / ln2)} for
+        # K = U diag(p) U^dagger, and its exact gradient matches central
+        # differences
         lag = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
         model = KroneckerCorrelated(np.eye(2, dtype=complex), 0.5 ** lag)
         sc, cfg = scen(1.0, 2, 3), self.cfg(m=1, p=1.5e5)
@@ -432,8 +434,10 @@ class TestSparseWideband:
         fg = _sparse_objective(gains, rho)
         p = np.array([0.5, 0.3, 0.2])
         f, grad = fg(p)
+        u = model.mean_gram_eig[1]
         (eb,), _ = sparse_ebmin(cfg, [sc], model,
-                                FixedCovariance(np.diag(p)), 5000, 0)
+                                FixedCovariance((u * p) @ u.conj().T), 5000,
+                                0)
         assert rho / f == pytest.approx(eb, rel=1e-12)
         fd = central_gradient(lambda x: fg(x)[0], p)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))

@@ -4,12 +4,13 @@ import pytest
 from effcap.asymptotics import zero_snr_moments
 from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              IidComplexGaussian, KroneckerCorrelated,
-                             _complex_gaussian, chunk_rng, hermitian_eig,
-                             iter_sample_chunks, max_eig_subspace,
-                             mean_gram_and_chunks, mean_gram_mc)
+                             _complex_gaussian, _gram_eigvalsh, chunk_rng,
+                             hermitian_eig, iter_sample_chunks,
+                             max_eig_subspace, mean_gram_mc)
 from effcap.engine import BeamformingCsit, UniformIdentity
 from effcap.errors import DomainError
-from oracles import complex_gaussian, kronecker_sample
+from oracles import (complex_gaussian, kronecker_eigen_sample,
+                     kronecker_sample)
 
 # E{lambda_max} and E{lambda_max^2} for the 2x2 i.i.d. complex case, from
 # the joint eigenvalue density (l1-l2)^2 exp(-l1-l2): computed analytically
@@ -124,11 +125,14 @@ class TestMaxEigSubspace:
         assert s.multiplicity_l == 3
 
     def test_mc_mean_gram_is_nearly_scaled_identity(self):
+        # the tolerance is a rounding one, for the exact mean: the exact
+        # 2I has one maximal eigenvalue of multiplicity 3, and the Monte
+        # Carlo estimate is near it but breaks the tie
         model = IidComplexGaussian(2, 3)
         mg = mean_gram_mc(model, 100_000, 5)
         assert np.max(np.abs(mg - 2.0 * np.eye(3))) < 0.05
-        s = max_eig_subspace(mg)
-        assert s.multiplicity_l == 3
+        assert max_eig_subspace(model.exact_mean_gram()).multiplicity_l == 3
+        assert max_eig_subspace(mg).multiplicity_l == 1
 
     def test_threshold_construction(self):
         tol = MAX_EIG_REL_TOL
@@ -136,6 +140,8 @@ class TestMaxEigSubspace:
         assert max_eig_subspace(a).multiplicity_l == 2
         a = np.diag([2.0, 2.0 * (1.0 - 2.0 * tol), 1.0])
         assert max_eig_subspace(a).multiplicity_l == 1
+        # a near-tie of exact eigenvalues, 2.008 against 1.992, is no tie
+        assert max_eig_subspace(np.diag([2.008, 1.992])).multiplicity_l == 1
 
     def test_zero_matrix(self):
         s = max_eig_subspace(np.zeros((4, 4)))
@@ -222,6 +228,11 @@ def _complex_correlation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestKroneckerMixing:
+    """The one Kronecker draw path: a public draw is the eigenbasis draw
+    rotated back, U_r (L_r^{1/2} o G o L_t^{1/2}) U_t^dagger, the oracle's
+    einsum of the eigendecompositions applied to the same G. That H has the
+    Kronecker law is tested in `TestKroneckerLaw`."""
+
     @pytest.mark.parametrize("n_r", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("n_t", [1, 2, 3, 5, 8])
     def test_real_correlations_match_einsum_bitwise(self, n_r, n_t):
@@ -229,8 +240,8 @@ class TestKroneckerMixing:
                                     _exponential(n_t, 0.5))
         for n in (1, 7, CHUNK):
             got = model.sample_batch(n, chunk_rng(11, n))
-            assert np.array_equal(got, kronecker_sample(model, n,
-                                                        chunk_rng(11, n)))
+            want = kronecker_eigen_sample(model, n, chunk_rng(11, n))
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_r,n_t", [(2, 2), (3, 4), (5, 2), (8, 8)])
     def test_complex_correlations_match_einsum_closely(self, n_r, n_t):
@@ -238,20 +249,157 @@ class TestKroneckerMixing:
         model = KroneckerCorrelated(_complex_correlation(n_r, rng),
                                     _complex_correlation(n_t, rng))
         got = model.sample_batch(CHUNK, chunk_rng(5, 0))
-        ref = kronecker_sample(model, CHUNK, chunk_rng(5, 0))
+        ref = kronecker_eigen_sample(model, CHUNK, chunk_rng(5, 0))
         assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+# Kronecker cases of the law tests: the near-tie 2x2 (rho_t = 0.004), real
+# exponential correlations in two shapes, and complex correlations
+_LAW_CASES = {
+    "2x2-near-tie": lambda: KroneckerCorrelated(_exponential(2, 0.7),
+                                                _exponential(2, 0.004)),
+    "4x4": lambda: KroneckerCorrelated(_exponential(4, 0.7),
+                                       _exponential(4, 0.5)),
+    "1x3": lambda: KroneckerCorrelated(_exponential(1, 0.0),
+                                       _exponential(3, 0.9)),
+    "3x2-complex": lambda: KroneckerCorrelated(
+        _complex_correlation(3, np.random.default_rng(32)),
+        _complex_correlation(2, np.random.default_rng(23))),
+}
+# a check of a Monte Carlo mean passes within this many standard errors: a
+# two-sided normal false-alarm rate of 2 * Phi(-4.5) = 6.8e-6 per check
+_K_SIGMA = 4.5
+# the false-alarm rate of one two-sample test, over all its statistics
+_TWO_SAMPLE_ALPHA = 1e-3
+
+
+def _traces(chunks):
+    """tr W and tr W^2 of W = H^dagger H, per draw, over chunks of H."""
+    tr, tr2 = [], []
+    for h in chunks:
+        ev = np.clip(_gram_eigvalsh(h), 0.0, None)
+        tr.append(ev.sum(axis=1))
+        tr2.append((ev * ev).sum(axis=1))
+    return np.concatenate(tr), np.concatenate(tr2)
+
+
+class TestKroneckerLaw:
+    """The Kronecker draws, in the eigenbasis (`iter_sample_chunks`) and
+    rotated back (`sample_batch`), have the law of R_r^{1/2} G R_t^{1/2}."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("path", ["eigenbasis", "public"])
+    @pytest.mark.parametrize("case", sorted(_LAW_CASES))
+    def test_wick_identities(self, case, path):
+        # W = H^dagger H, a = tr R_r, b = tr R_t, a2 = tr R_r^2,
+        # b2 = tr R_t^2: E tr W = ab, E (tr W)^2 = (ab)^2 + a2 b2 and
+        # E tr W^2 = a^2 b2 + a2 b^2 (Isserlis/Wick for circular G)
+        model = _LAW_CASES[case]()
+        a, b = np.trace(model.r_r).real, np.trace(model.r_t).real
+        a2 = np.trace(model.r_r @ model.r_r).real
+        b2 = np.trace(model.r_t @ model.r_t).real
+        if path == "eigenbasis":
+            chunks = iter_sample_chunks(model, self.N, 17)
+        else:
+            chunks = (model.sample_batch(min(CHUNK, self.N - start),
+                                         chunk_rng(17, i))
+                      for i, start in enumerate(range(0, self.N, CHUNK)))
+        tr, tr2 = _traces(chunks)
+        for x, exact in ((tr, a * b), (tr * tr, (a * b) ** 2 + a2 * b2),
+                         (tr2, a * a * b2 + a2 * b * b)):
+            se = x.std() / np.sqrt(len(x))
+            assert abs(x.mean() - exact) <= _K_SIGMA * se, (x.mean(), exact)
+
+    @pytest.mark.parametrize("case", sorted(_LAW_CASES))
+    def test_two_sample_against_einsum(self, case):
+        # Kolmogorov-Smirnov two-sample tests of the eigenbasis draws
+        # against independent draws of the einsum R_r^{1/2} G R_t^{1/2},
+        # on what the strategies read: lambda_max and tr of H^dagger H and
+        # each per-direction gain |H u_i|^2, u_i the drawn basis (the
+        # einsum draws rotated by it). Bonferroni over the statistics.
+        from scipy.stats import ks_2samp
+        model = _LAW_CASES[case]()
+        n = 40_000
+        u = model.mean_gram_eig[1]
+        drawn = np.concatenate(list(iter_sample_chunks(model, n, 3)))
+        mixed = np.concatenate([
+            kronecker_sample(model, min(CHUNK, n - start), chunk_rng(4, i))
+            for i, start in enumerate(range(0, n, CHUNK))]) @ u
+
+        def stats(h):
+            ev = _gram_eigvalsh(h)
+            gains = (np.abs(h) ** 2).sum(axis=1)
+            return [ev[:, -1], ev.sum(axis=1)] + list(gains.T)
+        pairs = list(zip(stats(drawn), stats(mixed)))
+        for x, y in pairs:
+            assert ks_2samp(x, y).pvalue >= _TWO_SAMPLE_ALPHA / len(pairs)
+
+    def test_exact_mean_gram_against_mc(self):
+        # exact_mean_gram = tr(R_r) R_t against the mean of 1e6 public
+        # draws of H^dagger H, entry by entry, real and imaginary parts
+        model = _LAW_CASES["3x2-complex"]()
+        n = 1_000_000
+        s1 = np.zeros((2, 2), dtype=complex)
+        s2r, s2i = np.zeros((2, 2, 2))
+        for i, start in enumerate(range(0, n, CHUNK)):
+            h = model.sample_batch(min(CHUNK, n - start), chunk_rng(9, i))
+            w = h.conj().transpose(0, 2, 1) @ h
+            s1 += w.sum(axis=0)
+            s2r += (w.real ** 2).sum(axis=0)
+            s2i += (w.imag ** 2).sum(axis=0)
+        mean = s1 / n
+        se_r = np.sqrt((s2r / n - mean.real ** 2) / n)
+        se_i = np.sqrt((s2i / n - mean.imag ** 2) / n)
+        exact = model.exact_mean_gram()
+        np.testing.assert_allclose(
+            exact, np.trace(model.r_r).real * model.r_t, rtol=1e-15)
+        assert np.all(np.abs(mean.real - exact.real) <= _K_SIGMA * se_r)
+        off = ~np.eye(2, dtype=bool)  # the diagonal's imaginary part is 0
+        assert np.all(np.abs(mean.imag - exact.imag)[off]
+                      <= _K_SIGMA * se_i[off])
+
+
 class TestMeanGramAndChunks:
+    """Each model's exact E{H^dagger H}, its eigenbasis `mean_gram_eig`,
+    and the draws of `iter_sample_chunks`, which come in that basis."""
+
     @pytest.mark.parametrize("model", [
         KroneckerCorrelated(_exponential(3, 0.7), _exponential(2, 0.5)),
         IidComplexGaussian(2, 3)])
     def test_matches_mean_gram_and_draws(self, model):
         n = CHUNK + 100  # two chunks, the second partial
-        g, chunks = mean_gram_and_chunks(model, n, 4)
-        want = (model.exact_mean_gram() if isinstance(model, IidComplexGaussian)
-                else mean_gram_mc(model, n, 4))
-        assert np.array_equal(g, want)
-        for got, ref in zip(chunks, iter_sample_chunks(model, n, 4),
-                            strict=True):
+        g = model.exact_mean_gram()
+        if isinstance(model, IidComplexGaussian):
+            assert np.array_equal(g, 2.0 * np.eye(3))
+        else:
+            np.testing.assert_allclose(g, 3.0 * _exponential(2, 0.5),
+                                       rtol=1e-15)
+        w, u = model.mean_gram_eig
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(w)))) <= 1e-14
+        assert np.max(np.abs((u * w) @ u.conj().T - g)) <= 1e-14 * w[0]
+        chunks = list(iter_sample_chunks(model, n, 4))
+        assert [len(h) for h in chunks] == [CHUNK, 100]
+        for i, got in enumerate(chunks):
+            ref = model.sample_eigenbasis(len(got), chunk_rng(4, i))
             assert np.array_equal(got, ref)
+            if isinstance(model, IidComplexGaussian):
+                ref = model.sample_batch(len(got), chunk_rng(4, i))
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("h", [
+        np.array([[1.0 + 0.5j, 0.3], [-0.2j, 0.8 - 0.1j]]),
+        np.outer([1.0, 0.5j, -2.0], [1.0 - 1.0j, 0.5]),
+        np.array([[2.0 + 0j]])], ids=["2x2", "rank1-3x2", "1x1"])
+    def test_fixed_matrix_eigenbasis(self, h):
+        # E{H^dagger H} = H^dagger H, its eigenbasis from the SVD of H, and
+        # every draw is H U
+        model = FixedMatrix(h)
+        g = model.exact_mean_gram()
+        w, u = model.mean_gram_eig
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs((u * w) @ u.conj().T - g)) <= 1e-14 * w[0]
+        (d,) = list(iter_sample_chunks(model, 3, 0))
+        assert np.array_equal(d, np.stack([h @ u] * 3))
+        assert np.array_equal(model.sample_batch(3, None), np.stack([h] * 3))

@@ -10,12 +10,12 @@ import pytest
 from effcap import asymptotics, channels, cli, figures, queuesim
 from effcap.asymptotics import StatisticalMoments
 from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
-                             iter_sample_chunks, max_eig_subspace,
-                             mean_gram_mc)
+                             iter_sample_chunks, max_eig_subspace)
 from effcap.config import (KEYS, RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
-from effcap.engine import UniformIdentity, WaterfillingCsit
-from effcap.errors import ConfigError, FitError
+from effcap.engine import (LN2, QosScenario, UniformIdentity,
+                           WaterfillingCsit)
+from effcap.errors import ConfigError, FitError, NumericError
 from effcap.validation import run_validation
 
 # the keys that every command running one scenario reads
@@ -400,9 +400,18 @@ class TestCli:
         ("sparse-wideband", "--set", "scenario.theta_hat=1",
          "--set", "strategy.name=fixed", "--set", "strategy.k_diag=1",
          *HUGE_CHANNEL, *SPARSE),
+        ("sweep", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=statistical", *HUGE_SNR_SWEEP),
+        ("sweep", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=statistical", "--set", "scenario.n_r=4",
+         "--set", "model.variant=kronecker", "--set", "model.rho_r=0.7",
+         "--set", "model.rho_t=0.9", *HUGE_SNR_SWEEP),
+        ("low-snr", "--set", "scenario.theta_hat=1",
+         "--set", "model.variant=fixed", "--set", "model.h_real=1e60"),
     ], ids=["sweep-0", "sweep-1", "bit-energy", "queue-validate", "low-snr",
             "sparse-wideband", "sweep-waterfilling", "low-snr-beamforming",
-            "sparse-wideband-fixed"])
+            "sparse-wideband-fixed", "sweep-statistical",
+            "sweep-statistical-qr", "low-snr-squares"])
     def test_non_finite_rate_or_gain_numeric_error(self, argv, tmp_path,
                                                    capsys):
         # a finite SNR or channel whose per-draw rate or gain overflows:
@@ -411,7 +420,10 @@ class TestCli:
         # e^-inf = 0, and low-snr and sparse-wideband failed on what
         # followed from the infinite gain. Each also printed NumPy's
         # overflow RuntimeWarning before the refusal; a warning now fails
-        # the run, and the refusal is all that stderr holds
+        # the run, and the refusal is all that stderr holds. The
+        # statistical sweep (its objective's log det) and low-snr at a
+        # channel whose gain is finite but whose squares behind the
+        # standard errors overflow are refused the same way
         out = tmp_path / "out.csv"
         if argv[0] in ("sweep", "bit-energy"):
             argv += ("--out", str(out))
@@ -423,6 +435,37 @@ class TestCli:
         assert err.startswith(f"numeric error: per-draw {what} not finite")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("low-snr",), ("sparse-wideband", *SPARSE)],
+        ids=["low-snr", "sparse-wideband"])
+    def test_huge_channel_statistical_numeric_error(self, argv, capsys):
+        # statistical CSI reads the exact E{H^dag H} = H^dag H, whose
+        # largest eigenvalue overflows for this channel: low-snr died with
+        # a ZeroDivisionError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--set", "scenario.theta_hat=1",
+                           "--set", "strategy.name=statistical",
+                           *HUGE_CHANNEL, "--samples", "2000",
+                           "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: largest eigenvalue of "
+                              "E{H^dagger H} not finite")
+        assert err.count("\n") == 1
+
+    def test_non_finite_service_numeric_error(self):
+        # a finite SNR whose per-block service overflows: simulate_queue
+        # returned NaN queue lengths and raised nothing. No CLI command
+        # reaches it, since queue-validate's rate estimate refuses first
+        sc = QosScenario.from_theta_hat(1.0, 1e-3, 1e5, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="per-block service not finite"):
+                queuesim.simulate_queue(sc, IidComplexGaussian(1, 1),
+                                        UniformIdentity(), 1e308, 1.0,
+                                        100_000, 0)
 
     @pytest.mark.parametrize("key,argv", [
         ("sparse.m", ("sparse-wideband", "--set", "sparse.m=abc",
@@ -969,15 +1012,18 @@ KRONECKER_STATISTICAL = (
 
 
 def _two_pass_statistical_moments(model, n_samples, seed):
-    """statistical_moments_mc as it was with a caller-supplied E{H^dag H}:
-    one pass of draws for the mean, a second for the moments."""
-    summ = max_eig_subspace(mean_gram_mc(model, n_samples, seed))
-    l, u = summ.multiplicity_l, summ.max_eig_basis
+    """statistical_moments_mc as it was with a caller-supplied E{H^dag H},
+    now the exact one: its maximal eigenspace from `max_eig_subspace` of
+    the diagonal mean in the basis of the draws, whose first l columns
+    span it, and one pass of draws for the moments."""
+    w = model.mean_gram_eig[0]
+    summ = max_eig_subspace(np.diag(w))
+    l = summ.multiplicity_l
     a_sum = np.zeros((l, l))
     b_sum = np.zeros((l, l))
     n = 0
     for h in iter_sample_chunks(model, n_samples, seed):
-        c = h @ u
+        c = h[:, :, :l]
         m = c.conj().transpose(0, 2, 1) @ c
         diag = np.real(np.einsum("nii->ni", m))
         a_sum += np.einsum("ni,nj->ij", diag, diag)
@@ -987,6 +1033,36 @@ def _two_pass_statistical_moments(model, n_samples, seed):
 
 
 class TestLowSnrStatistical:
+    def test_near_tie_first_deriv_is_chosen_k_gain(self, capsys):
+        # Kronecker 2x2, rho_r 0.7, rho_t 0.004: E{H^dag H} = tr(R_r) R_t
+        # has eigenvalues 2.008 and 1.992, no tie, so the chosen K is the
+        # top eigenvector's, whose E{q} = tr(K E{H^dag H}) is 2.008, and
+        # C'(0) = E{q}/ln2. The Monte Carlo mean (2.0026 and 1.9877) under
+        # a 1% tie tolerance merged the two, spread the power over both
+        # and reported 2.0026/ln2, above the E{q}/ln2 of the K it chose
+        argv = ("--set", "scenario.theta_hat=1.0", "--set", "scenario.n_r=2",
+                "--set", "scenario.n_t=2", "--set", "model.variant=kronecker",
+                "--set", "model.rho_r=0.7", "--set", "model.rho_t=0.004",
+                "--set", "strategy.name=statistical",
+                "--samples", "200000", "--seed", "0")
+        assert run_cli("low-snr", *argv) == 0
+        got = dict(line.split(" = ")
+                   for line in capsys.readouterr().out.splitlines())
+        cfg = cli._load_config(cli.build_parser().parse_args(
+            ("low-snr",) + argv))
+        model = cfg.model()
+        mean = np.trace(model.r_r).real * model.r_t
+        lam = np.linalg.eigvalsh(mean)[-1]
+        # printed to 12 significant digits
+        assert float(got["first_deriv"]) == pytest.approx(lam / LN2,
+                                                          rel=1e-11)
+        mom = asymptotics.statistical_moments_mc(model, 200_000, 0)
+        assert mom.e_abs_sq.shape == (1, 1)
+        u = model.mean_gram_eig[1][:, :1]  # p = [1] on the maximal space
+        e_q = np.trace(u @ u.conj().T @ mean).real
+        d = asymptotics.derivs_statistical(mom, cfg.scenario())
+        assert d.first_deriv == pytest.approx(e_q / LN2, rel=1e-14)
+
     def test_draws_each_sample_once(self, monkeypatch, capsys):
         drawn = count_draws(monkeypatch)
         assert run_cli("low-snr", *KRONECKER_STATISTICAL,

@@ -7,8 +7,7 @@ from effcap import asymptotics, channels, engine
 from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 _sparse_objective, sparse_ebmin)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, chunk_rng, hermitian_eig,
-                             iter_sample_chunks, mean_gram_mc)
+                             KroneckerCorrelated, iter_sample_chunks)
 from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            QosScenario, StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, _LogMeanExp,
@@ -18,7 +17,7 @@ from effcap.engine import (SIMPLEX_GAP_TOL, BeamformingCsit, FixedCovariance,
                            simplex_maximize)
 from effcap.errors import DomainError, NumericError
 from effcap.figures import SWEEP_COLUMNS, sweep_rows
-from oracles import (central_gradient, kronecker_sample, log_det_rate,
+from oracles import (central_gradient, log_det_rate,
                      min_simplex_quadratic_2, statistical_estimate_lu,
                      statistical_estimate_mp, waterfill)
 
@@ -275,17 +274,20 @@ class TestStatisticalOptimization:
         assert est.value >= uni.value - 2 * uni.std_err
 
     def test_objective_and_gradient(self):
-        # with U = I the objective is the effective rate of K = diag(p),
-        # and its exact gradient matches central differences
+        # on the draws, which come in the eigenbasis U of E{H^dag H}, the
+        # objective is the effective rate of K = U diag(p) U^dagger, and its
+        # exact gradient matches central differences
         lag = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
         model = KroneckerCorrelated(0.7 ** lag, 0.5 ** lag)
         sc = scen(4.0, 3, 3)
         n = 20_000  # two chunks, so the accumulator rescales
-        factors = [_statistical_factor(h, np.eye(3))
+        factors = [_statistical_factor(h)
                    for h in iter_sample_chunks(model, n, 0)]
         p = np.array([0.5, 0.3, 0.2])
         est, grad = _statistical_estimate(sc, 10.0, factors, p, n)
-        ref = effective_rate_mc(sc, model, FixedCovariance(np.diag(p)), 10.0,
+        u = model.mean_gram_eig[1]
+        ref = effective_rate_mc(sc, model,
+                                FixedCovariance((u * p) @ u.conj().T), 10.0,
                                 n, 0)
         assert est.value == pytest.approx(ref.value, rel=1e-12)
         assert est.std_err == pytest.approx(ref.std_err, rel=1e-9)
@@ -303,28 +305,13 @@ def _kronecker(n, rho_r, rho_t, n_t=None):
     return KroneckerCorrelated(rho_r ** lag(n), rho_t ** lag(n_t or n))
 
 
-def _einsum_chunks(model, n_samples, seed):
-    for i, start in enumerate(range(0, n_samples, CHUNK)):
-        yield kronecker_sample(model, min(CHUNK, n_samples - start),
-                               chunk_rng(seed, i))
-
-
-def _two_pass_eigenbasis(model, n_samples, seed):
-    """Eigenvectors of the Monte Carlo E{H^dagger H} from a first pass
-    over the einsum-mixed draws."""
-    acc = np.zeros((model.n_t, model.n_t), dtype=complex)
-    for h in _einsum_chunks(model, n_samples, seed):
-        acc += np.einsum("nij,nik->jk", h.conj(), h)
-    g = acc / n_samples
-    return hermitian_eig(0.5 * (g + g.conj().T))[1]
-
-
-def _two_pass_optimize(scenario, model, snr, n_samples, seed):
-    """The statistical optimizer with a second pass over the same draws
-    for the per-draw factors."""
-    u = _two_pass_eigenbasis(model, n_samples, seed)
-    factors = [_statistical_factor(h, u)
-               for h in _einsum_chunks(model, n_samples, seed)]
+def _full_search_optimize(scenario, model, snr, n_samples, seed):
+    """The statistical optimizer without its early stop: the whole simplex
+    search over the factors of the draws, which come in the eigenbasis U of
+    the exact E{H^dagger H}, then the two-standard-error tie-break, and K
+    rotated back by U."""
+    factors = [_statistical_factor(h)
+               for h in iter_sample_chunks(model, n_samples, seed)]
     estimates = {}
 
     def fg(p):
@@ -339,6 +326,7 @@ def _two_pass_optimize(scenario, model, snr, n_samples, seed):
     uniform_est = estimates[uniform.tobytes()]
     if best.value <= uniform_est.value + 2.0 * uniform_est.std_err:
         p, best = uniform, uniform_est
+    u = model.mean_gram_eig[1]
     return (u * p) @ u.conj().T, best
 
 
@@ -422,7 +410,7 @@ class TestStatisticalDrawsOnce:
         sc = scen(2.0, n, n)
         k, est = optimize_covariance_statistical(sc, model, snr, n_samples,
                                                  seed)
-        k_ref, est_ref = _two_pass_optimize(sc, model, snr, n_samples, seed)
+        k_ref, est_ref = _full_search_optimize(sc, model, snr, n_samples, seed)
         assert np.array_equal(k, k_ref)
         assert (est.value, est.std_err) == (est_ref.value, est_ref.std_err)
         if rho_t == 0.9:
@@ -447,7 +435,7 @@ class TestStatisticalDrawsOnce:
         k, _ = optimize_covariance_statistical(sc, model, snr, n_samples, 0)
         n_opt = len(calls)
         monkeypatch.setitem(globals(), "_statistical_estimate", counting)
-        _two_pass_optimize(sc, model, snr, n_samples, 0)
+        _full_search_optimize(sc, model, snr, n_samples, 0)
         n_ref = len(calls) - n_opt
         assert np.array_equal(calls[0], np.full(n, 1.0 / n))
         if rho_t == 0.9:
@@ -462,9 +450,10 @@ class TestStatisticalDrawsOnce:
         config = SparseWidebandConfig(4, 1e4)
         sc = scen(2.0, 2, 2)
         rho = sc.theta * sc.t * config.p_over_n0 / config.m
-        u = _two_pass_eigenbasis(self.MODEL, 4096, seed)
-        gains = np.concatenate([(np.abs(h @ u) ** 2).sum(axis=1) for h in
-                                _einsum_chunks(self.MODEL, 4096, seed)])
+        # the per-direction gains of the draws, which come in the
+        # eigenbasis of the exact E{H^dag H}
+        gains = np.concatenate([(np.abs(h) ** 2).sum(axis=1) for h in
+                                iter_sample_chunks(self.MODEL, 4096, seed)])
         _, best, _ = simplex_maximize(_sparse_objective(gains, rho),
                                       np.full(2, 0.5))
         (eb,), _ = sparse_ebmin(config, [sc], self.MODEL,
@@ -490,8 +479,8 @@ def test_log_mean_exp_gradient_survives_rescaling():
                                rtol=1e-12)
 
 
-# the objective's channel shapes; U comes from each model's E{H^dagger H}
-# as in the optimizer, and 8x2 and 5x2 take the QR factor
+# the objective's channel shapes, drawn in the eigenbasis of each model's
+# E{H^dagger H} as in the optimizer; 8x2 and 5x2 take the QR factor
 _OBJECTIVE_CASES = {
     "1x1": IidComplexGaussian(1, 1),
     "2x2": _kronecker(2, 0.7, 0.9),
@@ -524,10 +513,7 @@ class TestStatisticalObjective:
     @pytest.fixture(scope="class", params=sorted(_OBJECTIVE_CASES))
     def draws(self, request):
         model = _OBJECTIVE_CASES[request.param]
-        g = (model.exact_mean_gram() if isinstance(model, IidComplexGaussian)
-             else mean_gram_mc(model, self.N, 0))
-        u = hermitian_eig(g)[1]
-        rotated = [h @ u for h in iter_sample_chunks(model, self.N, 0)]
+        rotated = list(iter_sample_chunks(model, self.N, 0))
         return scen(2.0, model.n_r, model.n_t), rotated
 
     @staticmethod
@@ -541,7 +527,7 @@ class TestStatisticalObjective:
     def test_matches_lu_oracle(self, draws, kind, snr):
         sc, rotated = draws
         p = _simplex_point(kind, sc.n_t)
-        factors = [_statistical_factor(b, np.eye(sc.n_t)) for b in rotated]
+        factors = [_statistical_factor(b) for b in rotated]
         grams = [b.conj().transpose(0, 2, 1) @ b for b in rotated]
         est, grad = _statistical_estimate(sc, snr, factors, p, self.N)
         ref, ref_grad = statistical_estimate_lu(sc, snr, grams, p, self.N)
@@ -553,7 +539,7 @@ class TestStatisticalObjective:
         p = _simplex_point(kind, sc.n_t)
         b = rotated[0][:self.N_MP]
         est, grad = _statistical_estimate(
-            sc, 1e6, [_statistical_factor(b, np.eye(sc.n_t))], p, self.N_MP)
+            sc, 1e6, [_statistical_factor(b)], p, self.N_MP)
         self._assert_close(est, grad, *statistical_estimate_mp(sc, 1e6, b, p))
 
     def test_gram_shaped_input_refused(self):
