@@ -272,7 +272,9 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
 # 1e-6-1e12 the worst relative error is 1.1e-13 for p <= 55, 8.5e-13 at
 # p = 60 and 1.3e-12 at p = 61, rising to 2e-3 at p = 300. This bounds the
 # entries only: the Hankel determinant of a large shape can lose more digits
-# to conditioning (7x7 is already off by about 4e-9)
+# to conditioning. At theta_hat = 8 and SNR 1e8, against mpmath at 400
+# digits, 6x6 is off by 1.6e-10, 7x7 raises NumericError, and 8x8 to 10x10
+# are off by 0.70-0.88% with no error raised (ROADMAP item 1)
 _LOG_Z_STEP = 0.1
 _LOG_Z_MAX = math.log(800.0)
 _HANKEL_MAX_ORDER = 60

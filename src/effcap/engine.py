@@ -9,8 +9,10 @@ log-mean-exp so that large theta*T*B products never overflow.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -183,6 +185,40 @@ def chunk_rates(ev: np.ndarray, strategy: CovarianceStrategy, snr: float,
     return sum_columns(t)
 
 
+class _Scratch(threading.local):
+    """Work buffers of one thread: one flat complex and one flat float
+    array, each grown to the largest need seen and never shrunk, out of
+    which `views` carves the arrays of one chunk. A chunk-sized temporary
+    that is freed on return sits at the allocator's mmap threshold, so its
+    pages would be mapped, faulted in and returned on every call. The views
+    of one call share no memory, and none is used after its chunk."""
+
+    def __init__(self):
+        self.c = np.empty(0, complex)
+        self.f = np.empty(0)
+
+    def views(self, c_shapes, f_shapes):
+        return self._carve("c", c_shapes) + self._carve("f", f_shapes)
+
+    def _carve(self, name, shapes):
+        ends = list(accumulate(math.prod(s) for s in shapes))
+        buf = getattr(self, name)
+        if ends and buf.size < ends[-1]:
+            buf = np.empty(ends[-1], buf.dtype)
+            setattr(self, name, buf)
+        return [buf[end - math.prod(s):end].reshape(s)
+                for s, end in zip(shapes, ends)]
+
+
+_SCRATCH = _Scratch()
+
+
+def _abs2(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """x.real ** 2 + x.imag ** 2 into out, with tmp of the same shape."""
+    return np.add(np.square(x.real, out=out), np.square(x.imag, out=tmp),
+                  out=out)
+
+
 def chunk_gains(h: np.ndarray, strategy: CovarianceStrategy,
                 squares: bool = False):
     """Per-draw zero-SNR gains q = tr G of a chunk of draws h, G = H K
@@ -201,10 +237,17 @@ def chunk_gains(h: np.ndarray, strategy: CovarianceStrategy,
             if squares:  # from the small gram's spectrum, G = HH^dagger/n_T
                 r = sum_columns(_gram_eigvalsh(h) ** 2) / h.shape[2] ** 2
         elif isinstance(strategy, FixedCovariance):
-            g = h @ strategy.k @ h.conj().transpose(0, 2, 1)
+            # G and its factors in the thread's scratch, as in
+            # `_statistical_estimate`; q and r are new arrays
+            n, n_r, n_t = h.shape
+            hk, hc, g, *sq = _SCRATCH.views(
+                [(n, n_r, n_t), (n, n_r, n_t), (n, n_r, n_r)],
+                [(n, n_r, n_r)] * (2 if squares else 0))
+            np.matmul(np.matmul(h, strategy.k, out=hk),
+                      np.conjugate(h, out=hc).transpose(0, 2, 1), out=g)
             q = np.real(np.einsum("nii->n", g))
             if squares:  # ||G||_F^2 of the Hermitian G
-                r = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
+                r = _abs2(g, *sq).sum(axis=(1, 2))
         else:
             raise DomainError(f"unsupported strategy {strategy!r}")
     return (q, r) if squares else q
@@ -474,6 +517,10 @@ def _statistical_estimate(scenario: QosScenario, snr: float, factors,
     is a sum of squares, where factoring a formed C would cancel digits at
     high SNR. The gradient divides by no p_i, so vertices are fine.
 
+    Every per-chunk array is a view of the thread's `_SCRATCH`, about
+    3 k n_T n complex values for a (k, n_T, n) factor, each written through
+    `out=` with the operands of the plain expression in its order.
+
     A draw whose log det overflows, or turns NaN on the way, raises
     NumericError from its chunk's sum of the per-draw log dets, before its
     exponent -inf could be weighted e^-inf = 0.
@@ -483,39 +530,53 @@ def _statistical_estimate(scenario: QosScenario, snr: float, factors,
     denom = a * scenario.n_r
     acc = _LogMeanExp()
     for f in factors:
-        k = f.shape[0]
+        k, n_t, n = f.shape
         if k > len(p):
             raise DomainError(f"a factor has {k} rows, more than n_T = "
                               f"{len(p)}; pass (k, n_T, n) factors")
-        z = f.conj()  # z[j] becomes column j of X^dagger, then is reflected
+        # cols[off[j] + i - j - 1] = L_ij for i > j
+        off = [j * (2 * k - j - 1) // 2 for j in range(k)]
+        (z, zc, prods, ip, cols, ys, sq, sq2, d_rate, q, logdet, t, r,
+         inv) = _SCRATCH.views(
+            [(k, n_t, n), (n_t, n), (k - 1, n_t, n), (k - 1, n),
+             (off[-1], n), (k, n_t, n)],
+            [(n_t, n), (n_t, n), (n_t, n), (n,), (n,), (n,), (n,), (k, n)])
+        np.conjugate(f, out=z)  # z[j]: column j of X^dagger, then reflected
         z *= np.sqrt(gain * p)[:, None]
-        cols = []  # cols[j][i - j - 1] = L_ij for i > j
-        inv = []  # 1 / L_jj
-        logdet = 0.0
+        logdet.fill(0.0)
         for j in range(k):
             zj = z[j]
-            q = (zj.real ** 2 + zj.imag ** 2).sum(axis=0)
-            logdet = logdet + np.log1p(q)
-            r = np.sqrt(1.0 + q)
-            inv.append(1.0 / r)
+            np.sum(_abs2(zj, sq, sq2), axis=0, out=q)
+            logdet += np.log1p(q, out=t)
+            np.add(1.0, q, out=r)
+            np.sqrt(r, out=r)
+            np.divide(1.0, r, out=inv[j])
             if j + 1 < k:
-                ip = (zj.conj() * z[j + 1:]).sum(axis=1)
-                cols.append(ip.conj() * inv[j])
-                z[j + 1:] -= zj * (ip / (r * (1.0 + r)))[:, None]
+                rest, prod = z[j + 1:], prods[:k - j - 1]
+                ipj, colj = ip[:k - j - 1], cols[off[j]:off[j] + k - j - 1]
+                np.multiply(np.conjugate(zj, out=zc), rest, out=prod)
+                np.sum(prod, axis=1, out=ipj)
+                np.multiply(np.conjugate(ipj, out=colj), inv[j], out=colj)
+                np.add(1.0, r, out=t)
+                np.multiply(r, t, out=t)
+                np.divide(ipj, t, out=ipj)
+                rest -= np.multiply(zj, ipj[:, None], out=prod)
         total = float(logdet.sum())
         if not math.isfinite(total):
             raise NumericError(f"per-draw rate not finite: log det sum "
                                f"{total}")
-        d_rate = 0.0
-        ys = []  # rows of L^{-1} F by forward substitution
+        # rows y_j of L^{-1} F by forward substitution
+        d_rate.fill(0.0)
         for j in range(k):
-            y = f[j]
+            y, rhs = ys[j], f[j]
             for m in range(j):
-                y = y - cols[m][j - m - 1] * ys[m]
-            y = y * inv[j]
-            ys.append(y)
-            d_rate = d_rate + (y.real ** 2 + y.imag ** 2)
-        acc.add(-a / LN2 * logdet, -a / LN2 * gain * d_rate.T)
+                np.subtract(rhs, np.multiply(cols[off[m] + j - m - 1], ys[m],
+                                             out=prods[0]), out=y)
+                rhs = y
+            np.multiply(rhs, inv[j], out=y)
+            d_rate += _abs2(y, sq, sq2)
+        acc.add(np.multiply(-a / LN2, logdet, out=logdet),
+                np.multiply(-a / LN2 * gain, d_rate, out=d_rate).T)
     est = EffCapEstimate(value=-acc.log_mean() / denom,
                          std_err=acc.se_log() / denom, n_samples=n_samples)
     return est, -acc.d_log_mean() / denom

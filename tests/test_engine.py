@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +551,98 @@ class TestStatisticalObjective:
         with pytest.raises(DomainError):
             _statistical_estimate(scen(2.0, 2, 2), 10.0, [grams],
                                   np.full(2, 0.5), 50)
+
+
+def _optimize_bytes(n_r, n_t, n_samples, rho_t=0.5):
+    """K, value and std_err of one statistical optimizer call, as bytes."""
+    k, est = optimize_covariance_statistical(
+        scen(2.0, n_r, n_t), _kronecker(n_r, 0.7, rho_t, n_t=n_t), 10.0,
+        n_samples, 0)
+    return k.tobytes() + np.array([est.value, est.std_err]).tobytes()
+
+
+class TestObjectiveScratch:
+    """The statistical objective and the fixed-K gains work in the
+    per-thread `engine._SCRATCH`: no chunk-sized allocation once it has
+    grown, and bitwise the results of a fresh scratch whatever ran before
+    it in the thread, and whatever runs beside it in another."""
+
+    # (n_R, n_T, draws): 4x2 takes the QR factor; 4x4 grows the scratch
+    # that the cases after it reuse
+    SHAPES = [(2, 2, 4096), (4, 4, 2048), (4, 2, 4096), (1, 3, 4096),
+              (2, 2, 4096)]
+
+    def test_repeated_evaluation_allocates_no_chunk(self):
+        model = _kronecker(4, 0.7, 0.5)
+        factors = [_statistical_factor(h)
+                   for h in iter_sample_chunks(model, 2048, 0)]
+        args = (scen(2.0, 4, 4), 10.0, factors, np.array([0.4, 0.3, 0.2, 0.1]),
+                2048)
+        first = _statistical_estimate(*args)
+        tracemalloc.start()
+        try:
+            again = _statistical_estimate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factors[0].nbytes / 2
+        assert again[0] == first[0]
+        assert again[1].tobytes() == first[1].tobytes()
+
+    def test_interleaved_shapes_equal_a_fresh_scratch(self, monkeypatch):
+        fresh = []
+        for shape in self.SHAPES:
+            monkeypatch.setattr(engine, "_SCRATCH", engine._Scratch())
+            fresh.append(_optimize_bytes(*shape))
+        monkeypatch.setattr(engine, "_SCRATCH", engine._Scratch())
+        assert [_optimize_bytes(*shape) for shape in self.SHAPES] == fresh
+
+    def test_threads_equal_serial(self):
+        # more threads than cores, each running its own shape several times
+        # at rho_t = 0.9, so that the whole search runs, while the others
+        # run theirs; a short switch interval interleaves them finely
+        shapes = [(4, 4, 2048), (2, 2, 4096), (4, 2, 4096)]
+        serial = [_optimize_bytes(*shape, rho_t=0.9) for shape in shapes]
+        barrier = threading.Barrier(len(shapes))
+        got = [[] for _ in shapes]
+
+        def run(i):
+            barrier.wait(timeout=60)
+            for _ in range(4):
+                got[i].append(_optimize_bytes(*shapes[i], rho_t=0.9))
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(shapes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want] * 4 for want in serial]
+
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_fixed_k_gains_keep_expression_bits(self, squares):
+        # after a larger chunk has grown the scratch and left its values
+        rng = np.random.default_rng(5)
+        k = FixedCovariance(np.array([[0.5, 0.1j], [-0.1j, 0.3]]))
+        engine.chunk_gains(rng.standard_normal((CHUNK, 4, 2)) + 0j, k,
+                           squares)
+        h = (rng.standard_normal((1000, 3, 2))
+             + 1j * rng.standard_normal((1000, 3, 2)))
+        g = h @ k.k @ h.conj().transpose(0, 2, 1)
+        q = np.real(np.einsum("nii->n", g))
+        got = engine.chunk_gains(h, k, squares)
+        if squares:
+            r = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
+            assert (got[0].tobytes(), got[1].tobytes()) == (q.tobytes(),
+                                                            r.tobytes())
+        else:
+            assert got.tobytes() == q.tobytes()
 
 
 @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
