@@ -444,8 +444,14 @@ def rate_estimator(model: ChannelModel, strategy: CovarianceStrategy,
 
 
 def _simplex_project(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex. A common shift of
+    p leaves it unchanged, so where the largest entry is so far from 0 that
+    subtracting the simplex's 1 from it rounds to nothing (a Barzilai-Borwein
+    step of 1e28 on a nearly flat direction), p is shifted to make that
+    entry 0 first."""
     u = np.sort(p)[::-1]
+    if u[0] - 1.0 == u[0]:
+        p, u = p - u[0], u - u[0]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(p) + 1)
     cond = u - css / idx > 0
@@ -592,8 +598,23 @@ def _statistical_factor(h: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(h.transpose(1, 2, 0))
 
 
+def _two_plane_bound(v: np.ndarray, w: np.ndarray) -> float:
+    """Maximum over the simplex of the lower of two planes whose values at
+    the vertices e_k are v_k and w_k: by LP duality the minimum over lam in
+    [0, 1] of max_k (lam v + (1 - lam) w)_k. That maximum is convex and
+    piecewise linear in lam, so it is smallest at lam = 0, at lam = 1 or
+    where two of its lines cross, lam = (w_j - w_i) / (d_i - d_j) for
+    d = v - w. At most max(v) and max(w), and equal to both when v = w."""
+    d = v - w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (w - w[:, None]) / (d[:, None] - d)
+    lam = np.concatenate(([0.0, 1.0], lam[(lam > 0.0) & (lam < 1.0)]))
+    return float((lam[:, None] * v + (1.0 - lam)[:, None] * w).max(axis=1)
+                 .min())
+
+
 class _UniformTie(Exception):
-    """Raised by the optimizer's objective once a Frank-Wolfe bound shows
+    """Raised by the optimizer's objective once a cutting-plane bound shows
     that the tie-break will return the uniform allocation."""
 
 
@@ -611,13 +632,17 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
 
     The search stops early when the tie is already decided. The sample
     objective is concave in p (minus a log-sum-exp of convex functions), so
-    at any evaluated p its optimum is at most f(p) + max_i g_i - g.p, the
-    Frank-Wolfe bound, and so is the value the search would end on. Once
-    that bound is at most f(u) + 2 se(u) - 1e-9 max(1, |f(u)|) at the
-    uniform u, the tie-break must return u, and u is returned at once; the
-    1e-9 margin covers rounding in f and g. Where the optimum beats the
-    uniform K by more, the bound never gets that low and the search runs
-    to its end.
+    each evaluated p's tangent plane, with the value f(p) + g_i - g.p at the
+    vertex e_i, lies above it, and so does the lower of two such planes. At
+    every evaluated p the optimum, and so the value the search would end
+    on, is at most the maximum over the simplex of the lower of the planes
+    at u and at p (`_two_plane_bound`, Kelley's cutting-plane bound), which
+    is at most the Frank-Wolfe bound f(p) + max_i g_i - g.p of either. Once
+    it is at most f(u) + 2 se(u) - 1e-9 max(1, |f(u)|) at the uniform u,
+    the tie-break must return u, and u is returned at once; the 1e-9
+    margin covers rounding in f, g and the bound. Where the optimum beats
+    the uniform K by more, the bound never gets that low and the search
+    runs to its end.
     """
     if scenario.theta <= 0:
         raise DomainError("optimize_covariance_statistical requires theta > 0")
@@ -627,14 +652,18 @@ def optimize_covariance_statistical(scenario: QosScenario, model: ChannelModel,
                for h in iter_sample_chunks(model, n_samples, seed)]
     estimates = {}
     uniform = np.full(scenario.n_t, 1.0 / scenario.n_t)
+    v_u = None
 
     def fg(p):
+        nonlocal v_u
         est, grad = _statistical_estimate(scenario, snr, factors, p,
                                           n_samples)
         estimates[p.tobytes()] = est
-        tie = estimates[uniform.tobytes()]  # the first call is at uniform
-        if (est.value + float(grad.max() - grad @ p)
-                <= tie.value + 2.0 * tie.std_err
+        v = est.value + (grad - grad @ p)  # the tangent plane at each e_k
+        if v_u is None:  # the first call is at uniform
+            v_u = v
+        tie = estimates[uniform.tobytes()]
+        if (_two_plane_bound(v_u, v) <= tie.value + 2.0 * tie.std_err
                 - 1e-9 * max(1.0, abs(tie.value))):
             raise _UniformTie
         return est.value, grad

@@ -32,7 +32,8 @@ derivatives of the uniform and
 the per-realization-CSI strategies are the spectral-moment estimator
 `spectral_moments_mc`, with its `MomentEstimates`, and the two formulas
 `derivs_uniform` and `derivs_csit` that `zero_snr_moments` and
-`zero_snr_derivs` replaced.
+`zero_snr_derivs` replaced. The optimizer's two-plane bound has the
+linear program it is the dual of, solved by `scipy.optimize.linprog`.
 """
 
 import csv
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy import special as sps
 
 from effcap.asymptotics import (LowSnrDerivatives, SparseWidebandConfig,
@@ -232,6 +233,20 @@ def min_simplex_quadratic_2(q: np.ndarray) -> float:
     if a2 > 0:
         cands.append(min(1.0, max(0.0, -a1 / (2 * a2))))
     return float(min(a2 * t * t + a1 * t + q[1, 1] for t in cands))
+
+
+def two_plane_lp(v: np.ndarray, w: np.ndarray) -> float:
+    """max over the simplex of min(v.x, w.x), the lower of two planes with
+    the values v_k and w_k at the vertices e_k, as the LP max t subject to
+    t <= v.x, t <= w.x, sum x = 1, x >= 0."""
+    n = len(v)
+    res = optimize.linprog(
+        np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[-np.stack([v, w]), np.ones(2)], b_ub=np.zeros(2),
+        A_eq=np.r_[np.ones(n), 0.0][None], b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def central_gradient(f, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
