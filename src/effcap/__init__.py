@@ -2,19 +2,16 @@
 queueing constraints."""
 
 from .channels import (FixedMatrix, IidComplexGaussian, KroneckerCorrelated,
-                       SpectralSummary, hermitian_eig, max_eig_subspace,
-                       mean_gram_mc)
+                       hermitian_eig, mean_gram_mc)
 from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, effective_rate_mc, ergodic_rate_mc,
                      optimize_covariance_statistical)
 from .asymptotics import (EnergyMetrics, HighSnrMetrics, LowSnrDerivatives,
-                          SparseWidebandConfig, StatisticalMoments,
-                          ZeroSnrMoments, derivs_statistical, energy_metrics,
+                          SparseWidebandConfig, ZeroSnrMoments, energy_metrics,
                           hankel_effective_rate, hankel_mgf, highsnr_metrics,
                           highsnr_slope_empirical, sparse_ebmin,
-                          statistical_moments_mc, zero_snr_derivs,
-                          zero_snr_moments)
+                          zero_snr_derivs, zero_snr_moments)
 from .queuesim import (QueueTrace, TailFit, ThetaValidation,
                        estimate_tail_exponent, simulate_queue, validate_theta,
                        write_trace_csv)

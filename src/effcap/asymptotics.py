@@ -72,60 +72,84 @@ class SparseWidebandConfig:
 class ZeroSnrMoments:
     """E{q}, E{q^2} and E{r} of a strategy's per-draw gains q = tr G and
     r = tr G^2 (`engine.chunk_gains`), all that its zero-SNR derivatives
-    read, their regime label, and, if sampled, each field's std error."""
+    read, their regime label, and, if sampled, each field's std error.
+
+    For statistical CSI, K = U diag(p) U^dagger with U a basis of the
+    maximal eigenspace of E{H^dagger H}, of multiplicity l: E{q} is the
+    exact largest eigenvalue for every p, and E{q^2} and E{r} are the l x l
+    matrices E{M_ii M_jj} and E{|M_ij|^2}, M = U^dagger H^dagger H U, whose
+    quadratic forms in p are K's E{q^2} and E{r}; a scalar is the l = 1
+    case."""
 
     e_q: float
-    e_q_sq: float
-    e_r: float
+    e_q_sq: float | np.ndarray
+    e_r: float | np.ndarray
     regime: str
     std_errs: dict | None = None
 
 
 _REGIMES = {UniformIdentity: "uniform", WaterfillingCsit: "csit",
-            BeamformingCsit: "csit", FixedCovariance: "fixed"}
+            BeamformingCsit: "csit", FixedCovariance: "fixed",
+            StatisticalOptimized: "statistical"}
+
+
+def _chunk_sums(h: np.ndarray, strategy: CovarianceStrategy, l: int):
+    """One chunk's sums for `zero_snr_moments`: of (q, q^2, r) and of their
+    squares, or for statistical CSI of M_ii M_jj and |M_ij|^2, M = C^dagger
+    C for C the first l columns of each draw, which come in the eigenbasis
+    of E{H^dagger H}, descending, and so span its maximal eigenspace."""
+    if isinstance(strategy, StatisticalOptimized):
+        c = h[:, :, :l]
+        m = c.conj().transpose(0, 2, 1) @ c
+        diag = np.real(np.einsum("nii->ni", m))
+        return (np.einsum("ni,nj->ij", diag, diag),
+                np.einsum("nij,nij->ij", m, m.conj()).real)
+    q, r = chunk_gains(h, strategy, squares=True)
+    stats = np.stack([q, q * q, r])
+    return stats.sum(axis=1), (stats * stats).sum(axis=1)
 
 
 def zero_snr_moments(model: ChannelModel, strategies, n_samples: int,
                      seed: int) -> list:
     """Monte Carlo `ZeroSnrMoments` of each strategy, all from one pass of
     draws; a gain, or a square behind a standard error, that overflows or
-    is NaN raises NumericError."""
+    is NaN raises NumericError. Statistical CSI's E{q} is exact, and its
+    matrices carry no standard errors."""
     if n_samples < 1000:
         raise DomainError("zero_snr_moments needs n_samples >= 1000")
+    stat = [isinstance(s, StatisticalOptimized) for s in strategies]
+    w = model.mean_gram_eig[0]
+    l = max_eig_multiplicity(w) if any(stat) else 0
     drawn = [in_eigenbasis(model, strategy) for strategy in strategies]
-    sums, sqsums = np.zeros((2, len(strategies), 3))
+    sums = [np.zeros((2, l, l) if st else (2, 3)) for st in stat]
     with np.errstate(over="ignore", invalid="ignore"):
         for h in iter_sample_chunks(model, n_samples, seed):
-            for i, strategy in enumerate(drawn):
-                q, r = chunk_gains(h, strategy, squares=True)
-                stats = np.stack([q, q * q, r])
-                sums[i] += stats.sum(axis=1)
-                sqsums[i] += (stats * stats).sum(axis=1)
-        if not np.isfinite(sums).all():
-            raise NumericError(
-                f"per-draw gain not finite: sums {sums.tolist()}")
-        if not np.isfinite(sqsums).all():
+            for strategy, acc in zip(drawn, sums):
+                acc += _chunk_sums(h, strategy, l)
+        # both statistical sums are moments; a scalar strategy's second
+        # row holds the squares behind its standard errors
+        moments = [acc if st else acc[0] for acc, st in zip(sums, stat)]
+        if not all(np.isfinite(m).all() for m in moments):
+            raise NumericError(f"per-draw gain not finite: sums "
+                               f"{[m.tolist() for m in moments]}")
+        squares = [acc[1] for acc, st in zip(sums, stat) if not st]
+        if not all(np.isfinite(sq).all() for sq in squares):
             raise NumericError(f"per-draw gain not finite in the squares "
                                f"behind its standard error: sums of "
-                               f"squares {sqsums.tolist()}")
-        means = sums / n_samples
-        se = np.sqrt(np.maximum(sqsums / n_samples - means ** 2, 0.0)
-                     / n_samples)
-    return [ZeroSnrMoments(*m, _REGIMES[type(strategy)],
-                           dict(zip(("e_q", "e_q_sq", "e_r"), e)))
-            for strategy, m, e in zip(strategies, means.tolist(),
-                                      se.tolist())]
-
-
-def zero_snr_derivs(moments: ZeroSnrMoments,
-                    scenario: QosScenario) -> LowSnrDerivatives:
-    """First and second derivative of the effective rate per receive
-    dimension at SNR = 0: C'(0) = E{q}/ln2 and
-    C''(0) = (theta T B n_R/ln2^2)(E{q}^2 - E{q^2}) - (n_R/ln2) E{r}."""
-    a, n_r, e_q = scenario.theta_tb, scenario.n_r, moments.e_q
-    second = (a * n_r / LN2 ** 2 * (e_q ** 2 - moments.e_q_sq)
-              - n_r / LN2 * moments.e_r)
-    return LowSnrDerivatives(e_q / LN2, second, moments.regime)
+                               f"squares {[sq.tolist() for sq in squares]}")
+        records = []
+        for strategy, acc, st in zip(strategies, sums, stat):
+            means = acc / n_samples
+            regime = _REGIMES[type(strategy)]
+            if st:
+                records.append(ZeroSnrMoments(float(w[0]), *means, regime))
+            else:
+                se = np.sqrt(np.maximum(means[1] - means[0] ** 2, 0.0)
+                             / n_samples)
+                records.append(ZeroSnrMoments(
+                    *means[0].tolist(), regime,
+                    dict(zip(("e_q", "e_q_sq", "e_r"), se.tolist()))))
+    return records
 
 
 def _quadratic_objective(q: np.ndarray):
@@ -134,54 +158,30 @@ def _quadratic_objective(q: np.ndarray):
     return lambda a: (-float(a @ q @ a), -2.0 * (q @ a))
 
 
-@dataclass(frozen=True)
-class StatisticalMoments:
-    """The theta-independent inputs of `derivs_statistical`: the largest
-    eigenvalue of E{H^dagger H} and, for M = U^dagger H^dagger H U with U a
-    basis of its maximal eigenspace, Monte Carlo E{M_ii M_jj} and
-    E{|M_ij|^2}."""
-
-    lambda_max: float
-    e_diag_products: np.ndarray
-    e_abs_sq: np.ndarray
-
-
-def statistical_moments_mc(model: ChannelModel, n_samples: int,
-                           seed: int) -> StatisticalMoments:
-    """`StatisticalMoments` of model. E{H^dagger H} is the model's exact one
-    (`mean_gram_eig`), and its draws come in its eigenbasis, descending, so
-    the maximal eigenspace is spanned by their first l columns."""
-    w, _ = model.mean_gram_eig
-    l = max_eig_multiplicity(w)
-    a_sum = np.zeros((l, l))
-    b_sum = np.zeros((l, l))
-    for h in iter_sample_chunks(model, n_samples, seed):
-        c = h[:, :, :l]
-        m = c.conj().transpose(0, 2, 1) @ c
-        diag = np.real(np.einsum("nii->ni", m))
-        a_sum += np.einsum("ni,nj->ij", diag, diag)
-        b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
-    return StatisticalMoments(float(w[0]), a_sum / n_samples,
-                              b_sum / n_samples)
-
-
-def derivs_statistical(moments: StatisticalMoments,
-                       scenario: QosScenario) -> LowSnrDerivatives:
-    """Derivatives at SNR=0 when only E{H^dagger H} is known:
-    `zero_snr_derivs` of K = U diag(p) U^dagger, whose E{q} = lambda_max,
-    E{q^2} = p^T E{M_ii M_jj} p and E{r} = p^T E{|M_ij|^2} p, at the p on
-    the simplex that minimizes the quadratic form of the second
-    derivative; only its weight c1 depends on theta.
-    """
-    a, b = moments.e_diag_products, moments.e_abs_sq
+def zero_snr_derivs(moments: ZeroSnrMoments,
+                    scenario: QosScenario) -> LowSnrDerivatives:
+    """First and second derivative of the effective rate per receive
+    dimension at SNR = 0: C'(0) = E{q}/ln2 and
+    C''(0) = c1 (E{q}^2 - E{q^2}) - c2 E{r}, c1 = theta T B n_R/ln2^2 and
+    c2 = n_R/ln2. E{q^2} and E{r} are read as l x l matrices A and B
+    (`ZeroSnrMoments`) at the p on the simplex that minimizes
+    p^T (c1 A + c2 B) p, the power spread that maximizes C''(0); a scalar
+    is the l = 1 case, p = [1]. A weighted form that overflows raises
+    NumericError."""
     c1 = scenario.theta_tb * scenario.n_r / LN2 ** 2
     c2 = scenario.n_r / LN2
-    l = len(a)
-    p, _, _ = simplex_maximize(_quadratic_objective(c1 * a + c2 * b),
-                               np.full(l, 1.0 / l))
-    return zero_snr_derivs(ZeroSnrMoments(moments.lambda_max,
-                                          float(p @ a @ p), float(p @ b @ p),
-                                          "statistical"), scenario)
+    a, b = np.atleast_2d(moments.e_q_sq), np.atleast_2d(moments.e_r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = c1 * a + c2 * b
+    if not np.isfinite(form).all():
+        raise NumericError(f"second derivative not finite: theta*T*B = "
+                           f"{scenario.theta_tb:g} weights E{{q^2}} = "
+                           f"{a.tolist()} and E{{r}} = {b.tolist()}")
+    p, _, _ = simplex_maximize(_quadratic_objective(form),
+                               np.full(len(a), 1.0 / len(a)))
+    e_q = moments.e_q
+    second = (c1 * (e_q ** 2 - float(p @ a @ p)) - c2 * float(p @ b @ p))
+    return LowSnrDerivatives(e_q / LN2, second, moments.regime)
 
 
 def energy_metrics(derivs: LowSnrDerivatives) -> EnergyMetrics:
@@ -231,7 +231,7 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
             raise DomainError("sparse_ebmin requires theta > 0")
         rhos.append(sc.theta * sc.t * config.p_over_n0 / config.m)
     if isinstance(strategy, StatisticalOptimized):
-        # as `statistical_moments_mc` reads it
+        # as `zero_snr_moments` reads it
         mean_gain = float(model.mean_gram_eig[0][0])
         if not math.isfinite(mean_gain):
             raise NumericError(f"largest eigenvalue of E{{H^dagger H}} not "

@@ -280,14 +280,6 @@ def hermitian_eig(a: np.ndarray):
     return w[order], v[:, order]
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    eigenvalues: np.ndarray
-    lambda_max: float
-    multiplicity_l: int
-    max_eig_basis: np.ndarray
-
-
 # eigenvalues within this fraction of the largest count as maximal: a
 # rounding tolerance. Every E{H^dagger H} is exact (`mean_gram_eig`), and
 # its computed eigenvalues are off by a few n_T eps of the largest, so a
@@ -308,14 +300,6 @@ def max_eig_multiplicity(w: np.ndarray) -> int:
     if lam <= 0.0:
         return len(w)
     return int(np.sum((lam - w) / lam <= MAX_EIG_REL_TOL))
-
-
-def max_eig_subspace(a: np.ndarray) -> SpectralSummary:
-    """Maximum eigenvalue, its numerical multiplicity
-    (`max_eig_multiplicity`) and eigenspace basis."""
-    w, v = hermitian_eig(a)
-    l = max_eig_multiplicity(w)
-    return SpectralSummary(w, float(w[0]) if w[0] > 0 else 0.0, l, v[:, :l])
 
 
 def mean_gram_mc(model: ChannelModel, n_samples: int, seed: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple
 from . import asymptotics as asy
 from .config import (KEYS, RunConfig, apply_overrides, finite_snr,
                      parse_kv_text)
-from .engine import StatisticalOptimized
 from .errors import ConfigError, DomainError, FitError, NumericError
 from .figures import (SWEEP_COLUMNS, _claim, _write_csv, config_rows,
                       reproduce_figure, run_sweep)
@@ -96,12 +95,8 @@ def cmd_low_snr(args) -> int:
     model = cfg.model()
     strategy = cfg.strategy()
     with _claim(args.out) as out:
-        if isinstance(strategy, StatisticalOptimized):
-            d = asy.derivs_statistical(asy.statistical_moments_mc(
-                model, cfg.n_samples, cfg.seed), sc)
-        else:
-            d = asy.zero_snr_derivs(asy.zero_snr_moments(
-                model, [strategy], cfg.n_samples, cfg.seed)[0], sc)
+        d = asy.zero_snr_derivs(asy.zero_snr_moments(
+            model, [strategy], cfg.n_samples, cfg.seed)[0], sc)
         em = asy.energy_metrics(d)
         _report(args, [("regime", d.regime), ("first_deriv", d.first_deriv),
                        ("second_deriv", d.second_deriv),

@@ -87,10 +87,12 @@ def lowsnr_suite(n_samples=200_000, seed=0):
     # identity checks are 3-sigma tests; run them at the full 1e6 draws so
     # a single unlucky smaller batch cannot trip them
     n_big = max(n_samples, 1_000_000)
-    # one pass for uniform's gain and lambda_max, which water-filling shares
+    # one pass for uniform's gain, lambda_max, which water-filling shares,
+    # and the statistical moments
     model = IidComplexGaussian(2, 2)
-    mom, csit_mom = asy.zero_snr_moments(
-        model, [UniformIdentity(), BeamformingCsit()], n_big, seed)
+    mom, csit_mom, stat_mom = asy.zero_snr_moments(
+        model, [UniformIdentity(), BeamformingCsit(), StatisticalOptimized()],
+        n_big, seed)
     (mom_2x5,) = asy.zero_snr_moments(IidComplexGaussian(2, 5),
                                       [UniformIdentity()], n_big, seed)
     for n_r, n_t, m in ((2, 2, mom), (2, 5, mom_2x5)):
@@ -109,7 +111,6 @@ def lowsnr_suite(n_samples=200_000, seed=0):
                 abs(got - exact) <= 3.0 * se,
                 f"got {got:.5g}, exact {exact}, se {se:.2g}", 3))
 
-    stat_mom = asy.statistical_moments_mc(model, n_big, seed)
     # one eigensolve of the draws per strategy, shared by every theta and SNR
     estimators = {label: rate_estimator(model, strategy, n_samples, seed)
                   for label, strategy in (("uniform", UniformIdentity()),
@@ -136,7 +137,7 @@ def lowsnr_suite(n_samples=200_000, seed=0):
         sc = _scenario(th, 2, 2)
         d = asy.zero_snr_derivs(mom, sc)
         dcsit = asy.zero_snr_derivs(csit_mom, sc)
-        dstat = asy.derivs_statistical(stat_mom, sc)
+        dstat = asy.zero_snr_derivs(stat_mom, sc)
         checks += _fd_checks("uniform", rate, d, snr0, th)
         for attr, which in (("second_deriv", ""),
                             ("first_deriv", " first deriv")):

@@ -32,8 +32,14 @@ derivatives of the uniform and
 the per-realization-CSI strategies are the spectral-moment estimator
 `spectral_moments_mc`, with its `MomentEstimates`, and the two formulas
 `derivs_uniform` and `derivs_csit` that `zero_snr_moments` and
-`zero_snr_derivs` replaced. The optimizer's two-plane bound has the
-linear program it is the dual of, solved by `scipy.optimize.linprog`.
+`zero_snr_derivs` replaced. Statistical CSI's zero-SNR derivatives are
+`statistical_moments_mc`, with its `StatisticalMoments`, and
+`derivs_statistical`, the pass and the formula that became one more
+strategy of `zero_snr_moments` and `zero_snr_derivs`; the closed formula
+for scalar moments, `zero_snr_derivs_scalar`, is the one `zero_snr_derivs`
+was before it read them as 1 x 1 matrices. The optimizer's two-plane bound
+has the linear program it is the dual of, solved by
+`scipy.optimize.linprog`.
 """
 
 import csv
@@ -45,9 +51,11 @@ from scipy import integrate, optimize
 from scipy import special as sps
 
 from effcap.asymptotics import (LowSnrDerivatives, SparseWidebandConfig,
-                                _hankel_integrand_entry, _sparse_objective)
+                                ZeroSnrMoments, _hankel_integrand_entry,
+                                _quadratic_objective, _sparse_objective)
 from effcap.channels import (ChannelModel, KroneckerCorrelated,
-                             iter_sample_chunks, iter_spectra, sum_columns)
+                             iter_sample_chunks, iter_spectra,
+                             max_eig_multiplicity, sum_columns)
 from effcap.engine import (LN2, BeamformingCsit, CovarianceStrategy,
                            EffCapEstimate, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
@@ -519,3 +527,65 @@ def derivs_uniform(moments: MomentEstimates,
     second = (a * n_r / (n_t ** 2 * LN2 ** 2) * (et ** 2 - et2)
               - n_r / (n_t ** 2 * LN2) * eg2)
     return LowSnrDerivatives(first, second, "uniform")
+
+
+def zero_snr_derivs_scalar(moments,
+                           scenario: QosScenario) -> LowSnrDerivatives:
+    """The zero-SNR derivatives of scalar E{q}, E{q^2} and E{r}, as the
+    closed formula C'(0) = E{q}/ln2 and
+    C''(0) = (theta T B n_R/ln2^2)(E{q}^2 - E{q^2}) - (n_R/ln2) E{r}."""
+    a, n_r, e_q = scenario.theta_tb, scenario.n_r, moments.e_q
+    second = (a * n_r / LN2 ** 2 * (e_q ** 2 - moments.e_q_sq)
+              - n_r / LN2 * moments.e_r)
+    return LowSnrDerivatives(e_q / LN2, second, moments.regime)
+
+
+@dataclass(frozen=True)
+class StatisticalMoments:
+    """The theta-independent inputs of `derivs_statistical`: the largest
+    eigenvalue of E{H^dagger H} and, for M = U^dagger H^dagger H U with U a
+    basis of its maximal eigenspace, Monte Carlo E{M_ii M_jj} and
+    E{|M_ij|^2}."""
+
+    lambda_max: float
+    e_diag_products: np.ndarray
+    e_abs_sq: np.ndarray
+
+
+def statistical_moments_mc(model: ChannelModel, n_samples: int,
+                           seed: int) -> StatisticalMoments:
+    """`StatisticalMoments` of model. E{H^dagger H} is the model's exact one
+    (`mean_gram_eig`), and its draws come in its eigenbasis, descending, so
+    the maximal eigenspace is spanned by their first l columns."""
+    w, _ = model.mean_gram_eig
+    l = max_eig_multiplicity(w)
+    a_sum = np.zeros((l, l))
+    b_sum = np.zeros((l, l))
+    for h in iter_sample_chunks(model, n_samples, seed):
+        c = h[:, :, :l]
+        m = c.conj().transpose(0, 2, 1) @ c
+        diag = np.real(np.einsum("nii->ni", m))
+        a_sum += np.einsum("ni,nj->ij", diag, diag)
+        b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
+    return StatisticalMoments(float(w[0]), a_sum / n_samples,
+                              b_sum / n_samples)
+
+
+def derivs_statistical(moments: StatisticalMoments,
+                       scenario: QosScenario) -> LowSnrDerivatives:
+    """Derivatives at SNR=0 when only E{H^dagger H} is known:
+    `zero_snr_derivs_scalar` of K = U diag(p) U^dagger, whose
+    E{q} = lambda_max, E{q^2} = p^T E{M_ii M_jj} p and
+    E{r} = p^T E{|M_ij|^2} p, at the p on the simplex that minimizes the
+    quadratic form of the second derivative; only its weight c1 depends on
+    theta.
+    """
+    a, b = moments.e_diag_products, moments.e_abs_sq
+    c1 = scenario.theta_tb * scenario.n_r / LN2 ** 2
+    c2 = scenario.n_r / LN2
+    l = len(a)
+    p, _, _ = simplex_maximize(_quadratic_objective(c1 * a + c2 * b),
+                               np.full(l, 1.0 / l))
+    return zero_snr_derivs_scalar(
+        ZeroSnrMoments(moments.lambda_max, float(p @ a @ p),
+                       float(p @ b @ p), "statistical"), scenario)

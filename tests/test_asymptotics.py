@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,14 +7,13 @@ import pytest
 from effcap import asymptotics
 from effcap.asymptotics import (SparseWidebandConfig, ZeroSnrMoments,
                                 _quadratic_objective, _sparse_objective,
-                                derivs_statistical, energy_metrics,
-                                hankel_effective_rate, hankel_mgf,
-                                highsnr_metrics, highsnr_slope_empirical,
-                                sparse_ebmin, statistical_moments_mc,
+                                energy_metrics, hankel_effective_rate,
+                                hankel_mgf, highsnr_metrics,
+                                highsnr_slope_empirical, sparse_ebmin,
                                 zero_snr_derivs, zero_snr_moments)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, iter_sample_chunks,
-                             max_eig_subspace)
+                             KroneckerCorrelated, hermitian_eig,
+                             iter_sample_chunks)
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, chunk_gains, effective_rate_mc,
@@ -21,10 +21,11 @@ from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
 from effcap.errors import DomainError, NumericError
 from effcap.validation import _fd_checks, siso_mgf_exact
 from oracles import (_sparse_exponent_chunks, central_gradient, derivs_csit,
-                     derivs_uniform, hankel_entry_closed, hankel_log_entry,
-                     hankel_log_mgf, hankel_log_mgf_per_pair,
+                     derivs_statistical, derivs_uniform, hankel_entry_closed,
+                     hankel_log_entry, hankel_log_mgf, hankel_log_mgf_per_pair,
                      sparse_ebmin_bounded, sparse_ebmin_sublinear,
-                     spectral_moments_mc, upper_incomplete_gamma)
+                     spectral_moments_mc, statistical_moments_mc,
+                     upper_incomplete_gamma, zero_snr_derivs_scalar)
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
@@ -91,34 +92,33 @@ class TestLowSnrDerivatives:
         r_t = np.diag([1.5, 0.5]).astype(complex)
         model = KroneckerCorrelated(np.eye(2, dtype=complex), r_t)
         # E{H^dag H} = tr(R_r) * R_t = 2 R_t -> lambda_max = 3, l = 1
-        mom = statistical_moments_mc(model, 50_000, 0)
-        d = derivs_statistical(mom, scen(1.0, 2, 2))
+        (mom,) = zero_snr_moments(model, [StatisticalOptimized()], 50_000, 0)
+        d = zero_snr_derivs(mom, scen(1.0, 2, 2))
         # lambda_max is that of the exact mean, with no Monte Carlo error
-        want = max_eig_subspace(model.exact_mean_gram()).lambda_max
-        assert mom.lambda_max == want
+        want = hermitian_eig(model.exact_mean_gram())[0][0]
+        assert mom.e_q == want
         assert want == 3.0
-        assert mom.e_abs_sq.shape == (1, 1)
-        assert d.first_deriv == mom.lambda_max / LN2
+        assert mom.e_r.shape == (1, 1)
+        assert (mom.regime, mom.std_errs) == ("statistical", None)
+        assert d.first_deriv == mom.e_q / LN2
         assert d.second_deriv < 0.0
 
     def test_statistical_deterministic_matches_csit(self):
         h = np.diag([2.0, 1.0]).astype(complex)
         model = FixedMatrix(h)
         sc = scen(1.0, 2, 2)
-        ds = derivs_statistical(
-            statistical_moments_mc(model, 2_000, 0), sc)
-        (m,) = zero_snr_moments(model, [BeamformingCsit()], 2_000, 0)
-        dc = zero_snr_derivs(m, sc)
+        ms, m = zero_snr_moments(model, [StatisticalOptimized(),
+                                         BeamformingCsit()], 2_000, 0)
+        ds, dc = zero_snr_derivs(ms, sc), zero_snr_derivs(m, sc)
         assert abs(ds.first_deriv - dc.first_deriv) < 1e-9
         assert abs(ds.second_deriv - dc.second_deriv) < 1e-9
 
     def test_statistical_iid_matches_uniform(self):
         model = IidComplexGaussian(2, 2)
         sc = scen(1.0, 2, 2)
-        ds = derivs_statistical(
-            statistical_moments_mc(model, 500_000, 0), sc)
-        (m,) = zero_snr_moments(model, [UniformIdentity()], 500_000, 0)
-        du = zero_snr_derivs(m, sc)
+        ms, m = zero_snr_moments(model, [StatisticalOptimized(),
+                                         UniformIdentity()], 500_000, 0)
+        ds, du = zero_snr_derivs(ms, sc), zero_snr_derivs(m, sc)
         # statistical uses the exact mean Gram, so its first derivative is
         # exact; uniform's comes from Monte Carlo moments
         assert ds.first_deriv == pytest.approx(2.0 / LN2, abs=1e-12)
@@ -126,6 +126,21 @@ class TestLowSnrDerivatives:
             <= 0.01 * abs(du.first_deriv)
         assert abs(ds.second_deriv - du.second_deriv) \
             <= 0.01 * abs(du.second_deriv)
+
+    @pytest.mark.parametrize("strategy", [UniformIdentity(),
+                                          StatisticalOptimized()])
+    def test_overflowing_second_deriv_weight_refused(self, strategy):
+        # at theta_hat = 1e308 the weight theta T B n_R/ln2^2 of E{q^2}
+        # overflows: uniform reported C''(0) = -inf and a wideband slope
+        # of 0, and statistical CSI died with an IndexError traceback from
+        # the simplex projection
+        (m,) = zero_snr_moments(IidComplexGaussian(2, 2), [strategy],
+                                2_000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="second derivative not finite"):
+                zero_snr_derivs(m, scen(1e308, 2, 2))
 
     def test_quadratic_objective_gradient(self):
         rng = np.random.default_rng(0)
@@ -199,9 +214,6 @@ def _sparse_strategy(name, n_t):
 
 def _low_snr_derivs(model, strategy, scenario, n_samples, seed):
     """The low-SNR derivatives of `effcap low-snr` for any strategy."""
-    if isinstance(strategy, StatisticalOptimized):
-        return derivs_statistical(
-            statistical_moments_mc(model, n_samples, seed), scenario)
     (m,) = zero_snr_moments(model, [strategy], n_samples, seed)
     return zero_snr_derivs(m, scenario)
 
@@ -210,7 +222,39 @@ def _low_snr_derivs(model, strategy, scenario, n_samples, seed):
 _H_FIXED = np.array([[1.0 + 0.5j, 0.3], [-0.2j, 0.8 - 0.1j]])
 
 
+def _kron(n, rho_r, rho_t):
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return KroneckerCorrelated((rho_r ** lag).astype(complex),
+                               (rho_t ** lag).astype(complex))
+
+
 class TestZeroSnrGain:
+    @pytest.mark.parametrize("model", ["iid2x2", "kron2x2", "kron3x3",
+                                       "fixed2x2"])
+    def test_one_pass_bitwise_against_statistical_reference(self, model):
+        # statistical CSI's matrices and lambda_max from the one pass of
+        # every strategy, and its derivatives from the one formula, keep the
+        # bits of its own pass and formula; the scalar strategies'
+        # derivatives keep the closed formula's bits
+        model = {"iid2x2": _SPARSE_MODELS["iid2x2"],
+                 "kron2x2": _SPARSE_MODELS["kron2x2"],
+                 "kron3x3": _kron(3, 0.7, 0.5),
+                 "fixed2x2": FixedMatrix(_H_FIXED)}[model]
+        n, seed = CHUNK + 123, 5
+        strategies = [_sparse_strategy(name, model.n_t) for name in
+                      ("uniform", "waterfilling", "beamforming", "fixed",
+                       "statistical")]
+        *scalar, stat = zero_snr_moments(model, strategies, n, seed)
+        ref = statistical_moments_mc(model, n, seed)
+        assert stat.e_q == ref.lambda_max
+        assert np.array_equal(stat.e_q_sq, ref.e_diag_products)
+        assert np.array_equal(stat.e_r, ref.e_abs_sq)
+        for th in (0.0, 0.5, 2.0):
+            sc = scen(th, model.n_r, model.n_t)
+            assert zero_snr_derivs(stat, sc) == derivs_statistical(ref, sc)
+            for m in scalar:
+                assert zero_snr_derivs(m, sc) == zero_snr_derivs_scalar(m, sc)
+
     @pytest.mark.parametrize("strategy", _SPARSE_STRATEGIES)
     @pytest.mark.parametrize("model", ["iid2x2", "kron2x2", "fixed2x2"])
     def test_low_snr_eb_min_equals_sparse_sublinear(self, model, strategy):

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from effcap import asymptotics, channels, cli, figures, queuesim
-from effcap.asymptotics import StatisticalMoments
-from effcap.channels import (IidComplexGaussian, KroneckerCorrelated,
-                             iter_sample_chunks, max_eig_subspace)
+from effcap.channels import IidComplexGaussian, KroneckerCorrelated
 from effcap.config import (KEYS, RunConfig, apply_overrides, parse_config,
                            parse_kv_text, serialize_config)
 from effcap.engine import (LN2, QosScenario, UniformIdentity,
                            WaterfillingCsit)
 from effcap.errors import ConfigError, FitError, NumericError
-from effcap.validation import run_validation
+from effcap.validation import lowsnr_suite, run_validation
+from oracles import derivs_statistical, statistical_moments_mc
 
 # the keys that every command running one scenario reads
 SCENARIO = """
@@ -408,10 +407,15 @@ class TestCli:
          "--set", "model.rho_t=0.9", *HUGE_SNR_SWEEP),
         ("low-snr", "--set", "scenario.theta_hat=1",
          "--set", "model.variant=fixed", "--set", "model.h_real=1e60"),
+        ("low-snr", "--set", "scenario.theta_hat=1",
+         "--set", "strategy.name=statistical", "--set", "scenario.n_r=1",
+         "--set", "scenario.n_t=2", "--set", "model.variant=fixed",
+         "--set", "model.h_real=1e100,1"),
     ], ids=["sweep-0", "sweep-1", "bit-energy", "queue-validate", "low-snr",
             "sparse-wideband", "sweep-waterfilling", "low-snr-beamforming",
             "sparse-wideband-fixed", "sweep-statistical",
-            "sweep-statistical-qr", "low-snr-squares"])
+            "sweep-statistical-qr", "low-snr-squares",
+            "low-snr-statistical"])
     def test_non_finite_rate_or_gain_numeric_error(self, argv, tmp_path,
                                                    capsys):
         # a finite SNR or channel whose per-draw rate or gain overflows:
@@ -423,7 +427,10 @@ class TestCli:
         # the run, and the refusal is all that stderr holds. The
         # statistical sweep (its objective's log det) and low-snr at a
         # channel whose gain is finite but whose squares behind the
-        # standard errors overflow are refused the same way
+        # standard errors overflow are refused the same way, and so is
+        # statistical low-snr at a channel whose largest eigenvalue of
+        # E{H^dag H} is finite but whose E{M_ii M_jj} overflows, which died
+        # with an IndexError traceback from the simplex projection
         out = tmp_path / "out.csv"
         if argv[0] in ("sweep", "bit-energy"):
             argv += ("--out", str(out))
@@ -1011,27 +1018,6 @@ KRONECKER_STATISTICAL = (
     "--set", "strategy.name=statistical")
 
 
-def _two_pass_statistical_moments(model, n_samples, seed):
-    """statistical_moments_mc as it was with a caller-supplied E{H^dag H},
-    now the exact one: its maximal eigenspace from `max_eig_subspace` of
-    the diagonal mean in the basis of the draws, whose first l columns
-    span it, and one pass of draws for the moments."""
-    w = model.mean_gram_eig[0]
-    summ = max_eig_subspace(np.diag(w))
-    l = summ.multiplicity_l
-    a_sum = np.zeros((l, l))
-    b_sum = np.zeros((l, l))
-    n = 0
-    for h in iter_sample_chunks(model, n_samples, seed):
-        c = h[:, :, :l]
-        m = c.conj().transpose(0, 2, 1) @ c
-        diag = np.real(np.einsum("nii->ni", m))
-        a_sum += np.einsum("ni,nj->ij", diag, diag)
-        b_sum += np.einsum("nij,nij->ij", m, m.conj()).real
-        n += h.shape[0]
-    return StatisticalMoments(summ.lambda_max, a_sum / n, b_sum / n)
-
-
 class TestLowSnrStatistical:
     def test_near_tie_first_deriv_is_chosen_k_gain(self, capsys):
         # Kronecker 2x2, rho_r 0.7, rho_t 0.004: E{H^dag H} = tr(R_r) R_t
@@ -1056,11 +1042,12 @@ class TestLowSnrStatistical:
         # printed to 12 significant digits
         assert float(got["first_deriv"]) == pytest.approx(lam / LN2,
                                                           rel=1e-11)
-        mom = asymptotics.statistical_moments_mc(model, 200_000, 0)
-        assert mom.e_abs_sq.shape == (1, 1)
+        (mom,) = asymptotics.zero_snr_moments(model, [cfg.strategy()],
+                                              200_000, 0)
+        assert mom.e_r.shape == (1, 1)
         u = model.mean_gram_eig[1][:, :1]  # p = [1] on the maximal space
         e_q = np.trace(u @ u.conj().T @ mean).real
-        d = asymptotics.derivs_statistical(mom, cfg.scenario())
+        d = asymptotics.zero_snr_derivs(mom, cfg.scenario())
         assert d.first_deriv == pytest.approx(e_q / LN2, rel=1e-14)
 
     def test_draws_each_sample_once(self, monkeypatch, capsys):
@@ -1069,20 +1056,25 @@ class TestLowSnrStatistical:
                        "--samples", "20000", "--quiet") == 0
         assert sum(drawn) == 20_000
 
+    def test_validate_lowsnr_draws_iid_2x2_moments_once(self, monkeypatch):
+        # uniform, beamforming and statistical CSI read their i.i.d. 2x2
+        # moments from one pass of 1e6 draws, and the 2x5 uniform moments
+        # take another; each of the three rate estimators takes one pass
+        # of its 20k draws. The statistical moments took a third 1e6 pass
+        drawn = count_draws(monkeypatch)
+        lowsnr_suite(20_000, 0)
+        assert sum(drawn) == 2 * 1_000_000 + 3 * 20_000
+
     @pytest.mark.parametrize("n_samples,seed", [(20_000, 0), (30_000, 4)])
     def test_values_equal_two_pass_bitwise(self, n_samples, seed, capsys):
+        # the command prints the derivatives of the statistical moments'
+        # own pass and formula, bit for bit
         argv = KRONECKER_STATISTICAL + ("--samples", str(n_samples),
                                         "--seed", str(seed))
         cfg = cli._load_config(cli.build_parser().parse_args(
             ("low-snr",) + argv))
-        model = cfg.model()
-        mom = asymptotics.statistical_moments_mc(model, n_samples, seed)
-        ref = _two_pass_statistical_moments(model, n_samples, seed)
-        assert mom.lambda_max == ref.lambda_max
-        assert np.array_equal(mom.e_diag_products, ref.e_diag_products)
-        assert np.array_equal(mom.e_abs_sq, ref.e_abs_sq)
-
-        d = asymptotics.derivs_statistical(ref, cfg.scenario())
+        ref = statistical_moments_mc(cfg.model(), n_samples, seed)
+        d = derivs_statistical(ref, cfg.scenario())
         em = asymptotics.energy_metrics(d)
         want = [f"regime = {d.regime}",
                 f"first_deriv = {d.first_deriv:.12g}",

@@ -307,15 +307,11 @@ def test_estimator_memo_keeps_fresh_estimator_bits():
 def fewer_moment_draws(monkeypatch):
     # the moment checks draw at least 1e6 samples; they call neither
     # strategy_spectra nor chunk_rates, so fewer draws keep these tests fast
-    gains, statistical = (asymptotics.zero_snr_moments,
-                          asymptotics.statistical_moments_mc)
+    moments = asymptotics.zero_snr_moments
     monkeypatch.setattr(
         asymptotics, "zero_snr_moments",
         lambda model, strategies, n_samples, seed:
-        gains(model, strategies, 20_000, seed))
-    monkeypatch.setattr(
-        asymptotics, "statistical_moments_mc",
-        lambda model, n_samples, seed: statistical(model, 20_000, seed))
+        moments(model, strategies, 20_000, seed))
 
 
 def test_lowsnr_suite_eigensolves_each_strategy_once(monkeypatch,
