@@ -2,7 +2,7 @@
 queueing constraints."""
 
 from .channels import (FixedMatrix, IidComplexGaussian, KroneckerCorrelated,
-                       hermitian_eig, mean_gram_mc)
+                       mean_gram_mc)
 from .engine import (BeamformingCsit, EffCapEstimate, FixedCovariance,
                      QosScenario, StatisticalOptimized, UniformIdentity,
                      WaterfillingCsit, effective_rate_mc, ergodic_rate_mc,

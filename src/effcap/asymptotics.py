@@ -5,9 +5,9 @@ The low-SNR derivatives and the sparse-wideband bit energies read one
 per-draw zero-SNR gain (`engine.chunk_gains`).
 The high-SNR path evaluates the Hankel-matrix MGF of the i.i.d. Rayleigh
 log-det rate; all 2k - 1 distinct entries come from one trapezoidal rule in
-t = ln z, to about 1e-13 relative, the one place a Hankel entry is
-evaluated; shapes whose top entry order n_R + n_T - 2 exceeds 60 are
-refused. The slope S_inf is exact in every band;
+t = ln z on one read-only node table, to about 1e-13 relative, the one
+place a Hankel entry is evaluated; shapes whose top entry order
+n_R + n_T - 2 exceeds 60 are refused. The slope S_inf is exact in every band;
 the power offset L_inf is exact (complex-Wishart determinant moments) below
 the reduced-slope band theta_hat >= max - min + 1 and NaN in it.
 
@@ -16,7 +16,9 @@ The module `__getattr__` at the end exists only for the benchmark tracer.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,10 +276,30 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
 # entries only: the Hankel determinant of a large shape can lose more digits
 # to conditioning. At theta_hat = 8 and SNR 1e8, against mpmath at 400
 # digits, 6x6 is off by 1.6e-10, 7x7 raises NumericError, and 8x8 to 10x10
-# are off by 0.70-0.88% with no error raised (ROADMAP item 1)
+# are off by 0.70-0.88% with no error raised (ROADMAP item 1). The nodes
+# t = step * i for integer i (np.arange with a float step drifts from them
+# by about 1e-13 relative, a bias on every entry) and exp(t) are one
+# read-only table, and each call reads its tail from the call's first node.
+# That node falls as c grows, and _hankel_log_mgf refuses any c that is not
+# finite and > 0, so the first node of the largest finite c,
+# _LOG_Z_LO_MIN = -7,498, bounds the table: 7,566 nodes, 60 KB per array
 _LOG_Z_STEP = 0.1
 _LOG_Z_MAX = math.log(800.0)
 _HANKEL_MAX_ORDER = 60
+
+
+def _first_node(c: float) -> int:
+    """Index i of the rule's first node t = i * step for c: 40 e-folds
+    below the smaller of z = 1 and the corner z = 1/c."""
+    return math.floor((-math.log(max(c, 1.0)) - 40.0) / _LOG_Z_STEP)
+
+
+_LOG_Z_LO_MIN = _first_node(sys.float_info.max)
+_LOG_Z_NODES = _LOG_Z_STEP * np.arange(
+    _LOG_Z_LO_MIN, math.ceil(_LOG_Z_MAX / _LOG_Z_STEP) + 1)
+_EXP_LOG_Z_NODES = np.exp(_LOG_Z_NODES)
+_LOG_Z_NODES.flags.writeable = False
+_EXP_LOG_Z_NODES.flags.writeable = False
 
 
 def _hankel_integrand_entry(theta_hat: float, orders, c: float) -> np.ndarray:
@@ -290,15 +312,34 @@ def _hankel_integrand_entry(theta_hat: float, orders, c: float) -> np.ndarray:
     (Trefethen & Weideman, SIAM Review 2014). The range starts 40 e-folds
     below the smaller of z = 1 and the corner z = 1/c.
     """
-    # integer multiples of the step: np.arange with a float step drifts
-    # from it by about 1e-13 relative, a bias on every entry
-    lo = math.floor((-math.log(max(c, 1.0)) - 40.0) / _LOG_Z_STEP)
-    t = _LOG_Z_STEP * np.arange(lo, math.ceil(_LOG_Z_MAX / _LOG_Z_STEP) + 1)
-    shared = -theta_hat * np.logaddexp(0.0, math.log(c) + t) - np.exp(t)
-    log_f = (np.asarray(orders, dtype=float)[:, None] + 1.0) * t + shared
+    first = _first_node(c) - _LOG_Z_LO_MIN
+    t, exp_t = _LOG_Z_NODES[first:], _EXP_LOG_Z_NODES[first:]
+    # -theta_hat * logaddexp(0, ln c + t) - exp(t), in one buffer
+    shared = np.add(t, math.log(c))
+    np.logaddexp(0.0, shared, out=shared)
+    shared *= -theta_hat
+    shared -= exp_t
+    log_f = np.multiply.outer(np.asarray(orders, dtype=float) + 1.0, t)
+    log_f += shared
     top = log_f.max(axis=1)
+    log_f -= top[:, None]
     return top + np.log(_LOG_Z_STEP
-                        * np.exp(log_f - top[:, None]).sum(axis=1))
+                        * np.exp(log_f, out=log_f).sum(axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_shape(d: int, k: int):
+    """What a k x k Hankel matrix of offset d fixes: its entry orders
+    d..d+2k-2, the index i + j that spreads them over the anti-diagonals,
+    and log det(G)|_{theta=0} = sum_i lgamma(d+i) + lgamma(i). Called only
+    for shapes within _HANKEL_MAX_ORDER, of which there are 961."""
+    orders = np.arange(d, d + 2 * k - 1)
+    anti_diagonal = np.add.outer(np.arange(k), np.arange(k))
+    orders.flags.writeable = False
+    anti_diagonal.flags.writeable = False
+    log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
+                   for i in range(1, k + 1))
+    return orders, anti_diagonal, log_norm
 
 
 def _hankel_log_mgf(scenario: QosScenario, snr: float) -> float:
@@ -310,27 +351,29 @@ def _hankel_log_mgf(scenario: QosScenario, snr: float) -> float:
     k = min(scenario.n_r, scenario.n_t)
     d = abs(scenario.n_r - scenario.n_t)
     c = scenario.n_r / scenario.n_t * snr
+    if not (c > 0 and math.isfinite(c)):
+        raise DomainError(f"hankel MGF requires a finite c = (n_R/n_T) snr "
+                          f"> 0, got c = {c}")
     if d + 2 * k - 2 > _HANKEL_MAX_ORDER:
         raise NumericError(
             f"Hankel entry order {d + 2 * k - 2} of {scenario.n_r}x"
             f"{scenario.n_t} exceeds {_HANKEL_MAX_ORDER}, the highest "
             f"order whose entries the trapezoidal grid resolves to 1e-12; "
             f"the bound is on entry order only, not on the determinant")
+    orders, anti_diagonal, log_norm = _hankel_shape(d, k)
     # g[i, j] depends only on i + j: one call evaluates the 2k - 1 orders
-    log_g = _hankel_integrand_entry(th, np.arange(d, d + 2 * k - 1), c)
-    if not np.all(np.isfinite(log_g)):
+    log_g = _hankel_integrand_entry(th, orders, c)
+    if not np.isfinite(log_g).all():
         raise NumericError(f"hankel entry not finite for theta_hat={th}, "
                            f"c={c}")
-    log_g = log_g[np.add.outer(np.arange(k), np.arange(k))]
+    log_g = log_g[anti_diagonal]
     # factor out row scales so slogdet sees O(1) numbers
     scales = log_g.max(axis=1)
-    sign, logdet = np.linalg.slogdet(np.exp(log_g - scales[:, None]))
+    log_g -= scales[:, None]
+    sign, logdet = np.linalg.slogdet(np.exp(log_g, out=log_g))
     if sign <= 0:
         raise NumericError("Hankel MGF determinant not positive")
-    # normalization det(G)|_{theta=0} = prod_i Gamma(d+i)*Gamma(i), so the
-    # MGF is exactly 1 when theta = 0
-    log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
-                   for i in range(1, k + 1))
+    # log_norm makes the MGF exactly 1 when theta = 0
     return logdet + float(scales.sum()) - log_norm
 
 

@@ -269,17 +269,6 @@ def sum_columns(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_eig(a: np.ndarray):
-    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
-    a = np.asarray(a)
-    scale = max(1.0, np.abs(a).max())
-    if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL * scale:
-        raise DomainError("hermitian_eig requires a Hermitian matrix")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
 # eigenvalues within this fraction of the largest count as maximal: a
 # rounding tolerance. Every E{H^dagger H} is exact (`mean_gram_eig`), and
 # its computed eigenvalues are off by a few n_T eps of the largest, so a

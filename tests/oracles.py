@@ -7,7 +7,12 @@ hypergeometric form of a Hankel entry (with its Gamma and 1F1 helpers) are
 closed forms that no library code needs. The Hankel entries and log-MGF
 use mpmath's Tricomi U function at 40 digits, imported only when called;
 the per-pair Hankel log-MGF is the loop the library's one call for all
-orders must reproduce exactly. The statistical optimizer's objective has
+orders must reproduce exactly, and the rebuilt Hankel entry and log-MGF,
+which build their node lattice and shape constants on every call, are the
+forms whose bits the library's shared node table and in-place rows keep.
+`hermitian_eig`, the descending eigenpairs of a Hermitian matrix, checks
+the model eigenbases that the library takes from `mean_gram_eig`. The
+statistical optimizer's objective has
 two references: the LU form, a batched `slogdet` and a batched `solve` on
 rotated grams, and the same sums per draw in 40-digit mpmath, which stands
 in at high SNR, where the LU form loses digits. The Kronecker draw has two
@@ -50,10 +55,12 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy import special as sps
 
-from effcap.asymptotics import (LowSnrDerivatives, SparseWidebandConfig,
+from effcap.asymptotics import (_HANKEL_MAX_ORDER, _LOG_Z_MAX, _LOG_Z_STEP,
+                                LowSnrDerivatives, SparseWidebandConfig,
                                 ZeroSnrMoments, _hankel_integrand_entry,
                                 _quadratic_objective, _sparse_objective)
-from effcap.channels import (ChannelModel, KroneckerCorrelated,
+from effcap.channels import (_HERMITICITY_TOL, ChannelModel,
+                             KroneckerCorrelated,
                              iter_sample_chunks, iter_spectra,
                              max_eig_multiplicity, sum_columns)
 from effcap.engine import (LN2, BeamformingCsit, CovarianceStrategy,
@@ -317,6 +324,77 @@ def hankel_log_mgf_per_pair(scenario: QosScenario, snr: float) -> float:
     log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
                    for i in range(1, k + 1))
     return logdet + float(scales.sum()) - log_norm
+
+
+def hankel_integrand_entry_rebuilt(theta_hat: float, orders,
+                                   c: float) -> np.ndarray:
+    """log g_p for each p in orders, where
+    g_p = int_0^inf (1+c z)^{-theta_hat} z^p e^{-z} dz.
+
+    Substituting z = e^t makes the integrand smooth on the whole line, with
+    exponential decay as t -> -inf and doubly exponential decay as
+    t -> +inf, so the plain trapezoidal rule converges geometrically
+    (Trefethen & Weideman, SIAM Review 2014). The range starts 40 e-folds
+    below the smaller of z = 1 and the corner z = 1/c.
+    """
+    # integer multiples of the step: np.arange with a float step drifts
+    # from it by about 1e-13 relative, a bias on every entry
+    lo = math.floor((-math.log(max(c, 1.0)) - 40.0) / _LOG_Z_STEP)
+    t = _LOG_Z_STEP * np.arange(lo, math.ceil(_LOG_Z_MAX / _LOG_Z_STEP) + 1)
+    shared = -theta_hat * np.logaddexp(0.0, math.log(c) + t) - np.exp(t)
+    log_f = (np.asarray(orders, dtype=float)[:, None] + 1.0) * t + shared
+    top = log_f.max(axis=1)
+    return top + np.log(_LOG_Z_STEP
+                        * np.exp(log_f - top[:, None]).sum(axis=1))
+
+
+def hankel_log_mgf_rebuilt(scenario: QosScenario, snr: float) -> float:
+    """The library's Hankel log-MGF as it was when every call rebuilt its
+    node lattice, orders, anti-diagonal index and normalization; the
+    library's shared node table and in-place rows must reproduce its values
+    exactly."""
+    if not (snr > 0 and math.isfinite(snr)):
+        raise DomainError(f"hankel MGF requires finite snr > 0, got {snr}")
+    th = scenario.theta_hat
+    if th == 0:
+        return 0.0
+    k = min(scenario.n_r, scenario.n_t)
+    d = abs(scenario.n_r - scenario.n_t)
+    c = scenario.n_r / scenario.n_t * snr
+    if d + 2 * k - 2 > _HANKEL_MAX_ORDER:
+        raise NumericError(
+            f"Hankel entry order {d + 2 * k - 2} of {scenario.n_r}x"
+            f"{scenario.n_t} exceeds {_HANKEL_MAX_ORDER}, the highest "
+            f"order whose entries the trapezoidal grid resolves to 1e-12; "
+            f"the bound is on entry order only, not on the determinant")
+    # g[i, j] depends only on i + j: one call evaluates the 2k - 1 orders
+    log_g = hankel_integrand_entry_rebuilt(th, np.arange(d, d + 2 * k - 1),
+                                           c)
+    if not np.all(np.isfinite(log_g)):
+        raise NumericError(f"hankel entry not finite for theta_hat={th}, "
+                           f"c={c}")
+    log_g = log_g[np.add.outer(np.arange(k), np.arange(k))]
+    # factor out row scales so slogdet sees O(1) numbers
+    scales = log_g.max(axis=1)
+    sign, logdet = np.linalg.slogdet(np.exp(log_g - scales[:, None]))
+    if sign <= 0:
+        raise NumericError("Hankel MGF determinant not positive")
+    # normalization det(G)|_{theta=0} = prod_i Gamma(d+i)*Gamma(i), so the
+    # MGF is exactly 1 when theta = 0
+    log_norm = sum(math.lgamma(d + i) + math.lgamma(i)
+                   for i in range(1, k + 1))
+    return logdet + float(scales.sum()) - log_norm
+
+
+def hermitian_eig(a: np.ndarray):
+    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
+    a = np.asarray(a)
+    scale = max(1.0, np.abs(a).max())
+    if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL * scale:
+        raise DomainError("hermitian_eig requires a Hermitian matrix")
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
 
 
 def write_trace_csv(trace, path: str) -> None:

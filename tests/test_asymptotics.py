@@ -1,5 +1,8 @@
+import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,7 @@ from effcap.asymptotics import (SparseWidebandConfig, ZeroSnrMoments,
                                 highsnr_slope_empirical, sparse_ebmin,
                                 zero_snr_derivs, zero_snr_moments)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
-                             KroneckerCorrelated, hermitian_eig,
-                             iter_sample_chunks)
+                             KroneckerCorrelated, iter_sample_chunks)
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, chunk_gains, effective_rate_mc,
@@ -23,12 +25,16 @@ from effcap.validation import _fd_checks, siso_mgf_exact
 from oracles import (_sparse_exponent_chunks, central_gradient, derivs_csit,
                      derivs_statistical, derivs_uniform, hankel_entry_closed,
                      hankel_log_entry, hankel_log_mgf, hankel_log_mgf_per_pair,
+                     hankel_log_mgf_rebuilt, hermitian_eig,
                      sparse_ebmin_bounded, sparse_ebmin_sublinear,
                      spectral_moments_mc, statistical_moments_mc,
                      upper_incomplete_gamma, zero_snr_derivs_scalar)
 
 T, B = 1e-3, 1e5
 LN2 = math.log(2.0)
+# the benchmark's oracle: i.i.d. effective rates from mpmath at 40 digits
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "reference.json"
 
 # Bounded-subchannel bit energy for the 2x2 i.i.d. case with K = I/2 and
 # rho = 1: sum |h_ij|^2 / 2 is Gamma(4, 1/2), so
@@ -591,6 +597,49 @@ class TestHankelMgf:
         want = hankel_log_mgf_per_pair(sc, snr)
         assert asymptotics._hankel_log_mgf(sc, snr) == want
         assert hankel_mgf(sc, snr) == math.exp(want)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("theta_hat", [0.01, 0.5, 1.5, 8.0, 30.0])
+    @pytest.mark.parametrize("n_r,n_t", [(1, 1), (2, 2), (2, 5), (5, 2),
+                                         (3, 3), (4, 4), (6, 6), (1, 61)])
+    def test_bitwise_equal_to_rebuilt_lattice(self, n_r, n_t, theta_hat,
+                                              order):
+        # the shared node table and the in-place rows keep the bits of the
+        # rule that rebuilt its lattice per call, in either SNR order, and
+        # its refusals: 3x3 to 6x6 at theta_hat 8 and 30 and SNR 1e300
+        # have a determinant that is not positive
+        snrs = [1e-6, 1e-2, 1.0, 1e3, 1e8, 1e12, 1e300]
+        if order == "descending":
+            snrs.reverse()
+        sc = scen(theta_hat, n_r, n_t)
+        for snr in snrs:
+            try:
+                want = hankel_log_mgf_rebuilt(sc, snr)
+            except NumericError as exc:
+                with pytest.raises(NumericError, match=re.escape(str(exc))):
+                    asymptotics._hankel_log_mgf(sc, snr)
+                continue
+            assert asymptotics._hankel_log_mgf(sc, snr) == want, snr
+
+    def test_reference_json_within_1e12(self):
+        # every point of the benchmark's hankel workload against its mpmath
+        # oracle; SNRs as the workload forms them from dB
+        with open(REFERENCE_JSON, encoding="utf-8") as fh:
+            rows = json.load(fh)["hankel"]
+        assert len(rows) == 260
+        worst = 0.0
+        for n_r, n_t, theta_hat, snr_db, want in rows:
+            got = hankel_effective_rate(scen(theta_hat, n_r, n_t),
+                                        10.0 ** (snr_db / 10.0))
+            worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-12, worst
+
+    @pytest.mark.parametrize("n_r,n_t,snr", [(2, 1, 1e308), (1, 2, 5e-324)])
+    def test_unusable_c_refused(self, n_r, n_t, snr):
+        # c = (n_R/n_T) snr overflows to inf or underflows to 0 for a
+        # finite snr > 0: the rule has no first node for it
+        with pytest.raises(DomainError, match="c = "):
+            hankel_effective_rate(scen(1.0, n_r, n_t), snr)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_one_entry_per_anti_diagonal(self, k, monkeypatch):

@@ -5,11 +5,11 @@ from effcap.asymptotics import zero_snr_moments
 from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              IidComplexGaussian, KroneckerCorrelated,
                              _complex_gaussian, _gram_eigvalsh, chunk_rng,
-                             hermitian_eig, iter_sample_chunks,
-                             max_eig_multiplicity, mean_gram_mc)
+                             iter_sample_chunks, max_eig_multiplicity,
+                             mean_gram_mc)
 from effcap.engine import BeamformingCsit, UniformIdentity
 from effcap.errors import DomainError
-from oracles import (complex_gaussian, kronecker_eigen_sample,
+from oracles import (complex_gaussian, hermitian_eig, kronecker_eigen_sample,
                      kronecker_sample)
 
 # E{lambda_max} and E{lambda_max^2} for the 2x2 i.i.d. complex case, from
