@@ -53,10 +53,11 @@ def _psd_eig(a: np.ndarray, name: str):
 
 # Every model draws its channels in the eigenbasis U of E{H^dagger H}: each
 # draw of `sample_eigenbasis` is V^dagger H U in law, for some unitary V,
-# and `mean_gram_eig` is (the eigenvalues, descending, U). Whatever reads a
-# draw reads it through H^dagger H or H K H^dagger, whose spectra a left
-# unitary V keeps, so only a transmit covariance K changes: it acts on the
-# draws as U^dagger K U (`engine.in_eigenbasis`).
+# which may depend on the draw, and `mean_gram_eig` is (the eigenvalues,
+# descending, U). Whatever reads a draw reads it through H^dagger H or
+# H K H^dagger, whose spectra a left unitary V keeps, so only a transmit
+# covariance K changes: it acts on the draws as U^dagger K U
+# (`engine.in_eigenbasis`).
 
 @dataclass(frozen=True)
 class IidComplexGaussian:
@@ -68,8 +69,15 @@ class IidComplexGaussian:
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _complex_gaussian(rng, (n, self.n_r, self.n_t))
 
-    # E{H^dagger H} = n_R I has every basis as eigenbasis: U = I
-    sample_eigenbasis = sample_batch
+    def sample_eigenbasis(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """E{H^dagger H} = n_R I has every basis as eigenbasis: U = I, and
+        the draws of `sample_batch`. A 1x1 draw is |h| alone, one
+        Rayleigh(1/sqrt 2) variate, since |h|^2 of h ~ CN(0, 1) is Exp(1)
+        (Tulino & Verdu 2004, Sec. 2): V is h's phase, and one variate
+        stands for two normals."""
+        if (self.n_r, self.n_t) != (1, 1):
+            return self.sample_batch(n, rng)
+        return rng.rayleigh(_INV_SQRT2, (n, 1, 1)).astype(complex)
 
     def exact_mean_gram(self) -> np.ndarray:
         return self.n_r * np.eye(self.n_t)

@@ -7,7 +7,8 @@ from effcap.channels import (CHUNK, MAX_EIG_REL_TOL, FixedMatrix,
                              _complex_gaussian, _gram_eigvalsh, chunk_rng,
                              iter_sample_chunks, max_eig_multiplicity,
                              mean_gram_mc)
-from effcap.engine import BeamformingCsit, UniformIdentity
+from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
+                           UniformIdentity, effective_rate_mc)
 from effcap.errors import DomainError
 from oracles import (complex_gaussian, hermitian_eig, kronecker_eigen_sample,
                      kronecker_sample)
@@ -45,6 +46,35 @@ class TestSampling:
         want = complex_gaussian(np.random.default_rng(11), shape)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_siso_eigenbasis_draw_is_rayleigh(self):
+        # a 1x1 draw in the eigenbasis is |h|, real and >= 0, with |h|^2
+        # Exp(1). Kolmogorov-Smirnov against Exp(1) on 200k draws at one
+        # seed: a correct sampler fails it with probability 1e-4
+        from scipy import stats
+        h = np.concatenate(list(iter_sample_chunks(IidComplexGaussian(1, 1),
+                                                   200_000, 21)))
+        assert h.shape == (200_000, 1, 1) and h.dtype == complex
+        assert np.all(h.imag == 0.0) and np.all(h.real >= 0.0)
+        assert stats.kstest((h.real ** 2).ravel(), "expon").pvalue > 1e-4
+
+    def test_siso_batch_keeps_circular_law_bitwise(self):
+        # H itself keeps its two-normal CN(0, 1) draw on 1x1
+        got = IidComplexGaussian(1, 1).sample_batch(CHUNK, chunk_rng(5, 0))
+        want = complex_gaussian(chunk_rng(5, 0), (CHUNK, 1, 1))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("snr", [0.1, 10.0])
+    def test_siso_unit_covariance_is_uniform_bitwise(self, snr):
+        # the strategies keep their common random numbers on the 1x1
+        # draws: K = [[1]] reads |h|^2 through H K H^dagger, uniform through
+        # the gram, and both give the same rate bit for bit
+        model = IidComplexGaussian(1, 1)
+        sc = QosScenario.from_theta_hat(1.0, 1e-3, 1e5, 1, 1)
+        k = FixedCovariance(np.eye(1, dtype=complex))
+        assert effective_rate_mc(sc, model, k, snr, CHUNK + 123, 8) \
+            == effective_rate_mc(sc, model, UniformIdentity(), snr,
+                                 CHUNK + 123, 8)
 
     def test_iid_unit_entry_variance(self):
         model = IidComplexGaussian(2, 2)
