@@ -273,10 +273,13 @@ def sparse_ebmin(config: SparseWidebandConfig, scenarios,
 # order p it resolves: against mpmath over theta_hat 0.01-30 and c
 # 1e-6-1e12 the worst relative error is 1.1e-13 for p <= 55, 8.5e-13 at
 # p = 60 and 1.3e-12 at p = 61, rising to 2e-3 at p = 300. This bounds the
-# entries only: the Hankel determinant of a large shape can lose more digits
-# to conditioning. At theta_hat = 8 and SNR 1e8, against mpmath at 400
-# digits, 6x6 is off by 1.6e-10, 7x7 raises NumericError, and 8x8 to 10x10
-# are off by 0.70-0.88% with no error raised (ROADMAP item 1). The nodes
+# entries only: the LAPACK determinant of a large shape can lose more digits
+# to conditioning, in a pattern that depends on the OpenBLAS kernel. At
+# theta_hat = 8 and SNR 1e8, against mpmath at 400 digits, 6x6 is off by
+# about 1e-9 and 7x7 by 0.09-0.34% with no error raised, 8x8 raises
+# NumericError, and 9x9 and 10x10 raise it or are off by 0.7-0.9%, which of
+# the two depending on the kernel (ROADMAP's per-kernel table of five
+# kernels; item 1 replaces the determinant). The nodes
 # t = step * i for integer i (np.arange with a float step drifts from them
 # by about 1e-13 relative, a bias on every entry) and exp(t) are one
 # read-only table, and each call reads its tail from the call's first node.
