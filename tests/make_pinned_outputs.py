@@ -24,10 +24,11 @@ a CSV. Monte Carlo values were bitwise equal across five OpenBLAS kernels
 (OPENBLAS_CORETYPE), but not across NumPy's SIMD targets: with its AVX-512
 loops switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR"), one fig2 rate moved by one unit in its 12th printed digit,
-6.5e-12 relative, and one standard error by 1.8e-8. A standard error
-subtracts two nearly equal moments (`engine._LogMeanExp.se_log`), which is
-why it moves most. Both tolerances leave a wide margin over those moves
-and are far below any change of draws or formulas.
+6.5e-12 relative, and five standard errors at -40 and -38 dB by up to
+1.8e-8. A standard error subtracts two nearly equal moments
+(`engine._LogMeanExp.se_log`), which is why it moves most. Both
+tolerances leave a wide margin over those moves and are far below any
+change of draws or formulas.
 
 Left out: Hankel values at 7x7 and up, which move between OpenBLAS kernels
 or flip between a value and a refusal. No run below reads one; the Hankel
@@ -239,10 +240,6 @@ def capture(argv) -> dict:
     return {key: val for key, val in rec.items() if val}
 
 
-def capture_all() -> dict:
-    return {name: capture(argv) for name, argv in RUNS.items()}
-
-
 def _rows(rec: dict, shared: dict | None) -> tuple:
     """(header, full rows as {column: cell} dicts) of a CSV record."""
     cells = _split(rec["header"])
@@ -280,9 +277,10 @@ def _lines_mismatch(want: list, got: list) -> bool:
 
 
 def _file_mismatches(name, want, got, want_shared, got_shared) -> list:
+    # a trace's line count and sum
     out = [f"{name}: {key} {got.get(key)} != pinned {want.get(key)}"
-           for key in ("lines", "sum")
-           if not _text_matches(str(want.get(key)), str(got.get(key)))]
+           for key in ("lines", "sum") if (key in want or key in got)
+           and not _text_matches(str(want.get(key)), str(got.get(key)))]
     (wcols, wrows), (gcols, grows) = (_rows(want, want_shared),
                                       _rows(got, got_shared))
     if wcols != gcols:
@@ -319,7 +317,8 @@ def load() -> dict:
 
 
 def main() -> int:
-    text = json.dumps(capture_all(), indent=0, ensure_ascii=False) + "\n"
+    records = {name: capture(argv) for name, argv in RUNS.items()}
+    text = json.dumps(records, indent=0, ensure_ascii=False) + "\n"
     PINNED.write_text(text, encoding="utf-8")
     print(f"wrote {PINNED} ({len(text.encode())} bytes, {len(RUNS)} runs)")
     return 0

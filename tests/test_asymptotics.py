@@ -416,9 +416,10 @@ class TestSparseWideband:
                 assert eb > sublinear
                 continue
             # eb is Monte Carlo and sublinear the exact ln2 / lambda_max, so
-            # on 1x1 eb > sublinear held on only 128 of seeds 0-199. Jensen on the same draws bounds eb by the mean gain of
-            # the K it chose, at most the largest per-direction mean, on
-            # every seed
+            # on 1x1 eb > sublinear held on only 128 of seeds 0-199. Jensen
+            # on the same draws bounds eb by ln2 over the mean gain of the K
+            # it chose, at most the largest per-direction mean, on every
+            # seed
             assert eb > LN2 / mean_max
             # and a one-sided z-test against the exact value: ln2/eb is at
             # most mean_max, each direction's mean is at most lambda_max in
