@@ -19,7 +19,8 @@ from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
 from effcap.engine import (BeamformingCsit, FixedCovariance, QosScenario,
                            StatisticalOptimized, UniformIdentity,
                            WaterfillingCsit, chunk_gains, effective_rate_mc,
-                           ergodic_rate_mc, in_eigenbasis, rate_estimator)
+                           ergodic_rate_mc, in_eigenbasis, rate_estimator,
+                           simplex_maximize)
 from effcap.errors import DomainError, NumericError
 from effcap.validation import _fd_checks, siso_mgf_exact
 from oracles import (_sparse_exponent_chunks, central_gradient, derivs_csit,
@@ -402,7 +403,6 @@ class TestSparseWideband:
             # mixtures the bounded values are optimized
             gains = np.concatenate([(np.abs(h) ** 2).sum(axis=1) for h in
                                     iter_sample_chunks(model, n, 4)])
-            mean_max = gains.mean(axis=0).max()
             se = gains.std(axis=0).max() / math.sqrt(n)
         else:
             assert sublinear == ref
@@ -417,12 +417,16 @@ class TestSparseWideband:
                 continue
             # eb is Monte Carlo and sublinear the exact ln2 / lambda_max, so
             # on 1x1 eb > sublinear held on only 128 of seeds 0-199. Jensen
-            # on the same draws bounds eb by ln2 over the mean gain of the K
-            # it chose, at most the largest per-direction mean, on every
-            # seed
-            assert eb > LN2 / mean_max
-            # and a one-sided z-test against the exact value: ln2/eb is at
-            # most mean_max, each direction's mean is at most lambda_max in
+            # on the same draws bounds eb by ln2 over the mean of the gain
+            # q = gains.p of the mixture p it chose, on every seed; the
+            # optimizer is deterministic, so a second run gives that p
+            p, best, _ = simplex_maximize(_sparse_objective(gains, rho),
+                                          np.full(model.n_t, 1.0 / model.n_t))
+            assert eb == rho / best
+            assert eb > LN2 / (gains @ p).mean()
+            # and a one-sided z-test against the exact value: ln2/eb is below
+            # that mean, at most the largest per-direction mean, and each
+            # direction's mean is at most lambda_max in
             # expectation with standard error at most se, so z > 4 has
             # probability at most n_T * 3.2e-5 (normal approximation), and
             # 2.5e-4 over the four models (n_T 1, 2, 3 and 2)
