@@ -208,11 +208,19 @@ def _tail_quantiles(chunks, n: int, levels: np.ndarray) -> np.ndarray:
 
 
 _TAIL_LEVELS = np.linspace(*TAIL_QUANTILES, 60)
+# under a tail P(Q >= q) = c e^{-theta q}, the sample quantile at level p
+# has standard deviation proportional to sqrt(p / (1 - p)) (independent
+# samples), 10.5 times larger at 0.999 than at 0.90; each quantile is
+# weighted by the inverse. On the SISO queue at theta_hat 1, SNR 10 dB,
+# the fitted theta's spread fell from 5.4% to 3.9% of theta at 1e5
+# blocks (2,000 seeds) and from 1.6% to 1.1% at 1e6 (100 seeds)
+_TAIL_WEIGHTS = np.sqrt((1.0 - _TAIL_LEVELS) / _TAIL_LEVELS)
 
 
 def _fit_tail(qs: np.ndarray) -> TailFit:
-    """Least-squares slope of log P(Q >= q) on the quantiles qs of the
-    stationary queue at _TAIL_LEVELS."""
+    """Weighted least-squares fit of the quantiles qs of the stationary
+    queue at _TAIL_LEVELS to q = c - log P(Q >= q) / theta, weights
+    _TAIL_WEIGHTS; r_squared is the fit's weighted R^2."""
     # collapse duplicate quantile values (flat CDF regions carry no slope
     # information and would just be repeated points)
     qs_round = np.round(qs, 12)
@@ -221,18 +229,23 @@ def _fit_tail(qs: np.ndarray) -> TailFit:
     if len(keep) < 20:
         raise FitError(
             f"only {len(keep)} distinct tail points in the quantile window")
+    # x rises and y falls strictly, so the slope is negative
     x = qs[keep]
     y = np.log(1.0 - _TAIL_LEVELS[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return TailFit(theta_est=float(-slope), r_squared=max(0.0, min(1.0, r2)),
+    w = _TAIL_WEIGHTS[keep]
+    slope, intercept = np.polyfit(y, x, 1, w=w)
+    w2 = w * w
+    resid = x - (slope * y + intercept)
+    ss_tot = float(w2 @ (x - (w2 @ x) / w2.sum()) ** 2)
+    r2 = 1.0 - float(w2 @ resid ** 2) / ss_tot if ss_tot > 0 else 0.0
+    return TailFit(theta_est=float(-1.0 / slope),
+                   r_squared=max(0.0, min(1.0, r2)),
                    q_range=(float(x[0]), float(x[-1])), n_points=len(keep))
 
 
 def estimate_tail_exponent(trace: QueueTrace) -> TailFit:
-    """Least-squares slope of log P(Q >= q) over the TAIL_QUANTILES window.
+    """Weighted least-squares tail exponent over the TAIL_QUANTILES window
+    (`_fit_tail`).
 
     Its quantiles are bitwise np.quantile's, from a buffer of the top values
     (`_tail_quantiles`); a non-finite trace is refused with FitError.

@@ -193,6 +193,36 @@ class TestEstimateTailExponent:
         with pytest.raises(FitError):
             estimate_tail_exponent(make_trace(np.zeros(10_000)))
 
+    def test_exact_exponential_quantiles_recover_theta(self):
+        # q_p = 3 - log(1 - p) / theta lies on the fitted line, whatever the
+        # weights
+        levels = queuesim._TAIL_LEVELS
+        fit = queuesim._fit_tail(3.0 - np.log(1.0 - levels) / 0.25)
+        assert abs(fit.theta_est - 0.25) <= 1e-12 * 0.25
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.n_points == len(levels)
+
+    def test_quantiles_weighted_by_inverse_standard_deviation(self):
+        # the closed-form weighted least squares of q on y = log(1 - p),
+        # weights w^2 = (1 - p) / p, on noisy quantiles; an unweighted fit
+        # of the same points gives another theta
+        levels = queuesim._TAIL_LEVELS
+        y = np.log(1.0 - levels)
+        rng = np.random.default_rng(11)
+        qs = -y / 0.5 + 0.05 * np.sqrt(levels / (1.0 - levels)) \
+            * rng.standard_normal(len(levels))
+        qs.sort()
+        v = (1.0 - levels) / levels
+        ybar, qbar = v @ y / v.sum(), v @ qs / v.sum()
+        slope = v @ ((y - ybar) * (qs - qbar)) / (v @ (y - ybar) ** 2)
+        fit = queuesim._fit_tail(qs)
+        assert fit.theta_est == pytest.approx(-1.0 / slope, rel=1e-12)
+        resid = qs - qbar - slope * (y - ybar)
+        r2 = 1.0 - v @ resid ** 2 / (v @ (qs - qbar) ** 2)
+        assert fit.r_squared == pytest.approx(r2, rel=1e-12)
+        unweighted = -1.0 / np.polyfit(y, qs, 1)[0]
+        assert abs(fit.theta_est - unweighted) > 1e-3 * unweighted
+
     def test_warmup_excluded(self):
         rng = np.random.default_rng(7)
         tail = rng.exponential(1.0, size=100_000)
