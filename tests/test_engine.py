@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from effcap import asymptotics, channels, engine
+from effcap import asymptotics, channels, cli, engine
 from effcap.asymptotics import (SparseWidebandConfig, _quadratic_objective,
                                 _sparse_objective, sparse_ebmin)
 from effcap.channels import (CHUNK, FixedMatrix, IidComplexGaussian,
@@ -668,6 +668,21 @@ class TestStatisticalObjective:
             _statistical_estimate(scen(2.0, 2, 2), 10.0, [grams],
                                   np.full(2, 0.5), 50)
 
+
+
+def test_statistical_sweep_on_4x2_through_the_qr_factor(tmp_path):
+    # with n_R > n_T each draw's factor is the R of its QR decomposition;
+    # a whole sweep of it through the CLI writes the header and 5 rows
+    out = tmp_path / "stat.csv"
+    assert cli.main([
+        "sweep", "--set", "strategy.name=statistical",
+        "--set", "model.variant=kronecker", "--set", "model.rho_r=0.7",
+        "--set", "model.rho_t=0.9", "--set", "scenario.theta_hat=2.0",
+        "--set", "scenario.n_r=4", "--set", "scenario.n_t=2",
+        "--set", "sweep.snr_db_start=0", "--set", "sweep.snr_db_stop=20",
+        "--set", "sweep.n_points=5", "--samples", "50000", "--seed", "3",
+        "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes().count(b"\n") == 6
 
 def _optimize_bytes(n_r, n_t, n_samples, rho_t=0.5):
     """K, value and std_err of one statistical optimizer call, as bytes."""

@@ -3,14 +3,13 @@ package starts without SciPy: it is imported only inside the functions
 that call it."""
 
 import ast
-import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "effcap"
+from conftest import SRC, run_fresh
+
+PACKAGE = SRC / "effcap"
 
 
 def _unused_imports(path):
@@ -29,29 +28,19 @@ def _unused_imports(path):
 
 
 # __init__.py is skipped whole: its imports are the package exports
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-def _run_fresh(code, cwd):
-    """Run code in a fresh interpreter that imports effcap from src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                             else []))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_import_loads_no_scipy(tmp_path):
     # SciPy was most of the start-up time of every effcap process
-    out = _run_fresh(
-        "import sys, effcap, effcap.cli\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy'))", tmp_path)
+    out = run_fresh([sys.executable, "-c",
+                     "import sys, effcap, effcap.cli\n"
+                     "print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] == 'scipy'))"], tmp_path, SRC)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -68,11 +57,11 @@ def test_import_loads_no_scipy(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_commands_run_without_scipy(argv, tmp_path):
     # None in sys.modules makes every `import scipy...` raise ImportError
-    out = _run_fresh(
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from effcap import cli\n"
-        f"sys.exit(cli.main({list(argv)!r}))", tmp_path)
+    out = run_fresh([sys.executable, "-c",
+                     "import sys\n"
+                     "sys.modules['scipy'] = None\n"
+                     "from effcap import cli\n"
+                     f"sys.exit(cli.main({list(argv)!r}))"], tmp_path, SRC)
     assert out.returncode == 0, out.stderr
 
 

@@ -250,6 +250,21 @@ def test_fig4_rows_equal_per_point_estimates(tmp_path):
         assert curve.rows == [antenna_row(1.0, 2, n_t, db) for db in grid]
 
 
+
+def test_fig4_closed_form_rates_finite_over_three_chunks(tmp_path):
+    # fig4's five 2 x n_T curves take their spectra in closed form, three
+    # chunks each at 40,000 draws: every rate is finite and none falls as
+    # the SNR grows
+    assert cli.main(["reproduce-fig", "fig4", "--samples", "40000",
+                     "--seed", "3", "--out", str(tmp_path), "--quiet"]) == 0
+    paths = sorted(tmp_path.glob("fig4_*.csv"))
+    assert len(paths) == 5, paths
+    for path in paths:
+        with open(path, newline="") as fh:
+            rates = [float(r["rate_bits_s_hz"]) for r in csv.DictReader(fh)]
+        assert len(rates) == 26 and all(map(math.isfinite, rates)), path
+        assert all(a <= b for a, b in zip(rates, rates[1:])), path
+
 def test_unknown_figure_creates_nothing(tmp_path):
     with pytest.raises(ConfigError, match="fig99"):
         reproduce_figure("fig99", out_dir=str(tmp_path / "new"))
